@@ -41,10 +41,6 @@ def mat_vec(A, v):
     return tuple(sum(a * x for a, x in zip(row, v)) for row in A)
 
 
-def vec_mat(v, A):
-    return tuple(sum(x * A[i][j] for i, x in enumerate(v)) for j in range(len(A[0])))
-
-
 def dot(u, v):
     return sum(a * b for a, b in zip(u, v))
 
@@ -262,16 +258,6 @@ def kernel_int(A):
         if all(rows[i][j] == 0 for i in range(n)):
             kernel.append(tuple(U[j]))
     return tuple(sorted(kernel))
-
-
-def saturate(vectors, ambient_dim):
-    """Z-basis of (Q-span of vectors) cap Z^n, i.e. the saturated lattice."""
-    if not vectors:
-        return ()
-    eqs = nullspace(vectors)
-    if not eqs:
-        return tuple(identity(ambient_dim)[i] for i in range(ambient_dim))
-    return kernel_int(eqs)
 
 
 def in_span(v, vectors):

@@ -296,12 +296,13 @@ def cmd_core_decompose(args):
         rho = tuple(Fraction(x) for x in args.positivity.split(","))
     else:
         rho = tuple(1 if i == 0 else 0 for i in range(dim))
-    cone = SelfAdjointCone(gram, rho)
+    try:
+        cone = SelfAdjointCone(gram, rho)
+    except ValueError as e:
+        raise UsageError(str(e))
     E = core_extremes(cone, args.variant, args.height)
     K = KernelSpec(points=E.points)
     fan, rep = support_fan(K, E, cone)
-    from .fan import validate_fan
-
     results = {
         "variant": args.variant,
         "height": args.height,
@@ -314,7 +315,7 @@ def cmd_core_decompose(args):
     certificates = {
         "stability": {"window": args.height, "double_window": 2 * args.height,
                       "stable": E.stable},
-        "fan_validity": validate_fan(fan).valid,
+        "fan_validity": rep.fan_valid,
     }
     if args.gens:
         gens = [io.matrix_from_json(m) for m in _read_json(args.gens)["generators"]]

@@ -3,10 +3,12 @@
 Every computation is windowed by a height bound H with an H-versus-2H
 stability certificate; the module reports window-level evidence only and
 never claims global admissibility.  Extreme points are computed from
-windowed lattice enumerations (hull vertices reduced by an exact-LP
-midpoint test against the window pool plus window recession rays), and the
+windowed lattice enumerations: a pool point is extreme when it is a
+vertex of the hull of the window pool plus the window recession rays, and
+no other pool point reaches it through the closed cone.  The
 support-hyperplane candidates are facet normals of the windowed hull of
-the extreme set.
+the extreme set.  Both hulls come from the integer double-description
+kernel in fan.py.
 """
 
 from __future__ import annotations
@@ -17,12 +19,26 @@ from fractions import Fraction
 
 from . import _linalg as la
 from .errors import NotConePreserving, UnstableTruncation
-from .fan import Fan, RationalCone, _nonneg_solve, fan_from_maximal, validate_fan
+from .fan import (
+    Fan,
+    RationalCone,
+    _facets_of,
+    _incidence_rank,
+    fan_from_maximal,
+    validate_fan,
+)
 from .qform import QuadraticLattice, diagonalize
 
 
 class SelfAdjointCone:
-    """Open cone {q(y) > 0, <rho, y> > 0} for a signature-(1,k) form.
+    """Open cone {q(y) > 0, b(y, w) > 0} for a signature-(1,k) form.
+
+    w is the positive vector of a diagonalization, signed so that the
+    positivity covector rho is positive at w; a rho that vanishes at w
+    selects no component and is refused.  When rho is positive on the
+    whole component, the open cone is {q(y) > 0, <rho, y> > 0}, and the
+    closed cone {q(y) >= 0, b(y, w) >= 0} holds one half of each isotropic
+    line even where rho vanishes.
 
     inner is the positive-definite self-adjointness form used for all
     kernel pairings <x, y>.
@@ -30,12 +46,18 @@ class SelfAdjointCone:
 
     def __init__(self, gram, positivity_ray, inner=None):
         self.lattice = QuadraticLattice(gram)
-        diag, _ = diagonalize(self.lattice)
-        pos = sum(1 for d in diag if d > 0)
-        if pos != 1:
+        diag, T = diagonalize(self.lattice)
+        pos = [i for i, d in enumerate(diag) if d > 0]
+        if len(pos) != 1:
             raise ValueError("self-adjoint cone needs signature (1, k)")
         self.rho = la.vec(positivity_ray)
         self.dim = self.lattice.rank
+        w = la.primitive([row[pos[0]] for row in T])
+        side = la.dot(self.rho, w)
+        if side == 0:
+            raise ValueError(f"positivity covector vanishes at the interior point {list(w)}")
+        # the covector b(., w), with w on the side where rho is positive
+        self.side = la.mat_vec(self.lattice.gram, w if side > 0 else [-x for x in w])
         if inner is None:
             inner = la.identity(self.dim)
         self.inner = la.mat(inner)
@@ -48,10 +70,10 @@ class SelfAdjointCone:
 
     def contains(self, v, closed: bool = False) -> bool:
         q = self.lattice.quadratic(v)
-        p = la.dot(self.rho, la.vec(v))
+        s = la.dot(self.side, la.vec(v))
         if closed:
-            return q >= 0 and p >= 0
-        return q > 0 and p > 0
+            return q >= 0 and s >= 0
+        return q > 0 and s > 0
 
 
 def first_quadrant_cone() -> SelfAdjointCone:
@@ -95,7 +117,7 @@ def boundary_rays(cone: SelfAdjointCone, height: int):
     for v in itertools.product(rng, repeat=cone.dim):
         if not any(v):
             continue
-        if cone.lattice.quadratic(v) == 0 and la.dot(cone.rho, la.vec(v)) >= 0:
+        if cone.lattice.quadratic(v) == 0 and cone.contains(v, closed=True):
             rays.add(la.primitive(v))
     return tuple(sorted(rays))
 
@@ -137,36 +159,24 @@ class ExtremeSet:
     stable: bool
 
 
-def _reducible(v, pool, recession, cone: SelfAdjointCone):
-    """Exact test: v in conv(pool minus v) + cone(recession).
-
-    Fast path first: v - s in the closed cone for a single pool point s
-    (covers the K = union of e + closed-cone structure); then the exact LP
-    against the window recession rays.
-    """
-    for s in pool:
-        if tuple(s) == tuple(v):
-            continue
-        diff = tuple(a - b for a, b in zip(v, s))
-        if any(diff) and cone.contains(diff, closed=True):
-            return True
-    cols = []
-    for p in pool:
-        if tuple(p) == tuple(v):
-            continue
-        cols.append(tuple(p) + (1,))
-    for r in recession:
-        cols.append(tuple(r) + (0,))
-    if not cols:
-        return False
-    A = la.transpose(cols)
-    b = tuple(v) + (1,)
-    return _nonneg_solve(A, b)
-
-
 def _extreme_points_of(pool, recession, cone: SelfAdjointCone):
+    """Pool points that are vertices of conv(pool) + cone(recession) and
+    are not v = s + c for another pool point s and c in the closed cone.
+
+    Vertices are the pool points p whose lift (p, 1) has incidence rank
+    dim in the cone over (pool, 1) and (recession, 0).  The closed-cone
+    filter stays: the window recession rays under-approximate the cone.
+    """
+    gens = [tuple(p) + (1,) for p in pool] + [tuple(r) + (0,) for r in recession]
+    facets, eqs = _facets_of(gens, cone.dim + 1)
+
+    def dominated(v):
+        return any(cone.contains(tuple(a - b for a, b in zip(v, s)), closed=True)
+                   for s in pool if tuple(s) != tuple(v))
+
     return tuple(v for v in sorted(pool)
-                 if not _reducible(v, pool, recession, cone))
+                 if _incidence_rank(tuple(v) + (1,), facets, eqs) == cone.dim
+                 and not dominated(v))
 
 
 def _window_points_of_kernel(K: KernelSpec, cone: SelfAdjointCone, height: int):
@@ -223,6 +233,7 @@ def _core_extremes_window(cone: SelfAdjointCone, variant: str, height: int):
 class SupportFanReport:
     degenerate: bool
     functionals: tuple
+    fan_valid: bool
     conventions: tuple = (
         "kernel-comparison-closed",
         "support-candidates-from-windowed-hull-facets",
@@ -235,7 +246,11 @@ def support_fan(K: KernelSpec, E: ExtremeSet, cone: SelfAdjointCone,
     """Support-hyperplane fan of a kernel from its windowed extreme set.
 
     Candidates y are facet normals (level-1 normalized) of the windowed
-    hull of E; y enters Y_K when its contact set with E spans the space.
+    hull of E: each facet (a, a0) with a0 < 0 of the cone over
+    (inner e, 1) and (inner r, 0), for e in E and window recession rays r,
+    gives y = a / -a0.  When that cone lies in a hyperplane, its equation
+    is a candidate in both signs.  y enters Y_K when it lies in the closed
+    cone and its contact set with E spans the space.
     Returns (fan, report); a degenerate Y_K yields the trivial single-cone
     decomposition of the windowed rational closure with a warning.
     """
@@ -243,29 +258,26 @@ def support_fan(K: KernelSpec, E: ExtremeSet, cone: SelfAdjointCone,
     pts = [la.vec(p) for p in E.points]
     dim = cone.dim
     recession = boundary_rays(cone, window)
+    gens = [la.mat_vec(cone.inner, e) + (1,) for e in pts] \
+        + [la.mat_vec(cone.inner, la.vec(r)) + (0,) for r in recession]
+    facets, eqs = _facets_of(gens, dim + 1)
     functionals = []
-    for subset in itertools.combinations(pts, dim):
-        # y with <e_i, y>_inner = 1 for the chosen contact points
-        rows = [la.mat_vec(cone.inner, e) for e in subset]
-        y = la.solve(rows, [Fraction(1)] * dim)
-        if y is None:
+    for a in facets + eqs + tuple(tuple(-x for x in e) for e in eqs):
+        if a[-1] >= 0:
             continue
+        y = tuple(Fraction(x, -a[-1]) for x in a[:-1])
         if not cone.contains(y, closed=True):
             continue
-        if any(cone.pair(e, y) < 1 for e in pts):
-            continue  # does not support K from below
-        if any(la.dot(la.mat_vec(cone.inner, la.vec(r)), la.vec(y)) < 0
-               for r in recession):
-            continue  # cuts the recession cone
         contact = [e for e in pts if cone.pair(e, y) == 1]
         if la.rank(contact) < dim:
             continue
-        functionals.append((tuple(y), tuple(tuple(e) for e in contact)))
+        functionals.append((y, tuple(tuple(e) for e in contact)))
     functionals = sorted(set(functionals))
     if not functionals:
         trivial = RationalCone(list(recession), dim)
         fan = fan_from_maximal([trivial], dim)
-        report = SupportFanReport(degenerate=True, functionals=())
+        report = SupportFanReport(degenerate=True, functionals=(),
+                                  fan_valid=validate_fan(fan).valid)
         report.warnings.append(
             "DegenerateSupport: no support hyperplane has a spanning contact "
             "set in the window; returning the trivial decomposition"
@@ -275,9 +287,10 @@ def support_fan(K: KernelSpec, E: ExtremeSet, cone: SelfAdjointCone,
     for y, contact in functionals:
         cones.append(RationalCone([la.primitive(e) for e in contact], dim))
     fan = fan_from_maximal(cones, dim)
-    report = SupportFanReport(degenerate=False,
-                              functionals=tuple(y for y, _ in functionals))
     rep = validate_fan(fan)
+    report = SupportFanReport(degenerate=False,
+                              functionals=tuple(y for y, _ in functionals),
+                              fan_valid=rep.valid)
     if not rep.valid:
         report.warnings.append(f"window fan failed validation: {rep.violations}")
     return fan, report

@@ -14,6 +14,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import gcd
 
 from . import _linalg as la
 from .errors import ConeNotInFan
@@ -22,97 +23,77 @@ from .errors import ConeNotInFan
 def _extreme_rays_of_halfspaces(normals, dim, equations=()):
     """Primitive extreme rays of {x : <n_i, x> >= 0, <e_j, x> = 0}.
 
-    Assumes the solution cone is pointed (no line satisfies all
-    constraints); callers handle lineality themselves.
+    Fraction-free double description (Motzkin; Fukuda & Prodon, "Double
+    description method revisited", 1996).  It works in integer coordinates
+    on a Z-basis of the subspace the equations cut out, starts from the
+    simplicial cone of k independent rows, and adds the other half-spaces
+    one at a time, joining each positive/negative pair of rays that are
+    adjacent by the zero-set test.  A solution cone that is not pointed
+    gives +-l for a one-dimensional lineality space spanned by l, and ()
+    otherwise.
     """
-    rows = [la.vec(n) for n in normals] + [la.vec(e) for e in equations] \
-        + [tuple(-x for x in la.vec(e)) for e in equations]
-    cand = set()
-    m = len(rows)
-    eff_rank = la.rank(rows) if rows else 0
-    if eff_rank < dim - 1:
+    basis = la.kernel_int(equations or [(0,) * dim])
+    k = len(basis)
+    if k == 0:
         return ()
-    for subset in itertools.combinations(range(m), dim - 1):
-        sub = [rows[i] for i in subset]
-        ker = la.nullspace(sub) if sub else la.nullspace([tuple(Fraction(0) for _ in range(dim))])
-        if len(ker) != 1:
-            continue
-        for sign in (1, -1):
-            v = la.primitive(tuple(sign * x for x in ker[0]))
-            if all(x == 0 for x in v):
-                continue
-            if all(la.dot(r, v) >= 0 for r in rows):
-                cand.add(v)
-    # drop rays that are nonnegative combinations of the others
-    out = []
-    for v in sorted(cand):
-        others = [w for w in cand if w != v]
-        if not _in_cone_vrep(v, others):
-            out.append(v)
-    return tuple(out)
+
+    def lift(y):
+        return la.primitive([sum(c * b[i] for c, b in zip(y, basis)) for i in range(dim)])
+
+    rows = [[la.dot(la.primitive(n), b) for b in basis] for n in normals]
+    rows = [_primitive_int(r) for r in rows if any(r)]
+    first = la.rref(la.transpose(rows))[1]
+    if len(first) < k:
+        if len(first) < k - 1:
+            return ()
+        line = lift(la.nullspace(rows or [(0,) * k])[0])
+        return tuple(sorted({line, tuple(-x for x in line)}))
+    order = list(first) + [i for i in range(len(rows)) if i not in first]
+    rows = [rows[i] for i in order]
+    # simplicial start: ray j is tight on every chosen row but row j
+    inv = la.inverse(rows[:k])
+    full = (1 << k) - 1
+    rays = [(la.primitive([inv[i][j] for i in range(k)]), full & ~(1 << j))
+            for j in range(k)]
+    for t in range(k, len(rows)):
+        a, bit = rows[t], 1 << t
+        signs = [(r, z, la.dot(a, r)) for r, z in rays]
+        pos = [x for x in signs if x[2] > 0]
+        neg = [x for x in signs if x[2] < 0]
+        nxt = [(r, z | bit if s == 0 else z) for r, z, s in signs if s >= 0]
+        for p, zp, sp in pos:
+            for n, zn, sn in neg:
+                common = zp & zn
+                if common.bit_count() < k - 2:
+                    continue
+                if any(common & z == common for r, z in rays if r is not p and r is not n):
+                    continue
+                nxt.append((_primitive_int([sp * x - sn * y for x, y in zip(n, p)]),
+                            common | bit))
+        rays = nxt
+    return tuple(sorted(lift(r) for r, _ in rays))
 
 
-def _in_cone_vrep(x, rays):
-    """Exact membership of x in cone(rays) via feasibility."""
-    if all(v == 0 for v in x):
-        return True
-    if not rays:
-        return False
-    return _nonneg_solve(la.transpose([la.vec(r) for r in rays]), la.vec(x))
+def _primitive_int(v):
+    """Primitive vector on the ray of a nonzero integer vector."""
+    g = gcd(*v)
+    return tuple(x // g for x in v)
 
 
-def _nonneg_solve(A, b):
-    """Feasibility of A lam = b, lam >= 0, by exact phase-1 simplex."""
-    m = len(A)
-    n = len(A[0]) if m else 0
-    # tableau with artificial variables
-    rows = []
-    for i in range(m):
-        bi = la.frac(b[i])
-        row = [la.frac(x) for x in A[i]]
-        if bi < 0:
-            bi = -bi
-            row = [-x for x in row]
-        rows.append(row + [bi])
-    # objective: minimize sum of artificials = sum(b) - sum over basic rows
-    basis = list(range(n, n + m))
-    # extend rows with artificial identity
-    for i in range(m):
-        rows[i] = rows[i][:n] + [Fraction(1 if j == i else 0) for j in range(m)] + [rows[i][n]]
-    cost = [Fraction(0)] * (n + m) + [Fraction(0)]
-    for i in range(m):
-        for j in range(n + m + 1):
-            cost[j] += rows[i][j]
-    for j in range(n, n + m):
-        cost[j] -= 1
-    # cost row now: sum of constraint rows with artificial columns zeroed
-    it = 0
-    while True:
-        it += 1
-        if it > 10000:
-            raise RuntimeError("simplex iteration bound exceeded")
-        piv_col = next((j for j in range(n + m) if cost[j] > 0), None)
-        if piv_col is None:
-            break
-        best = None
-        for i in range(m):
-            if rows[i][piv_col] > 0:
-                ratio = rows[i][-1] / rows[i][piv_col]
-                if best is None or ratio < best[0] or (ratio == best[0] and basis[i] < basis[best[1]]):
-                    best = (ratio, i)
-        if best is None:
-            break  # unbounded reduced cost cannot happen in phase 1
-        _, pi = best
-        pv = rows[pi][piv_col]
-        rows[pi] = [x / pv for x in rows[pi]]
-        for i in range(m):
-            if i != pi and rows[i][piv_col] != 0:
-                f = rows[i][piv_col]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[pi])]
-        f = cost[piv_col]
-        cost = [x - f * y for x, y in zip(cost, rows[pi])]
-        basis[pi] = piv_col
-    return cost[-1] == 0
+def _facets_of(gens, rank):
+    """(facets, span equations) of cone(gens) in Q^rank.
+
+    The facets are the primitive extreme rays of the dual cone taken
+    inside span(gens); the span equations are a primitive basis of
+    span(gens)^perp (every unit vector when gens is empty).
+    """
+    eqs = tuple(la.primitive(e) for e in la.nullspace(gens or [(0,) * rank]))
+    return _extreme_rays_of_halfspaces(gens, rank, equations=eqs), eqs
+
+
+def _incidence_rank(v, facets, eqs):
+    """Rank of the facets tight at v together with the span equations."""
+    return la.rank([a for a in facets if la.dot(a, v) == 0] + list(eqs))
 
 
 class RationalCone:
@@ -121,26 +102,22 @@ class RationalCone:
     degenerate=True marks cones allowed to contain lines; such cones carry
     explicit line generators and arise only as duals of lower-dimensional
     cones.
+
+    Canonicalization keeps the extreme rays of a pointed cone: the rays at
+    which the tight facets and the span equations have rank rank - 1.  A
+    cone with a lineality space has no extreme rays, so it keeps its
+    deduplicated input rays, which generate the same cone.
     """
 
     def __init__(self, rays, rank: int, lines=(), canonicalize: bool = True):
         self.rank = int(rank)
-        rays = [la.primitive(r) for r in rays]
-        rays = [r for r in rays if any(r)]
+        self.rays = tuple(sorted({la.primitive(r) for r in rays if any(r)}))
         self.lines = tuple(sorted(la.primitive(l) for l in lines))
-        if canonicalize and rays:
-            rays = self._extreme_subset(rays)
-        self.rays = tuple(sorted(set(rays)))
-
-    @staticmethod
-    def _extreme_subset(rays):
-        rays = sorted(set(rays))
-        out = []
-        for i, r in enumerate(rays):
-            others = [w for j, w in enumerate(rays) if j != i]
-            if not _in_cone_vrep(r, others):
-                out.append(r)
-        return out
+        if canonicalize and self.rays:
+            facets, eqs = self.facet_normals()
+            if la.rank(facets + eqs) == self.rank:
+                self.rays = tuple(r for r in self.rays
+                                  if _incidence_rank(r, facets, eqs) == self.rank - 1)
 
     @property
     def is_degenerate(self) -> bool:
@@ -165,23 +142,10 @@ class RationalCone:
         """Primitive inequalities cutting the cone inside its span, plus the
         span equations; cached."""
         if not hasattr(self, "_facets"):
-            self._facets = self._compute_facets()
+            gens = list(self.rays) + list(self.lines) \
+                + [tuple(-x for x in l) for l in self.lines]
+            self._facets = _facets_of(gens, self.rank)
         return self._facets
-
-    def _compute_facets(self):
-        gens = [la.vec(r) for r in self.rays] + [la.vec(l) for l in self.lines] \
-            + [tuple(-x for x in la.vec(l)) for l in self.lines]
-        if not gens:
-            eqs = tuple(tuple(la.identity(self.rank)[i]) for i in range(self.rank))
-            return ((), tuple(la.primitive(e) for e in eqs))
-        span_eqs = la.nullspace(gens)
-        span_eqs = tuple(la.primitive(e) for e in span_eqs)
-        # dual generators within the span: inequalities valid on the cone
-        ineqs = _extreme_rays_of_halfspaces(
-            [la.vec(r) for r in self.rays], self.rank,
-            equations=[la.vec(e) for e in span_eqs] + [la.vec(l) for l in self.lines],
-        )
-        return (ineqs, span_eqs)
 
     def contains(self, x) -> bool:
         ineqs, eqs = self.facet_normals()
@@ -253,10 +217,6 @@ def faces(c: RationalCone):
     out = tuple(RationalCone(list(rs), c.rank, canonicalize=False) for rs in sorted(seen))
     c._faces = out
     return out
-
-
-def is_face(f: RationalCone, c: RationalCone) -> bool:
-    return f in faces(c)
 
 
 class Fan:

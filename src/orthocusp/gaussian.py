@@ -94,16 +94,6 @@ def as_gaussian(x) -> GaussianRational:
     raise TypeError(f"cannot coerce {type(x).__name__} to GaussianRational")
 
 
-def cplx(x, mode: str):
-    """Coerce a (re, im) source into the backend named by mode."""
-    if mode == "exact":
-        return as_gaussian(x) if not isinstance(x, complex) else GaussianRational(
-            Fraction(x.real), Fraction(x.imag))
-    if isinstance(x, GaussianRational):
-        return complex(x.re, x.im)
-    return complex(x)
-
-
 def re_part(z):
     return z.re if isinstance(z, GaussianRational) else z.real
 

@@ -6,6 +6,7 @@ lines.  Every tolerance is pinned here; exact means exact.
 
 import itertools
 import json
+import pathlib
 import random
 import time
 from fractions import Fraction as F
@@ -523,10 +524,20 @@ def test_criterion_10_ramification_suite():
            "rank S; kernel criterion on all enumerated elements")
 
 
-def test_criterion_11_cli_determinism(tmp_path):
-    from orthocusp.cli import main
+GOLDEN = pathlib.Path(__file__).parent / "golden"
 
-    t0 = time.time()
+
+def _face_closed(maximal):
+    """Cone list of a fan holding every face of the simplicial maximal cones."""
+    faces = set()
+    for rays in maximal:
+        for k in range(len(rays) + 1):
+            faces.update(tuple(sorted(s)) for s in itertools.combinations(rays, k))
+    return [{"rays": [list(r) for r in f]} for f in sorted(faces)]
+
+
+def criterion_11_cases(tmp_path):
+    """(golden name, argv) for every acceptance-11 CLI case."""
 
     def write(name, obj):
         p = tmp_path / name
@@ -547,33 +558,60 @@ def test_criterion_11_cli_determinism(tmp_path):
     point = write("pt.json", {"model": "bounded",
                               "coords": [["1/8", "1/9"], ["-1/7", "0"]],
                               "frame": json.loads(open(atilde).read())})
-    cases = [
-        ["invariants", "--gram", hyp, "--primes", "2,3,5"],
-        ["map-point", "--point", point, "--from", "bounded", "--to", "projective"],
-        ["cusp", "--gram", atilde, "--flag", "rank1"],
-        ["cusp", "--gram", atilde, "--flag", "rank2"],
-        ["fan", "validate", "--fan", fan],
-        ["fan", "complete", "--fan", fan],
-        ["fan", "regular", "--fan", fan],
-        ["fan", "chart", "--fan", fan, "--cone", "0"],
-        ["fan", "subdivide", "--fan", fan],
-        ["core-decompose", "--gram", hyp, "--positivity", "1,1",
-         "--variant", "perfect", "--height", "4"],
-        ["chern", "td", "--degree", "4"],
-        ["chern", "q-poly", "--dim", "3", "--rank", "2"],
-        ["hilbert-poly", "--n", "4"],
-        ["local-density", "--gram", one, "--p", "5"],
-        ["hm-volume", "--gram", gram3, "--alpha-inf", "1"],
-        ["dim-leading", "--gram", gram3, "--ell", "4", "--alpha-inf", "1"],
-        ["ramify", "--gram", a2, "--bound", "1"],
+    # rank-3 polyhedral cases: light_cone(2) with its swap and reflection,
+    # and the face-closed fans of (P^1)^3 and P^3
+    lc2 = write("lc2.json", {"gram": [["1", "0", "0"], ["0", "-1", "0"],
+                                      ["0", "0", "-1"]]})
+    lc2gens = write("lc2gens.json", {"generators": [
+        [[1, 0, 0], [0, 0, 1], [0, 1, 0]], [[1, 0, 0], [0, -1, 0], [0, 0, 1]]]})
+    p1cubed = write("p1cubed.json", {"rank": 3, "cones": _face_closed(
+        [((sx, 0, 0), (0, sy, 0), (0, 0, sz))
+         for sx in (1, -1) for sy in (1, -1) for sz in (1, -1)])})
+    p3_rays = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, -1)]
+    p3 = write("p3.json", {"rank": 3, "cones": _face_closed(
+        [tuple(r for j, r in enumerate(p3_rays) if j != i) for i in range(4)])})
+    return [
+        ("invariants", ["invariants", "--gram", hyp, "--primes", "2,3,5"]),
+        ("map-point", ["map-point", "--point", point, "--from", "bounded",
+                       "--to", "projective"]),
+        ("cusp-rank1", ["cusp", "--gram", atilde, "--flag", "rank1"]),
+        ("cusp-rank2", ["cusp", "--gram", atilde, "--flag", "rank2"]),
+        ("fan-validate", ["fan", "validate", "--fan", fan]),
+        ("fan-complete", ["fan", "complete", "--fan", fan]),
+        ("fan-regular", ["fan", "regular", "--fan", fan]),
+        ("fan-chart", ["fan", "chart", "--fan", fan, "--cone", "0"]),
+        ("fan-subdivide", ["fan", "subdivide", "--fan", fan]),
+        ("core-decompose", ["core-decompose", "--gram", hyp, "--positivity", "1,1",
+                            "--variant", "perfect", "--height", "4"]),
+        ("chern-td", ["chern", "td", "--degree", "4"]),
+        ("chern-q-poly", ["chern", "q-poly", "--dim", "3", "--rank", "2"]),
+        ("hilbert-poly", ["hilbert-poly", "--n", "4"]),
+        ("local-density", ["local-density", "--gram", one, "--p", "5"]),
+        ("hm-volume", ["hm-volume", "--gram", gram3, "--alpha-inf", "1"]),
+        ("dim-leading", ["dim-leading", "--gram", gram3, "--ell", "4",
+                         "--alpha-inf", "1"]),
+        ("ramify", ["ramify", "--gram", a2, "--bound", "1"]),
+        ("core-decompose-lc2-central-dual",
+         ["core-decompose", "--gram", lc2, "--variant", "central_dual",
+          "--height", "2", "--gens", lc2gens]),
+        ("fan-validate-p1cubed", ["fan", "validate", "--fan", p1cubed]),
+        ("fan-complete-p3", ["fan", "complete", "--fan", p3]),
     ]
-    for i, argv in enumerate(cases):
-        o1, o2 = tmp_path / f"r1_{i}.json", tmp_path / f"r2_{i}.json"
+
+
+def test_criterion_11_cli_determinism(tmp_path):
+    from orthocusp.cli import main
+
+    t0 = time.time()
+    cases = criterion_11_cases(tmp_path)
+    for name, argv in cases:
+        o1, o2 = tmp_path / f"r1_{name}.json", tmp_path / f"r2_{name}.json"
         assert main(argv + ["--out", str(o1)]) == 0, argv
         assert main(argv + ["--out", str(o2)]) == 0, argv
         b1, b2 = o1.read_bytes(), o2.read_bytes()
         assert b1 == b2, argv
+        assert b1 == (GOLDEN / f"{name}.json").read_bytes(), argv
         assert json.loads(b1).get("conventions") is not None
     elapsed = time.time() - t0
-    report(11, elapsed, 60, f"{len(cases)} CLI golden cases byte-identical "
-           "across two runs")
+    report(11, elapsed, 60, f"{len(cases)} CLI cases byte-identical across two "
+           "runs and to tests/golden/")

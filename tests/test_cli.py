@@ -167,6 +167,32 @@ class TestFan:
         assert len(out["cones"]) > len(P2_FAN["cones"])
 
 
+class TestCoreDecompose:
+    def test_quadrant_selectors_give_identical_reports(self, tmp_path):
+        gram = write(tmp_path, "g.json", HYP)
+        blobs = set()
+        for i, rho in enumerate(("1,1", "2,1", "1,0")):
+            code, blob = run_to_file(
+                tmp_path, ["core-decompose", "--gram", gram, "--positivity", rho,
+                           "--variant", "perfect", "--height", "3"], name=f"c{i}.json")
+            assert code == 0
+            blobs.add(blob)
+        assert len(blobs) == 1
+        assert json.loads(blobs.pop())["results"]["extreme_points"] == [["1", "1"]]
+
+    @pytest.mark.parametrize("gram, rho", [
+        ({"gram": [["1", "0"], ["0", "1"]]}, "1,0"),
+        (HYP, "1,-1"),
+    ])
+    def test_refused_cone_is_usage_error(self, tmp_path, capsys, gram, rho):
+        path = write(tmp_path, "g.json", gram)
+        argv = ["core-decompose", "--gram", path, "--positivity", rho,
+                "--variant", "perfect", "--height", "2"]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: ") and err.count("\n") == 1
+
+
 class TestDeterminism:
     CASES = None
 

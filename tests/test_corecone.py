@@ -10,6 +10,7 @@ from orthocusp.corecone import (
     ExtremeSet,
     KernelSpec,
     SelfAdjointCone,
+    boundary_rays,
     cone_lattice_points,
     core_extremes,
     first_quadrant_cone,
@@ -39,6 +40,32 @@ class TestLatticePoints:
         want = {(x, y, z) for x in (1, 2) for y in range(-2, 3) for z in range(-2, 3)
                 if x * x > y * y + z * z}
         assert set(pts) == want
+
+
+class TestClosedCone:
+    def test_rho_vanishing_on_a_boundary_ray_keeps_the_right_half(self):
+        # rho = (1, 0) vanishes on the isotropic line x = 0; the closed
+        # cone still holds (0, 1) and not (0, -1)
+        cone = SelfAdjointCone([[0, 1], [1, 0]], (1, 0))
+        assert cone.contains((0, 1), closed=True)
+        assert not cone.contains((0, -1), closed=True)
+        assert boundary_rays(cone, 2) == ((0, 1), (1, 0))
+
+    def test_selectors_of_one_quadrant_agree(self):
+        got = {rho: core_extremes(SelfAdjointCone([[0, 1], [1, 0]], rho), "perfect", 3).points
+               for rho in ((1, 1), (2, 1), (1, 0))}
+        assert set(got.values()) == {((1, 1),)}
+
+    def test_cone_is_one_component_for_any_accepted_rho(self):
+        # rho = (1, -2) is positive on parts of both quadrants; the cone is
+        # the quadrant where rho is positive at the interior point -(1, 1)
+        cone = SelfAdjointCone([[0, 1], [1, 0]], (1, -2))
+        assert cone.contains((-1, -3)) and cone.contains((-1, 0), closed=True)
+        assert not cone.contains((3, 1)) and not cone.contains((3, 1), closed=True)
+
+    def test_rho_vanishing_at_the_interior_point_is_refused(self):
+        with pytest.raises(ValueError):
+            SelfAdjointCone([[0, 1], [1, 0]], (1, -1))
 
 
 class TestKernelAxioms:

@@ -12,6 +12,7 @@ from orthocusp.fan import (
     Fan,
     PLSupport,
     RationalCone,
+    _extreme_rays_of_halfspaces,
     barycentric_subdivide,
     chart_presentation,
     dual_cone,
@@ -145,6 +146,28 @@ class TestDegenerateDual:
         zero = cone(rank=2, *[])
         d = dual_cone(zero)
         assert d.is_degenerate and len(d.lines) == 2
+
+
+class TestLineality:
+    def test_non_pointed_cone_keeps_its_generators(self):
+        c = RationalCone([(1, 0), (0, 1), (-1, 0), (0, -1), (1, 1)], 2)
+        assert c.rays == ((-1, 0), (0, -1), (0, 1), (1, 0), (1, 1))
+        assert c.contains((1, 0)) and c.contains((-3, 5))
+
+    def test_half_plane_keeps_its_generators(self):
+        c = RationalCone([(1, 0), (-1, 0), (0, 1), (1, 1), (2, 0)], 2)
+        assert c.rays == ((-1, 0), (0, 1), (1, 0), (1, 1))
+        assert c.contains((-5, 1)) and not c.contains((0, -1))
+
+    def test_kernel_on_non_pointed_systems(self):
+        # a one-dimensional lineality space gives +-l, a larger one ()
+        assert _extreme_rays_of_halfspaces([(1, 0, 0), (0, 1, 0)], 3) == \
+            ((0, 0, -1), (0, 0, 1))
+        assert _extreme_rays_of_halfspaces([(1, 1, 0)], 3, equations=[(0, 0, 2)]) == \
+            ((-1, 1, 0), (1, -1, 0))
+        assert _extreme_rays_of_halfspaces([], 1) == ((-1,), (1,))
+        assert _extreme_rays_of_halfspaces([(1, 0, 0)], 3) == ()
+        assert _extreme_rays_of_halfspaces([], 2) == ()
 
 
 class TestValidate:

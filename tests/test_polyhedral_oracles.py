@@ -1,0 +1,222 @@
+"""The double-description kernel against the subset-plus-LP reference code.
+
+The reference functions below are the brute-force paths the kernel
+replaced: a subset search over (dim - 1)-row nullspaces, an exact phase-1
+simplex for cone membership, one LP per pool point for hull vertices, and
+a solve over every dim-subset of the extreme set for support functionals.
+They are slow and kept only as oracles.
+"""
+
+import itertools
+from fractions import Fraction
+
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
+
+from orthocusp import _linalg as la
+from orthocusp.corecone import (
+    ExtremeSet,
+    KernelSpec,
+    SelfAdjointCone,
+    _extreme_points_of,
+    boundary_rays,
+    cone_lattice_points,
+    first_quadrant_cone,
+    light_cone,
+    support_fan,
+)
+from orthocusp.fan import RationalCone, _extreme_rays_of_halfspaces
+
+PROPERTY = settings(max_examples=60, deadline=None, derandomize=True)
+
+
+# ---------------------------------------------------------------- reference
+
+
+def nonneg_solve(A, b):
+    """Feasibility of A lam = b, lam >= 0, by exact phase-1 simplex."""
+    m = len(A)
+    n = len(A[0]) if m else 0
+    rows = []
+    for i in range(m):
+        bi = la.frac(b[i])
+        row = [la.frac(x) for x in A[i]]
+        if bi < 0:
+            bi = -bi
+            row = [-x for x in row]
+        rows.append(row + [Fraction(1 if j == i else 0) for j in range(m)] + [bi])
+    basis = list(range(n, n + m))
+    cost = [Fraction(0)] * (n + m + 1)
+    for i in range(m):
+        for j in range(n + m + 1):
+            cost[j] += rows[i][j]
+    for j in range(n, n + m):
+        cost[j] -= 1
+    while True:
+        piv_col = next((j for j in range(n + m) if cost[j] > 0), None)
+        if piv_col is None:
+            break
+        best = None
+        for i in range(m):
+            if rows[i][piv_col] > 0:
+                ratio = rows[i][-1] / rows[i][piv_col]
+                if best is None or ratio < best[0] or (
+                        ratio == best[0] and basis[i] < basis[best[1]]):
+                    best = (ratio, i)
+        _, pi = best
+        pv = rows[pi][piv_col]
+        rows[pi] = [x / pv for x in rows[pi]]
+        for i in range(m):
+            if i != pi and rows[i][piv_col] != 0:
+                f = rows[i][piv_col]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[pi])]
+        f = cost[piv_col]
+        cost = [x - f * y for x, y in zip(cost, rows[pi])]
+        basis[pi] = piv_col
+    return cost[-1] == 0
+
+
+def in_cone(x, rays):
+    """Exact membership of x in cone(rays)."""
+    if not any(x):
+        return True
+    if not rays:
+        return False
+    return nonneg_solve(la.transpose([la.vec(r) for r in rays]), la.vec(x))
+
+
+def subset_extreme_rays(normals, dim, equations=()):
+    """Extreme rays of a pointed {<n_i, x> >= 0, <e_j, x> = 0}: every
+    (dim - 1)-row nullspace, then LP pruning."""
+    rows = [la.vec(n) for n in normals] + [la.vec(e) for e in equations] \
+        + [tuple(-x for x in la.vec(e)) for e in equations]
+    cand = set()
+    for subset in itertools.combinations(rows, dim - 1):
+        ker = la.nullspace(list(subset) or [(Fraction(0),) * dim])
+        if len(ker) != 1:
+            continue
+        for sign in (1, -1):
+            v = la.primitive(tuple(sign * x for x in ker[0]))
+            if all(la.dot(r, v) >= 0 for r in rows):
+                cand.add(v)
+    return tuple(v for v in sorted(cand) if not in_cone(v, [w for w in cand if w != v]))
+
+
+def lp_extreme_subset(rays):
+    """The rays of a pointed cone not in the cone of the others."""
+    rays = sorted({la.primitive(r) for r in rays if any(r)})
+    return tuple(r for r in rays if not in_cone(r, [w for w in rays if w != r]))
+
+
+def lp_reducible(v, pool, recession, cone):
+    """v - s in the closed cone for one pool point s, or v in
+    conv(pool minus v) + cone(recession) by LP."""
+    for s in pool:
+        diff = tuple(a - b for a, b in zip(v, s))
+        if any(diff) and cone.contains(diff, closed=True):
+            return True
+    cols = [tuple(p) + (1,) for p in pool if tuple(p) != tuple(v)] \
+        + [tuple(r) + (0,) for r in recession]
+    return bool(cols) and nonneg_solve(la.transpose(cols), tuple(v) + (1,))
+
+
+def subset_support_functionals(points, cone, recession):
+    """y with <e, y> = 1 on a dim-subset of E, supporting E from below,
+    nonnegative on the recession rays, with spanning contact."""
+    pts = [la.vec(p) for p in points]
+    out = set()
+    for subset in itertools.combinations(pts, cone.dim):
+        y = la.solve([la.mat_vec(cone.inner, e) for e in subset], [1] * cone.dim)
+        if y is None or not cone.contains(y, closed=True):
+            continue
+        if any(cone.pair(e, y) < 1 for e in pts):
+            continue
+        if any(cone.pair(r, y) < 0 for r in recession):
+            continue
+        if la.rank([e for e in pts if cone.pair(e, y) == 1]) == cone.dim:
+            out.add(tuple(y))
+    return sorted(out)
+
+
+# ---------------------------------------------------------------- properties
+
+coord = st.integers(-3, 3)
+
+
+@st.composite
+def pointed_systems(draw):
+    dim = draw(st.integers(2, 4))
+    vector = st.tuples(*[coord] * dim)
+    normals = draw(st.lists(vector, min_size=dim, max_size=dim + 4))
+    equations = draw(st.lists(vector, max_size=1 if dim > 2 else 0))
+    rows = [n for n in normals + equations if any(n)]
+    assume(rows and la.rank(rows) == dim)
+    return normals, dim, equations
+
+
+@PROPERTY
+@given(pointed_systems())
+# a rank-4 system where a positive/negative pair shares k - 2 zero rows
+# and still is not adjacent: the cardinality test alone keeps a
+# non-extreme ray
+@example(([(-1, 2, -1, -3), (1, 3, -1, 3), (2, 3, -1, -2), (1, 3, -3, 2),
+           (-2, 1, -1, -1), (2, 1, 1, 0), (1, -2, 1, 3), (1, 2, 1, -2)], 4, []))
+def test_kernel_matches_subset_search(system):
+    normals, dim, equations = system
+    assert _extreme_rays_of_halfspaces(normals, dim, equations) == \
+        subset_extreme_rays(normals, dim, equations)
+
+
+@st.composite
+def pointed_ray_sets(draw):
+    dim = draw(st.integers(2, 4))
+    # a positive first coordinate keeps cone(rays) pointed
+    ray = st.tuples(st.integers(1, 3), *[coord] * (dim - 1))
+    return draw(st.lists(ray, min_size=1, max_size=7)), dim
+
+
+@PROPERTY
+@given(pointed_ray_sets())
+def test_canonical_rays_match_lp_pruning(rays_dim):
+    rays, dim = rays_dim
+    assert RationalCone(rays, dim).rays == lp_extreme_subset(rays)
+
+
+CONES = {"first_quadrant": first_quadrant_cone(), "light_cone_2": light_cone(2)}
+
+
+@PROPERTY
+@given(st.sampled_from(sorted(CONES)), st.booleans(), st.data())
+def test_extreme_points_match_lp_reduction(name, closed, data):
+    cone = CONES[name]
+    window = cone_lattice_points(cone, 2, closed=closed)
+    pool = data.draw(st.lists(st.sampled_from(window), min_size=1, max_size=12, unique=True))
+    recession = boundary_rays(cone, 2)
+    want = tuple(v for v in sorted(pool) if not lp_reducible(v, pool, recession, cone))
+    assert _extreme_points_of(pool, recession, cone) == want
+
+
+SUPPORT_CONES = dict(CONES, anisotropic=SelfAdjointCone([[1, 0], [0, -3]], (1, 0)))
+
+
+@PROPERTY
+@given(st.sampled_from(sorted(SUPPORT_CONES)), st.data())
+def test_support_functionals_match_subset_loop(name, data):
+    cone = SUPPORT_CONES[name]
+    window = cone_lattice_points(cone, 2, closed=True)
+    points = data.draw(st.lists(st.sampled_from(window), min_size=1, max_size=5, unique=True))
+    E = ExtremeSet(points=tuple(sorted(points)), truncation=2, variant="custom", stable=True)
+    _, report = support_fan(KernelSpec(points=E.points), E, cone)
+    want = subset_support_functionals(E.points, cone, boundary_rays(cone, 2))
+    assert list(report.functionals) == want
+
+
+def test_anisotropic_two_point_support_is_the_span_equation():
+    # diag(1, -3) has no window boundary rays: the cone over (e, 1) for two
+    # points lies in one hyperplane, whose equation is the only functional
+    cone = SUPPORT_CONES["anisotropic"]
+    assert boundary_rays(cone, 2) == ()
+    E = ExtremeSet(points=((2, -1), (2, 1)), truncation=2, variant="custom", stable=True)
+    _, report = support_fan(KernelSpec(points=E.points), E, cone)
+    assert report.functionals == ((Fraction(1, 2), Fraction(0)),)
+    assert list(report.functionals) == subset_support_functionals(E.points, cone, ())
