@@ -6,6 +6,7 @@ Everything here is a decision procedure; no floats.
 
 from fractions import Fraction
 from math import gcd
+from operator import mul
 
 
 def frac(x) -> Fraction:
@@ -18,10 +19,6 @@ def vec(xs):
 
 def mat(rows):
     return tuple(tuple(frac(x) for x in row) for row in rows)
-
-
-def zeros(n, m):
-    return tuple(tuple(Fraction(0) for _ in range(m)) for _ in range(n))
 
 
 def identity(n):
@@ -258,6 +255,57 @@ def kernel_int(A):
         if all(rows[i][j] == 0 for i in range(n)):
             kernel.append(tuple(U[j]))
     return tuple(sorted(kernel))
+
+
+def int_rows(A):
+    """A as rows of int when every entry is integral, else None."""
+    if all(type(x) is int or frac(x).denominator == 1 for row in A for x in row):
+        return tuple(tuple(int(x) for x in row) for row in A)
+    return None
+
+
+def is_int_vec(v):
+    return all(type(x) is int for x in v)
+
+
+def int_form(rows, x, y):
+    """y^t A x for the int rows of A: exact integer arithmetic on int x, y."""
+    return sum(b * sum(map(mul, row, x)) for row, b in zip(rows, y))
+
+
+def gram_preservers(A, domain, mod=None):
+    """Every X, as its tuple of columns, with X^t A X = A and columns in domain.
+
+    A is a symmetric integer matrix; with mod the equality is a congruence
+    mod `mod`.  Column-wise backtracking over per-norm candidate lists
+    (Plesken & Souvignier 1997): A v and q(v) = v^t A v are computed once
+    per candidate, column j is drawn from the candidates of norm A[j][j],
+    and it is tested only against the earlier columns.
+    """
+    def red(x):
+        return x % mod if mod else x
+
+    m = len(A)
+    by_norm = {}
+    for v in domain:
+        Av = tuple(sum(map(mul, row, v)) for row in A)
+        by_norm.setdefault(red(sum(map(mul, Av, v))), []).append((v, Av))
+    cols, images = [], []
+
+    def extend(j):
+        if j == m:
+            yield tuple(cols)
+            return
+        targets = [red(A[i][j]) for i in range(j)]
+        for v, Av in by_norm.get(red(A[j][j]), ()):
+            if all(red(sum(map(mul, img, v))) == t for img, t in zip(images, targets)):
+                cols.append(v)
+                images.append(Av)
+                yield from extend(j + 1)
+                cols.pop()
+                images.pop()
+
+    yield from extend(0)
 
 
 def in_span(v, vectors):

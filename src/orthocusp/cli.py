@@ -293,7 +293,9 @@ def cmd_core_decompose(args):
     gram = io.matrix_from_json(_read_json(args.gram)["gram"])
     dim = len(gram)
     if args.positivity:
-        rho = tuple(Fraction(x) for x in args.positivity.split(","))
+        rho = io.vector_from_json(args.positivity.split(","))
+        if len(rho) != dim:
+            raise UsageError(f"--positivity needs {dim} entries, got {len(rho)}")
     else:
         rho = tuple(1 if i == 0 else 0 for i in range(dim))
     try:

@@ -64,13 +64,22 @@ class SelfAdjointCone:
         idiag, _ = diagonalize(QuadraticLattice(self.inner))
         if any(d <= 0 for d in idiag):
             raise ValueError("inner form must be positive definite")
+        # int rows for int coordinates; side = G w is integral with G
+        self._int_side = None if self.lattice.int_gram is None else tuple(map(int, self.side))
+        self._int_inner = la.int_rows(self.inner)
 
     def pair(self, x, y) -> Fraction:
+        if self._int_inner is not None and la.is_int_vec(x) and la.is_int_vec(y):
+            return Fraction(la.int_form(self._int_inner, x, y))
         return la.dot(la.mat_vec(self.inner, la.vec(x)), la.vec(y))
 
     def contains(self, v, closed: bool = False) -> bool:
-        q = self.lattice.quadratic(v)
-        s = la.dot(self.side, la.vec(v))
+        if self._int_side is not None and la.is_int_vec(v):
+            q = la.int_form(self.lattice.int_gram, v, v)
+            s = la.dot(self._int_side, v)
+        else:
+            q = self.lattice.quadratic(v)
+            s = la.dot(self.side, la.vec(v))
         if closed:
             return q >= 0 and s >= 0
         return q > 0 and s > 0

@@ -10,6 +10,7 @@ r_tau of the character image, never on a choice of primitive root.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -33,19 +34,45 @@ class IsometryElement:
     order: int | None = None
 
     @staticmethod
-    def make(mat, lattice: QuadraticLattice, order_cap: int = 120) -> "IsometryElement":
+    def make(mat, lattice: QuadraticLattice) -> "IsometryElement":
         m = la.mat(mat)
         G = lattice.gram
         if not la.mat_eq(la.mat_mul(la.mat_mul(la.transpose(m), G), m), G):
             raise ValueError("matrix does not preserve the Gram matrix")
-        return IsometryElement(mat=m, order=matrix_order(m, order_cap))
+        return IsometryElement(mat=m, order=matrix_order(m))
 
 
-def matrix_order(m, cap: int = 120):
-    ident = la.identity(len(m))
+def max_finite_order(m: int) -> int:
+    """Largest finite order in GL_m(Q), and so in GL_m(Z): the largest n with
+    psi(n) <= m, where psi(n) sums phi(p^a) over the prime powers p^a
+    exactly dividing n, less 1 when n = 2 mod 4.  Only products of prime
+    powers q with phi(q) <= m can qualify, so only those are tried."""
+    orders = [(1, 0)]  # (n, sum of phi over the prime powers of n)
+    for p in range(2, m + 2):
+        if all(p % d for d in range(2, p)):
+            powers, q = [(1, 0)], p
+            while euler_phi(q) <= m:
+                powers.append((q, euler_phi(q)))
+                q *= p
+            orders = [(n * q, c + f) for n, c in orders for q, f in powers]
+    return max(n for n, c in orders if c - (n % 4 == 2) <= m)
+
+
+def _int_identity(n):
+    return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+
+
+def matrix_order(m):
+    """Order of a square matrix, or None when it is not of finite order.
+
+    Powers stop at max_finite_order(rank); integral matrices are
+    multiplied over int.
+    """
+    m = la.int_rows(m) or la.mat(m)
+    ident = _int_identity(len(m))
     p = m
-    for k in range(1, cap + 1):
-        if la.mat_eq(p, ident):
+    for k in range(1, max_finite_order(len(m)) + 1):
+        if p == ident:
             return k
         p = la.mat_mul(p, m)
     return None
@@ -54,33 +81,15 @@ def matrix_order(m, cap: int = 120):
 def enumerate_isometries(L: QuadraticLattice, bound: int):
     """All integral isometries with entries bounded by bound.
 
-    Column-by-column backtracking with partial Gram checks; always contains
-    +/- identity.  Desk scale: rank <= 6, bound small.
+    Column backtracking (la.gram_preservers) over the box [-bound, bound]^m
+    on the integer multiple of the Gram matrix; always contains +/-
+    identity.  Desk scale: rank <= 6, bound small.
     """
-    m = L.rank
-    G = L.gram
-    cols_domain = list(itertools.product(range(-bound, bound + 1), repeat=m))
-    out = []
-
-    def extend(cols):
-        j = len(cols)
-        if j == m:
-            out.append(tuple(zip(*cols)))
-            return
-        for cand in cols_domain:
-            if L.quadratic(cand) != G[j][j]:
-                continue
-            ok = True
-            for i, prev in enumerate(cols):
-                if L.bilinear(prev, cand) != G[i][j]:
-                    ok = False
-                    break
-            if ok:
-                extend(cols + [cand])
-
-    extend([])
-    return [IsometryElement(mat=la.mat(g), order=matrix_order(la.mat(g)))
-            for g in sorted(out)]
+    den = math.lcm(*(x.denominator for row in L.gram for x in row))
+    A = [[int(x * den) for x in row] for row in L.gram]
+    box = itertools.product(range(-bound, bound + 1), repeat=L.rank)
+    found = sorted(tuple(zip(*cols)) for cols in la.gram_preservers(A, box))
+    return [IsometryElement(mat=la.mat(g), order=matrix_order(g)) for g in found]
 
 
 def _cyclotomic_coeffs(n: int):
@@ -104,7 +113,8 @@ def _cyclotomic_coeffs(n: int):
             out[i] = c
             rem[i + k] -= c
             rem[i] += c
-        assert all(x == 0 for x in rem), "division not exact"
+        if any(rem):
+            raise ArithmeticError(f"x^{k} - 1 does not divide the polynomial exactly")
         return out
 
     def mobius(n):
@@ -153,12 +163,13 @@ def euler_phi(n: int) -> int:
 
 
 def _matrix_poly(coeffs, g):
-    m = len(g)
-    out = la.zeros(m, m)
-    p = la.identity(m)
+    """sum_i coeffs[i] g^i, over int when g is integral."""
+    g = la.int_rows(g) or g
+    p = _int_identity(len(g))
+    out = la.mat_scale(0, p)
     for c in coeffs:
         if c:
-            out = la.mat_add(out, la.mat_scale(Fraction(c), p))
+            out = la.mat_add(out, la.mat_scale(c, p))
         p = la.mat_mul(p, g)
     return out
 

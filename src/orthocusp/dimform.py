@@ -15,6 +15,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+from . import _linalg as la
 from ._linalg import frac
 from .errors import DeskScopeError, NotStabilized, WrongSignature
 from .qform import QuadraticLattice, discriminant, signature
@@ -96,21 +97,20 @@ _DESK_SCAN_BUDGET = 4_000_000
 
 
 def local_density(L: QuadraticLattice, p: int, k_max: int = 4) -> LocalDensityResult:
-    """alpha_p(L, L) by brute-force congruence counting.
+    """alpha_p(L, L) by exact congruence counting.
 
-    N_{p^k} = #{X mod p^k : X^t A X = A mod p^k}; the density
-    N_{p^k} / p^{k m(m-1)/2} is returned once two consecutive k agree.
-    This is the normative oracle; p = 2 and oversize scans are refused
-    rather than extrapolated.
+    N_{p^k} = #{X mod p^k : X^t A X = A mod p^k}, counted by column
+    backtracking over (Z/p^k)^m; the density N_{p^k} / p^{k m(m-1)/2} is
+    returned once two consecutive k agree.  This is the normative oracle;
+    p = 2 and k with p^{k m^2} beyond the scan budget are refused rather
+    than extrapolated.
     """
     if p == 2:
         raise DeskScopeError("p = 2 local densities are outside desk scope")
     m = L.rank
-    A = [[int(x) for x in row] for row in L.gram]
-    for row in L.gram:
-        for x in row:
-            if frac(x).denominator != 1:
-                raise DeskScopeError("congruence counting needs an integral Gram matrix")
+    A = L.int_gram
+    if A is None:
+        raise DeskScopeError("congruence counting needs an integral Gram matrix")
     densities = []
     counts = []
     for k in range(1, k_max + 1):
@@ -129,30 +129,9 @@ def local_density(L: QuadraticLattice, p: int, k_max: int = 4) -> LocalDensityRe
 
 
 def _count_gram_preservers(A, m, mod) -> int:
-    idx = list(itertools.product(range(m), repeat=2))
-    count = 0
-    for flat in itertools.product(range(mod), repeat=m * m):
-        X = [flat[i * m:(i + 1) * m] for i in range(m)]
-        ok = True
-        for a in range(m):
-            if not ok:
-                break
-            for b in range(a, m):
-                s = 0
-                for i in range(m):
-                    xia = X[i][a]
-                    if not xia:
-                        continue
-                    row = A[i]
-                    for j in range(m):
-                        if row[j]:
-                            s += xia * row[j] * X[j][b]
-                if (s - A[a][b]) % mod:
-                    ok = False
-                    break
-        if ok:
-            count += 1
-    return count
+    """#{X mod `mod` : X^t A X = A mod `mod`}, by column backtracking."""
+    box = itertools.product(range(mod), repeat=m)
+    return sum(1 for _ in la.gram_preservers(A, box, mod))
 
 
 @dataclass(frozen=True)

@@ -317,7 +317,9 @@ def adjacency_data(f2: CuspFlag, f1_generator, lattice: QuadraticLattice):
     h[3][2], h[3][3] = inv_t[1][0], inv_t[1][1]
     h = la.mat(h)
     G = lattice.gram
-    assert la.mat_eq(la.mat_mul(la.mat_mul(la.transpose(h), G), h), G)
+    if not la.mat_eq(la.mat_mul(la.mat_mul(la.transpose(h), G), h), G):
+        raise UnsupportedShape("the SL2 change of basis does not preserve the Gram "
+                               "matrix: the lattice lacks the two-hyperbolic-planes shape")
     flag1 = CuspFlag.from_lattice(lattice, RANK1)
     hi = la.inverse(h)
     c = center_element(f2, Fraction(1))

@@ -1,7 +1,8 @@
 """Rational quadratic lattices and their local/global invariants.
 
 The bilinear form is b (so q(x) = b(x,x) = x^t G x for the Gram matrix G);
-all arithmetic is exact over Fraction.  Hilbert symbols use the standard
+all arithmetic is exact: over int for an integral Gram and int vectors,
+over Fraction otherwise.  Hilbert symbols use the standard
 closed-form local recipes; the test suite backs the p=2 branch with an
 independent congruence-search oracle.
 """
@@ -49,8 +50,11 @@ class QuadraticLattice:
             raise ValueError("gram must be a nonempty symmetric square matrix")
         self.gram = G
         self.rank = len(G)
+        self.int_gram = la.int_rows(G)  # None unless the Gram is integral
 
     def bilinear(self, x, y) -> Fraction:
+        if self.int_gram is not None and la.is_int_vec(x) and la.is_int_vec(y):
+            return Fraction(la.int_form(self.int_gram, x, y))
         return la.dot(la.mat_vec(self.gram, la.vec(x)), la.vec(y))
 
     def quadratic(self, x) -> Fraction:

@@ -23,9 +23,12 @@ def rat_to_str(x) -> str:
 def rat_from_str(s) -> Fraction:
     if isinstance(s, int):
         return Fraction(s)
-    if not isinstance(s, str):
-        raise UsageError(f"expected rational string, got {s!r}")
-    return Fraction(s)
+    if isinstance(s, str):
+        try:
+            return Fraction(s)
+        except (ValueError, ZeroDivisionError):
+            pass
+    raise UsageError(f"expected rational string, got {s!r}")
 
 
 def matrix_to_json(M):

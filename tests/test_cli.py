@@ -193,6 +193,16 @@ class TestCoreDecompose:
         assert err.startswith("usage error: ") and err.count("\n") == 1
 
 
+    @pytest.mark.parametrize("rho", ["a,1", "1/0,1", "1", "1,1,1"])
+    def test_malformed_positivity_is_usage_error(self, tmp_path, capsys, rho):
+        path = write(tmp_path, "g.json", HYP)
+        argv = ["core-decompose", "--gram", path, "--positivity", rho,
+                "--variant", "perfect", "--height", "2"]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: ") and err.count("\n") == 1
+
+
 class TestDeterminism:
     CASES = None
 

@@ -22,6 +22,7 @@ from orthocusp.cycles import (
     fixed_sublattice,
     gamma_canonical,
     matrix_order,
+    max_finite_order,
     stabilizer_orders,
 )
 from orthocusp.errors import FixedVectorPresent, NoPositiveEigenplane
@@ -230,6 +231,48 @@ class TestInfiniteOrder:
         assert g.order is None
         with pytest.raises(NotRootOfUnity):
             fixed_sublattice(g, H)
+
+
+def _companion(coeffs):
+    """Companion matrix of the monic polynomial with ascending coeffs."""
+    n = len(coeffs) - 1
+    return [[int(i == j + 1) if j < n - 1 else -coeffs[i] for j in range(n)]
+            for i in range(n)]
+
+
+def _block_diag(*blocks):
+    n = sum(len(b) for b in blocks)
+    out = [[0] * n for _ in range(n)]
+    k = 0
+    for b in blocks:
+        for i, row in enumerate(b):
+            out[k + i][k:k + len(row)] = row
+        k += len(b)
+    return out
+
+
+class TestOrderBound:
+    def test_max_finite_orders_by_rank(self):
+        assert [max_finite_order(m) for m in range(1, 13)] == \
+            [2, 6, 6, 12, 12, 30, 30, 60, 60, 120, 120, 210]
+
+    def test_order_210_at_rank_12(self):
+        # -(C(Phi_3) + C(Phi_5) + C(Phi_7)): order lcm(2, 3 * 5 * 7), beyond a cap of 120
+        g = _block_diag(_companion([1, 1, 1]), _companion([1, 1, 1, 1, 1]),
+                        _companion([1, 1, 1, 1, 1, 1, 1]))
+        g = [[-x for x in row] for row in g]
+        assert matrix_order(g) == 210
+        assert matrix_order(la.mat(g)) == 210
+
+    def test_maximal_orders_are_reached(self):
+        # -C(Phi_3) has order 6 at rank 2; -(C(Phi_3) + C(Phi_5)) order 30 at rank 6
+        assert matrix_order([[-x for x in row] for row in _companion([1, 1, 1])]) == 6
+        g = _block_diag(_companion([1, 1, 1]), _companion([1, 1, 1, 1, 1]))
+        assert matrix_order([[-x for x in row] for row in g]) == 30
+
+    def test_rational_boost_has_no_order(self):
+        assert matrix_order([[2, 0], [0, F(1, 2)]]) is None
+        assert matrix_order(la.mat([[1, 1], [0, 1]])) is None
 
 
 class TestStabilizerOrders:

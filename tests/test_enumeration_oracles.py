@@ -1,0 +1,175 @@
+"""The integer enumeration layer against the Fraction reference code.
+
+The reference functions below are the paths the integer column
+backtracking replaced: a Fraction scan of the whole box at every depth of
+the isometry search, matrix powers up to a fixed cap of 120, and a scan of
+all mod^(m^2) matrices for congruence counts.  Beside them, the Fraction
+forms that the int fast paths of bilinear, pair and contains fall back to.
+They are slow and kept only as oracles.
+"""
+
+import itertools
+from fractions import Fraction
+
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from orthocusp import _linalg as la
+from orthocusp.corecone import SelfAdjointCone, light_cone
+from orthocusp.cycles import enumerate_isometries
+from orthocusp.dimform import _count_gram_preservers
+from orthocusp.qform import QuadraticLattice
+
+PROPERTY = settings(max_examples=30, deadline=None, derandomize=True)
+
+
+# ---------------------------------------------------------------- reference
+
+
+def fraction_form(G, x, y):
+    return la.dot(la.mat_vec(la.mat(G), la.vec(x)), la.vec(y))
+
+
+def box_scan_isometries(G, bound):
+    """Row tuples of every isometry with entries in [-bound, bound]."""
+    G = la.mat(G)
+    m = len(G)
+    cols_domain = list(itertools.product(range(-bound, bound + 1), repeat=m))
+    out = []
+
+    def extend(cols):
+        j = len(cols)
+        if j == m:
+            out.append(tuple(zip(*cols)))
+            return
+        for cand in cols_domain:
+            if fraction_form(G, cand, cand) != G[j][j]:
+                continue
+            if all(fraction_form(G, prev, cand) == G[i][j] for i, prev in enumerate(cols)):
+                extend(cols + [cand])
+
+    extend([])
+    return sorted(out)
+
+
+def capped_order(m, cap=120):
+    ident = la.identity(len(m))
+    p = m
+    for k in range(1, cap + 1):
+        if la.mat_eq(p, ident):
+            return k
+        p = la.mat_mul(p, m)
+    return None
+
+
+def scan_count(A, m, mod):
+    """#{X mod `mod` : X^t A X = A mod `mod`} over all mod^(m^2) matrices."""
+    count = 0
+    for flat in itertools.product(range(mod), repeat=m * m):
+        X = [flat[i * m:(i + 1) * m] for i in range(m)]
+        ok = True
+        for a in range(m):
+            if not ok:
+                break
+            for b in range(a, m):
+                s = 0
+                for i in range(m):
+                    xia = X[i][a]
+                    if not xia:
+                        continue
+                    row = A[i]
+                    for j in range(m):
+                        if row[j]:
+                            s += xia * row[j] * X[j][b]
+                if (s - A[a][b]) % mod:
+                    ok = False
+                    break
+        if ok:
+            count += 1
+    return count
+
+
+# ---------------------------------------------------------------- strategies
+
+
+@st.composite
+def integral_grams(draw, ranks=(2, 3), entries=2):
+    m = draw(st.sampled_from(ranks))
+    G = [[0] * m for _ in range(m)]
+    for i in range(m):
+        for j in range(i, m):
+            G[i][j] = G[j][i] = draw(st.integers(-entries, entries))
+    return G
+
+
+def nondegenerate(G):
+    return la.determinant(la.mat(G)) != 0
+
+
+# ---------------------------------------------------------------- properties
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(integral_grams(), st.integers(1, 2))
+def test_isometries_match_box_scan(G, bound):
+    assume(nondegenerate(G))
+    pool = enumerate_isometries(QuadraticLattice(G), bound)
+    want = box_scan_isometries(G, bound)
+    assert [g.mat for g in pool] == [la.mat(g) for g in want]
+    for g in pool:
+        assert g.order == capped_order(g.mat)
+
+
+@PROPERTY
+@given(integral_grams(ranks=(2,), entries=6), st.sampled_from([(3, 1), (3, 2), (5, 1)]))
+def test_congruence_counts_match_full_scan(A, pk):
+    p, k = pk
+    assert _count_gram_preservers(A, 2, p**k) == scan_count(A, 2, p**k)
+
+
+@settings(max_examples=3, deadline=None, derandomize=True)
+@given(integral_grams(ranks=(2,), entries=6))
+def test_congruence_counts_match_full_scan_mod_25(A):
+    assert _count_gram_preservers(A, 2, 25) == scan_count(A, 2, 25)
+
+
+@PROPERTY
+@given(integral_grams(ranks=(2, 3, 4), entries=3), st.data())
+def test_int_bilinear_matches_fraction_form(G, data):
+    L = QuadraticLattice(G)
+    vecs = st.lists(st.integers(-5, 5), min_size=L.rank, max_size=L.rank).map(tuple)
+    x, y = data.draw(vecs), data.draw(vecs)
+    got = L.bilinear(x, y)
+    assert type(got) is Fraction and got == fraction_form(G, x, y)
+    assert L.bilinear(la.vec(x), la.vec(y)) == got
+
+
+@PROPERTY
+@given(st.sampled_from([1, 2, 3]), st.data())
+def test_int_cone_tests_match_fraction_inputs(k, data):
+    # an integral cone with a non-identity inner form, and light_cone(k)
+    for cone in (light_cone(k),
+                 SelfAdjointCone(light_cone(k).lattice.gram, (2,) + (1,) * k,
+                                 inner=[[2 if i == j else int(i + j == 1)
+                                         for j in range(k + 1)] for i in range(k + 1)])):
+        vecs = st.lists(st.integers(-4, 4), min_size=k + 1, max_size=k + 1).map(tuple)
+        v, w = data.draw(vecs), data.draw(vecs)
+        for closed in (False, True):
+            assert cone.contains(v, closed) == cone.contains(la.vec(v), closed)
+        got = cone.pair(v, w)
+        assert type(got) is Fraction and got == cone.pair(la.vec(v), la.vec(w))
+
+
+# ---------------------------------------------------------------- explicit
+
+
+def test_g4_bound_1_group():
+    pool = enumerate_isometries(QuadraticLattice([[1, 0, 0, 0], [0, 1, 0, 0],
+                                                  [0, 0, -1, 0], [0, 0, 0, -1]]), 1)
+    assert len(pool) == 576
+    assert sum(g.order is None for g in pool) == 448
+
+
+def test_diag_11m1_count_at_3():
+    A = [[1, 0, 0], [0, 1, 0], [0, 0, -1]]
+    assert _count_gram_preservers(A, 3, 3) == 48 == scan_count(A, 3, 3)

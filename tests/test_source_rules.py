@@ -1,0 +1,21 @@
+"""Rules the package source keeps."""
+
+import ast
+from pathlib import Path
+
+import orthocusp
+
+SOURCES = sorted(Path(orthocusp.__file__).parent.glob("*.py"))
+
+
+def test_sources_found():
+    assert len(SOURCES) > 10
+
+
+def test_no_assert_statements():
+    # python -O strips asserts, so correctness checks must raise explicitly
+    found = [f"{path.name}:{node.lineno}"
+             for path in SOURCES
+             for node in ast.walk(ast.parse(path.read_text(), str(path)))
+             if isinstance(node, ast.Assert)]
+    assert found == []
