@@ -66,6 +66,11 @@ def mat_eq(A, B):
     return len(A) == len(B) and all(ra == rb for ra, rb in zip(A, B))
 
 
+def preserves_form(g, G):
+    """g^t G g == G: g is an isometry of the form with Gram matrix G."""
+    return mat_eq(mat_mul(mat_mul(transpose(g), G), g), G)
+
+
 def is_symmetric(A):
     n = len(A)
     return all(len(row) == n for row in A) and all(

@@ -126,9 +126,6 @@ class GradedClass:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def max_degree(self) -> int:
-        return max((self.monomial_degree(m) for m, _ in self.terms), default=0)
-
     def substitute(self, values: dict):
         """Numeric evaluation: every generator gets a rational value."""
         total = Fraction(0)
@@ -316,23 +313,6 @@ class UniversalQ:
     dimension: int
     rank: int
     table: tuple  # ((beta, alpha), coeff), sorted
-
-    def as_graded_class(self) -> GradedClass:
-        degs = {}
-        n, r = self.dimension, self.rank
-        for i in range(1, min(r, n) + 1):
-            degs[f"cE{i}"] = i
-        for j in range(1, n + 1):
-            degs[f"w{j}"] = j
-        terms = {}
-        for (beta, alpha), coeff in self.table:
-            mono = {}
-            for i in beta:
-                mono[f"cE{i}"] = mono.get(f"cE{i}", 0) + 1
-            for j in alpha:
-                mono[f"w{j}"] = mono.get(f"w{j}", 0) + 1
-            terms[tuple(sorted(mono.items()))] = coeff
-        return GradedClass.make(terms, degs, n)
 
     def evaluate(self, e_values, omega_values) -> Fraction:
         """Numeric substitution c_i(E) -> e_values[i], c_j(Omega) -> ..."""

@@ -1,6 +1,8 @@
 """Command-line front end: deterministic JSON reports over all modules.
 
-Exit codes: 0 success, 1 domain error (reported on stderr), 2 usage error.
+Exit codes: 0 success, 1 domain error, 2 usage error.  A domain error
+writes a canonical "error" report to stdout, also when --out is given; a
+usage error writes one line to stderr.
 Rationals are serialized as strings; float-mode values are tagged.  The
 ORTHOCUSP_THREADS environment variable caps internal parallelism (the
 current implementations are sequential, i.e. one worker, which always
@@ -290,6 +292,8 @@ def cmd_core_decompose(args):
         support_fan,
     )
 
+    if args.height < 1:
+        raise UsageError("--height must be >= 1")
     gram = io.matrix_from_json(_read_json(args.gram)["gram"])
     dim = len(gram)
     if args.positivity:
@@ -337,6 +341,8 @@ def cmd_chern(args):
 
     if args.chern_action == "td":
         n = args.degree
+        if n < 0:
+            raise UsageError("--degree must be >= 0")
         degs = {f"c{i}": i for i in range(1, n + 1)}
         cs = [GradedClass.gen(f"c{i}", i, degs, n) for i in range(1, n + 1)]
         td = todd_from_chern(cs, n)
@@ -346,6 +352,8 @@ def cmd_chern(args):
                 f"{g}^{e}" if e > 1 else g for g, e in mono)
             table[key] = coeff
         return io.make_report("chern td", {"degree": n, "coefficients": table})
+    if args.dim < 0 or args.rank < 0:
+        raise UsageError("--dim and --rank must be >= 0")
     q = universal_Q(args.dim, args.rank)
     table = {}
     for (beta, alpha), coeff in q.table:
@@ -361,6 +369,8 @@ def cmd_chern(args):
 def cmd_hilbert_poly(args):
     from .dimform import hilbert_poly_dual
 
+    if args.n < 1:
+        raise UsageError("--n must be >= 1")
     P = hilbert_poly_dual(args.n)
     return io.make_report(
         "hilbert-poly",
@@ -373,6 +383,10 @@ def cmd_hilbert_poly(args):
 def cmd_local_density(args):
     from .dimform import local_density
 
+    try:
+        Place(args.p)
+    except ValueError as e:
+        raise UsageError(f"--p: {e}")
     L = io.lattice_from_json(_read_json(args.gram))
     res = local_density(L, args.p, args.kmax)
     return io.make_report(

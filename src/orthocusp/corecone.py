@@ -2,13 +2,16 @@
 
 Every computation is windowed by a height bound H with an H-versus-2H
 stability certificate; the module reports window-level evidence only and
-never claims global admissibility.  Extreme points are computed from
-windowed lattice enumerations: a pool point is extreme when it is a
-vertex of the hull of the window pool plus the window recession rays, and
-no other pool point reaches it through the closed cone.  The
-support-hyperplane candidates are facet normals of the windowed hull of
-the extreme set.  Both hulls come from the integer double-description
-kernel in fan.py.
+never claims global admissibility.  One scan enumerates the nonzero
+integral vectors of sup-norm <= h in the closed cone; the open-cone
+points, the recession rays (primitive, q = 0) and a kernel's window
+points are filters of it.  core_extremes scans once, at 2H, and takes
+the H window as the points of sup-norm <= H.  A pool point is extreme
+when it is a vertex of the hull of the window pool plus the window
+recession rays, and no other pool point reaches it through the closed
+cone.  The support-hyperplane candidates are facet normals of the
+windowed hull of the extreme set.  Both hulls come from the integer
+double-description kernel in fan.py.
 """
 
 from __future__ import annotations
@@ -100,18 +103,27 @@ def light_cone(k: int) -> SelfAdjointCone:
     return SelfAdjointCone(G, rho)
 
 
-def cone_lattice_points(cone: SelfAdjointCone, height: int, closed: bool = False):
-    """Integral vectors of sup-norm <= height in the (closed) cone, minus 0."""
+def _closed_window(cone: SelfAdjointCone, height: int):
+    """Sorted nonzero integral vectors of sup-norm <= height in the closed cone."""
     if height < 1:
         raise ValueError("height must be >= 1")
-    out = []
     rng = range(-height, height + 1)
-    for v in itertools.product(rng, repeat=cone.dim):
-        if not any(v):
-            continue
-        if cone.contains(v, closed=closed):
-            out.append(v)
-    return tuple(sorted(out))
+    return tuple(v for v in itertools.product(rng, repeat=cone.dim)
+                 if any(v) and cone.contains(v, closed=True))
+
+
+def _open_points(points, cone: SelfAdjointCone):
+    return tuple(v for v in points if cone.contains(v))
+
+
+def _recession_rays(points, cone: SelfAdjointCone):
+    return tuple(sorted({la.primitive(v) for v in points if cone.lattice.quadratic(v) == 0}))
+
+
+def cone_lattice_points(cone: SelfAdjointCone, height: int, closed: bool = False):
+    """Integral vectors of sup-norm <= height in the (closed) cone, minus 0."""
+    points = _closed_window(cone, height)
+    return points if closed else _open_points(points, cone)
 
 
 def boundary_rays(cone: SelfAdjointCone, height: int):
@@ -121,14 +133,7 @@ def boundary_rays(cone: SelfAdjointCone, height: int):
     A window under-approximation of the closed cone; the stability
     certificate covers the truncation.
     """
-    rays = set()
-    rng = range(-height, height + 1)
-    for v in itertools.product(rng, repeat=cone.dim):
-        if not any(v):
-            continue
-        if cone.lattice.quadratic(v) == 0 and cone.contains(v, closed=True):
-            rays.add(la.primitive(v))
-    return tuple(sorted(rays))
+    return _recession_rays(_closed_window(cone, height), cone)
 
 
 @dataclass(frozen=True)
@@ -188,15 +193,6 @@ def _extreme_points_of(pool, recession, cone: SelfAdjointCone):
                  and not dominated(v))
 
 
-def _window_points_of_kernel(K: KernelSpec, cone: SelfAdjointCone, height: int):
-    out = []
-    rng = range(-height, height + 1)
-    for v in itertools.product(rng, repeat=cone.dim):
-        if any(v) and K.member(v, cone):
-            out.append(v)
-    return tuple(sorted(out))
-
-
 def core_extremes(cone: SelfAdjointCone, variant: str, height: int) -> ExtremeSet:
     """Window extreme points of the selected core, with stability certificate.
 
@@ -204,12 +200,15 @@ def core_extremes(cone: SelfAdjointCone, variant: str, height: int) -> ExtremeSe
     perfect      : K_perf = semi-dual of hull(closed cone lattice points - 0)
     central_dual : the co-core K_cent^vee = K_T with T = E(K_cent)
     Certification: the same computation at height 2H must return the same
-    points inside the H window; otherwise UnstableTruncation.
+    points inside the H window; otherwise UnstableTruncation.  Both windows
+    are filters of one scan at 2H.
     """
     if variant not in ("central", "perfect", "central_dual"):
         raise ValueError(f"unknown core variant {variant!r}")
-    e_h = _core_extremes_window(cone, variant, height)
-    e_2h = _core_extremes_window(cone, variant, 2 * height)
+    window = _closed_window(cone, 2 * height)  # raises for height < 1
+    e_h = _core_extremes_window(
+        cone, variant, tuple(v for v in window if max(map(abs, v)) <= height))
+    e_2h = _core_extremes_window(cone, variant, window)
     inside = tuple(p for p in e_2h if max(abs(x) for x in p) <= height)
     stable = set(e_h) == set(inside)
     if not stable:
@@ -219,23 +218,15 @@ def core_extremes(cone: SelfAdjointCone, variant: str, height: int) -> ExtremeSe
     return ExtremeSet(points=e_h, truncation=height, variant=variant, stable=True)
 
 
-def _core_extremes_window(cone: SelfAdjointCone, variant: str, height: int):
-    recession = boundary_rays(cone, height)
+def _core_extremes_window(cone: SelfAdjointCone, variant: str, points):
+    """Extreme points of the variant's pool, from the closed-cone window points."""
+    recession = _recession_rays(points, cone)
+    pool = points if variant == "perfect" else _open_points(points, cone)
+    extremes = _extreme_points_of(pool, recession, cone)
     if variant == "central":
-        pool = cone_lattice_points(cone, height, closed=False)
-        return _extreme_points_of(pool, recession, cone)
-    if variant == "perfect":
-        closed_pts = cone_lattice_points(cone, height, closed=True)
-        hull_vertices = _extreme_points_of(closed_pts, recession, cone)
-        K = KernelSpec(points=tuple(hull_vertices))
-        pool = _window_points_of_kernel(K, cone, height)
-        return _extreme_points_of(pool, recession, cone)
-    # central_dual
-    pool0 = cone_lattice_points(cone, height, closed=False)
-    e_cent = _extreme_points_of(pool0, recession, cone)
-    K = KernelSpec(points=tuple(e_cent))
-    pool = _window_points_of_kernel(K, cone, height)
-    return _extreme_points_of(pool, recession, cone)
+        return extremes
+    K = KernelSpec(points=extremes)
+    return _extreme_points_of(tuple(v for v in points if K.member(v, cone)), recession, cone)
 
 
 @dataclass
@@ -331,10 +322,9 @@ def gamma_check(fan: Fan, gens, cone: SelfAdjointCone, window_bound: int) -> Gam
     window.  Raises NotConePreserving when a generator fails to preserve
     the cone itself, or when an unexcused image cone is missing.
     """
-    G = cone.lattice.gram
     for g in gens:
         g = la.mat(g)
-        if not la.mat_eq(la.mat_mul(la.mat_mul(la.transpose(g), G), g), G):
+        if not la.preserves_form(g, cone.lattice.gram):
             raise NotConePreserving("generator is not an isometry of the cone form")
         sample = None
         for c in fan.top_cones():

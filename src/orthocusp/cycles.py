@@ -36,8 +36,7 @@ class IsometryElement:
     @staticmethod
     def make(mat, lattice: QuadraticLattice) -> "IsometryElement":
         m = la.mat(mat)
-        G = lattice.gram
-        if not la.mat_eq(la.mat_mul(la.mat_mul(la.transpose(m), G), m), G):
+        if not la.preserves_form(m, lattice.gram):
             raise ValueError("matrix does not preserve the Gram matrix")
         return IsometryElement(mat=m, order=matrix_order(m))
 

@@ -480,8 +480,7 @@ def circle_action_matrix(plane: GrassPlane, r=1, cos_sin_2theta=None, theta=None
 
 
 def is_isometry(g, lattice: QuadraticLattice) -> bool:
-    return la.mat_eq(la.mat_mul(la.mat_mul(la.transpose(g), lattice.gram), g),
-                     lattice.gram)
+    return la.preserves_form(g, lattice.gram)
 
 
 def oplus_sign(g, lattice: QuadraticLattice) -> int:

@@ -149,14 +149,7 @@ class RationalCone:
 
     def contains(self, x) -> bool:
         ineqs, eqs = self.facet_normals()
-        x = la.vec(x)
         return all(la.dot(e, x) == 0 for e in eqs) and all(la.dot(d, x) >= 0 for d in ineqs)
-
-    def contains_in_interior(self, x) -> bool:
-        """Relative interior membership."""
-        ineqs, eqs = self.facet_normals()
-        x = la.vec(x)
-        return all(la.dot(e, x) == 0 for e in eqs) and all(la.dot(d, x) > 0 for d in ineqs)
 
     def barycenter(self):
         if not self.rays:
@@ -224,11 +217,7 @@ class Fan:
 
     def __init__(self, cones, rank: int):
         self.rank = int(rank)
-        uniq = []
-        for c in cones:
-            if c not in uniq:
-                uniq.append(c)
-        self.cones = tuple(sorted(uniq, key=lambda c: (c.dim, c.rays)))
+        self.cones = tuple(sorted(dict.fromkeys(cones), key=lambda c: (c.dim, c.rays)))
 
     def __contains__(self, c):
         return c in self.cones
@@ -240,14 +229,7 @@ class Fan:
         return len(self.cones)
 
     def maximal_cones(self):
-        out = []
-        for c in self.cones:
-            strictly_below = any(
-                d != c and _subcone(c, d) and not _subcone(d, c) for d in self.cones
-            )
-            if not strictly_below:
-                out.append(c)
-        return tuple(out)
+        return _maximal(self.cones)
 
     def top_cones(self, dim=None):
         dim = self.rank if dim is None else dim
@@ -258,14 +240,16 @@ def _subcone(a: RationalCone, b: RationalCone) -> bool:
     return all(b.contains(r) for r in a.rays)
 
 
+def _maximal(cones):
+    """The distinct cones that lie strictly inside no other, in order."""
+    cones = tuple(dict.fromkeys(cones))
+    return tuple(c for c in cones
+                 if not any(d != c and _subcone(c, d) and not _subcone(d, c) for d in cones))
+
+
 def fan_from_maximal(cones, rank: int) -> Fan:
     """Close a set of cones under taking faces."""
-    allc = []
-    for c in cones:
-        for f in faces(c):
-            if f not in allc:
-                allc.append(f)
-    return Fan(allc, rank)
+    return Fan([f for c in cones for f in faces(c)], rank)
 
 
 @dataclass
@@ -340,18 +324,23 @@ def is_complete(f: Fan) -> bool:
     return True
 
 
-def star_subdivide(f: Fan, ray) -> Fan:
-    """Star subdivision of a fan at a primitive ray."""
-    ray = la.primitive(ray)
-    new_max = []
-    for c in f.maximal_cones():
+def _star(maxcones, ray, rank: int):
+    """Cones of the star subdivision at ray: each cone containing ray is
+    replaced by the joins of ray with its facets that miss it."""
+    out = []
+    for c in maxcones:
         if not c.contains(ray):
-            new_max.append(c)
+            out.append(c)
             continue
         for fc in faces(c):
             if fc.dim == c.dim - 1 and not fc.contains(ray):
-                new_max.append(RationalCone(list(fc.rays) + [ray], f.rank))
-    return fan_from_maximal(new_max, f.rank)
+                out.append(RationalCone(list(fc.rays) + [ray], rank))
+    return out
+
+
+def star_subdivide(f: Fan, ray) -> Fan:
+    """Star subdivision of a fan at a primitive ray."""
+    return fan_from_maximal(_star(f.maximal_cones(), la.primitive(ray), f.rank), f.rank)
 
 
 def barycentric_subdivide(f: Fan, selector) -> Fan:
@@ -359,18 +348,21 @@ def barycentric_subdivide(f: Fan, selector) -> Fan:
 
     selector is a predicate on cones or an explicit iterable of cones;
     selected cones of dimension <= 1 are ignored (their barycenter is a
-    ray of the fan already).
+    ray of the fan already).  Each step starts from the maximal elements
+    of the last step's cones: a face added by the closure lies strictly
+    inside its cone, so they are the maximal cones of the closed fan.
     """
     if callable(selector):
         selected = [c for c in f.cones if selector(c)]
     else:
         selected = [c for c in selector]
     selected = [c for c in selected if c.dim >= 2]
-    out = f
+    out, maxcones = f, f.maximal_cones()
     for c in sorted(selected, key=lambda c: (-c.dim, c.rays)):
         if c not in out:
             continue
-        out = star_subdivide(out, c.barycenter())
+        cones = _star(maxcones, c.barycenter(), f.rank)
+        out, maxcones = fan_from_maximal(cones, f.rank), _maximal(cones)
     return out
 
 
@@ -411,26 +403,13 @@ def make_regular(f: Fan, max_rounds: int = 30) -> Fan:
     processed cone, so only cones containing it are replaced) and closes
     under faces once at the end.
     """
-    maxcones = list(f.maximal_cones())
+    maxcones = f.maximal_cones()
     for _ in range(max_rounds):
-        bad = []
-        for c in maxcones:
-            for fc in faces(c):
-                if fc.dim >= 2 and not is_regular(fc) and fc not in bad:
-                    bad.append(fc)
+        bad = {fc for c in maxcones for fc in faces(c) if fc.dim >= 2 and not is_regular(fc)}
         if not bad:
             return fan_from_maximal(maxcones, f.rank)
         for b in sorted(bad, key=lambda c: (-c.dim, c.rays)):
-            rho = _resolution_ray(b)
-            nxt = []
-            for c in maxcones:
-                if not c.contains(rho):
-                    nxt.append(c)
-                    continue
-                for fc in faces(c):
-                    if fc.dim == c.dim - 1 and not fc.contains(rho):
-                        nxt.append(RationalCone(list(fc.rays) + [rho], f.rank))
-            maxcones = nxt
+            maxcones = _star(maxcones, _resolution_ray(b), f.rank)
     raise RuntimeError(f"not regular after {max_rounds} rounds")
 
 

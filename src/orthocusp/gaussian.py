@@ -112,9 +112,3 @@ def unit_i(mode: str):
 
 def abs2(z):
     return z.norm2() if isinstance(z, GaussianRational) else (z.real * z.real + z.imag * z.imag)
-
-
-def is_zero(z, tol=0) -> bool:
-    if isinstance(z, GaussianRational):
-        return not z
-    return abs(z) <= tol

@@ -175,8 +175,7 @@ def is_in_unipotent(g, flag: CuspFlag) -> bool:
     rebuilt = build_unipotent(flag, unipotent_params(flag, g))
     if not la.mat_eq(g, rebuilt):
         return False
-    G = flag.lattice.gram
-    return la.mat_eq(la.mat_mul(la.mat_mul(la.transpose(g), G), g), G)
+    return la.preserves_form(g, flag.lattice.gram)
 
 
 def center_element(flag: CuspFlag, w1):
@@ -316,8 +315,7 @@ def adjacency_data(f2: CuspFlag, f1_generator, lattice: QuadraticLattice):
     h[2][2], h[2][3] = inv_t[0][0], inv_t[0][1]
     h[3][2], h[3][3] = inv_t[1][0], inv_t[1][1]
     h = la.mat(h)
-    G = lattice.gram
-    if not la.mat_eq(la.mat_mul(la.mat_mul(la.transpose(h), G), h), G):
+    if not la.preserves_form(h, lattice.gram):
         raise UnsupportedShape("the SL2 change of basis does not preserve the Gram "
                                "matrix: the lattice lacks the two-hyperbolic-planes shape")
     flag1 = CuspFlag.from_lattice(lattice, RANK1)

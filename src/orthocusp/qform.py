@@ -155,14 +155,6 @@ def signature(L: QuadraticLattice):
     return (r, len(diag) - r)
 
 
-def _two_adic_split(n: int):
-    e = 0
-    while n % 2 == 0:
-        n //= 2
-        e += 1
-    return e, n
-
-
 def _padic_split(n: int, p: int):
     e = 0
     while n % p == 0:
@@ -190,21 +182,17 @@ def hilbert_symbol(a, b, v: Place) -> int:
     if v.is_real:
         return -1 if (a < 0 and b < 0) else 1
     p = v.p
+    alpha, u = _padic_split(abs(a), p)
+    beta, w = _padic_split(abs(b), p)
+    u = u if a > 0 else -u
+    w = w if b > 0 else -w
     if p == 2:
-        alpha, u = _two_adic_split(abs(a))
-        beta, w = _two_adic_split(abs(b))
-        u = u if a > 0 else -u
-        w = w if b > 0 else -w
         eps_u = ((u - 1) // 2) % 2
         eps_w = ((w - 1) // 2) % 2
         om_u = ((u * u - 1) // 8) % 2
         om_w = ((w * w - 1) // 8) % 2
         e = eps_u * eps_w + alpha * om_w + beta * om_u
         return -1 if e % 2 else 1
-    alpha, u = _padic_split(abs(a), p)
-    beta, w = _padic_split(abs(b), p)
-    u = u if a > 0 else -u
-    w = w if b > 0 else -w
     eps_p = ((p - 1) // 2) % 2
     s = (-1) ** (alpha * beta * eps_p)
     if beta % 2:

@@ -203,6 +203,37 @@ class TestCoreDecompose:
         assert err.startswith("usage error: ") and err.count("\n") == 1
 
 
+class TestBoundaryRefusals:
+    @pytest.mark.parametrize("argv", [
+        ["core-decompose", "--gram", "@hyp", "--height", "0"],
+        ["core-decompose", "--gram", "@hyp", "--height", "-2"],
+        ["local-density", "--gram", "@one", "--p", "0"],
+        ["local-density", "--gram", "@one", "--p", "1"],
+        ["local-density", "--gram", "@one", "--p", "-3"],
+        ["local-density", "--gram", "@one", "--p", "4"],
+        ["hilbert-poly", "--n", "0"],
+        ["chern", "td", "--degree", "-1"],
+        ["chern", "q-poly", "--dim", "-1", "--rank", "1"],
+        ["chern", "q-poly", "--dim", "2", "--rank", "-1"],
+    ])
+    def test_out_of_range_value_is_usage_error(self, tmp_path, capsys, argv):
+        files = {"@hyp": write(tmp_path, "hyp.json", HYP),
+                 "@one": write(tmp_path, "one.json", {"gram": [["1"]]})}
+        assert main([files.get(a, a) for a in argv]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: ") and err.count("\n") == 1
+
+    def test_domain_error_report_goes_to_stdout(self, tmp_path, capsys):
+        # p = 2 is a prime outside desk scope: a domain error, not a usage error
+        gram = write(tmp_path, "one.json", {"gram": [["1"]]})
+        out = tmp_path / "out.json"
+        assert main(["local-density", "--gram", gram, "--p", "2", "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert json.loads(captured.out)["results"]["error"] == "DeskScopeError"
+        assert not out.exists()
+
+
 class TestDeterminism:
     CASES = None
 

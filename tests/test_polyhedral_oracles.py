@@ -1,10 +1,14 @@
-"""The double-description kernel against the subset-plus-LP reference code.
+"""The polyhedral kernels against the reference code they replaced.
 
 The reference functions below are the brute-force paths the kernel
 replaced: a subset search over (dim - 1)-row nullspaces, an exact phase-1
 simplex for cone membership, one LP per pool point for hull vertices, and
 a solve over every dim-subset of the extreme set for support functionals.
-They are slow and kept only as oracles.
+Beside them are the separate window loops (open points, closed points,
+boundary rays, kernel points) that core_extremes ran at H and again at 2H,
+and the star and barycentric subdivisions that took the maximal cones of
+the whole face closure at every step.  They are slow and kept only as
+oracles.
 """
 
 import itertools
@@ -12,6 +16,8 @@ from fractions import Fraction
 
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+
+import pytest
 
 from orthocusp import _linalg as la
 from orthocusp.corecone import (
@@ -21,11 +27,21 @@ from orthocusp.corecone import (
     _extreme_points_of,
     boundary_rays,
     cone_lattice_points,
+    core_extremes,
     first_quadrant_cone,
     light_cone,
     support_fan,
 )
-from orthocusp.fan import RationalCone, _extreme_rays_of_halfspaces
+from orthocusp.errors import UnstableTruncation
+from orthocusp.fan import (
+    Fan,
+    RationalCone,
+    _extreme_rays_of_halfspaces,
+    barycentric_subdivide,
+    faces,
+    fan_from_maximal,
+    star_subdivide,
+)
 
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True)
 
@@ -138,6 +154,91 @@ def subset_support_functionals(points, cone, recession):
     return sorted(out)
 
 
+def window_points(cone, height, closed=False):
+    """The (closed) cone's nonzero points of sup-norm <= height, by a full scan."""
+    if height < 1:
+        raise ValueError("height must be >= 1")
+    rng = range(-height, height + 1)
+    return tuple(sorted(v for v in itertools.product(rng, repeat=cone.dim)
+                        if any(v) and cone.contains(v, closed=closed)))
+
+
+def window_boundary_rays(cone, height):
+    rng = range(-height, height + 1)
+    return tuple(sorted({la.primitive(v) for v in itertools.product(rng, repeat=cone.dim)
+                         if any(v) and cone.lattice.quadratic(v) == 0
+                         and cone.contains(v, closed=True)}))
+
+
+def window_kernel_points(K, cone, height):
+    rng = range(-height, height + 1)
+    return tuple(sorted(v for v in itertools.product(rng, repeat=cone.dim)
+                        if any(v) and K.member(v, cone)))
+
+
+def window_extremes(cone, variant, height):
+    """One window's extreme points, each pool from its own scan."""
+    recession = window_boundary_rays(cone, height)
+    if variant == "central":
+        return _extreme_points_of(window_points(cone, height), recession, cone)
+    hull = window_points(cone, height, closed=variant == "perfect")
+    K = KernelSpec(points=_extreme_points_of(hull, recession, cone))
+    return _extreme_points_of(window_kernel_points(K, cone, height), recession, cone)
+
+
+def reference_core_extremes(cone, variant, height):
+    e_h = window_extremes(cone, variant, height)
+    inside = tuple(p for p in window_extremes(cone, variant, 2 * height)
+                   if max(abs(x) for x in p) <= height)
+    if set(e_h) != set(inside):
+        raise UnstableTruncation(f"window H={height} returns {e_h}, window 2H keeps {inside}")
+    return ExtremeSet(points=e_h, truncation=height, variant=variant, stable=True)
+
+
+def reference_contains(c, x):
+    ineqs, eqs = c.facet_normals()
+    x = la.vec(x)
+    return all(la.dot(e, x) == 0 for e in eqs) and all(la.dot(d, x) >= 0 for d in ineqs)
+
+
+def reference_maximal_cones(f):
+    """Pairwise containment over every cone of the fan."""
+    def below(a, b):
+        return all(reference_contains(b, r) for r in a.rays)
+    return tuple(c for c in f.cones
+                 if not any(d != c and below(c, d) and not below(d, c) for d in f.cones))
+
+
+def reference_fan_from_maximal(cones, rank):
+    closure = []
+    for c in cones:
+        for fc in faces(c):
+            if fc not in closure:
+                closure.append(fc)
+    return Fan(closure, rank)
+
+
+def reference_star_subdivide(f, ray):
+    ray = la.primitive(ray)
+    new_max = []
+    for c in reference_maximal_cones(f):
+        if not reference_contains(c, ray):
+            new_max.append(c)
+            continue
+        for fc in faces(c):
+            if fc.dim == c.dim - 1 and not reference_contains(fc, ray):
+                new_max.append(RationalCone(list(fc.rays) + [ray], f.rank))
+    return reference_fan_from_maximal(new_max, f.rank)
+
+
+def reference_barycentric_subdivide(f, selected):
+    out = f
+    for c in sorted((c for c in selected if c.dim >= 2), key=lambda c: (-c.dim, c.rays)):
+        if c in out:
+            out = reference_star_subdivide(out, c.barycenter())
+    return out
+
+
 # ---------------------------------------------------------------- properties
 
 coord = st.integers(-3, 3)
@@ -220,3 +321,77 @@ def test_anisotropic_two_point_support_is_the_span_equation():
     _, report = support_fan(KernelSpec(points=E.points), E, cone)
     assert report.functionals == ((Fraction(1, 2), Fraction(0)),)
     assert list(report.functionals) == subset_support_functionals(E.points, cone, ())
+
+
+@PROPERTY
+@given(st.sampled_from(sorted(SUPPORT_CONES)), st.integers(1, 3))
+def test_window_filters_match_full_scans(name, height):
+    cone = SUPPORT_CONES[name]
+    for closed in (False, True):
+        assert cone_lattice_points(cone, height, closed=closed) == \
+            window_points(cone, height, closed=closed)
+    assert boundary_rays(cone, height) == window_boundary_rays(cone, height)
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except UnstableTruncation as e:
+        return str(e)
+
+
+@PROPERTY
+@given(st.sampled_from(sorted(SUPPORT_CONES)),
+       st.sampled_from(["central", "perfect", "central_dual"]), st.integers(1, 3))
+def test_core_extremes_match_separate_window_scans(name, variant, height):
+    cone = SUPPORT_CONES[name]
+    assert outcome(core_extremes, cone, variant, height) == \
+        outcome(reference_core_extremes, cone, variant, height)
+
+
+@pytest.mark.parametrize("height", [0, -1])
+def test_core_extremes_refuses_heights_below_one(height):
+    for variant in ("central", "perfect", "central_dual"):
+        with pytest.raises(ValueError):
+            core_extremes(first_quadrant_cone(), variant, height)
+
+
+@st.composite
+def cone_lists(draw):
+    """Pointed cones in random orthants: overlapping, and face-closed or not."""
+    rank = draw(st.integers(2, 3))
+    cones = []
+    for _ in range(draw(st.integers(1, 4))):
+        signs = draw(st.tuples(*[st.sampled_from((1, -1))] * rank))
+        # a positive first coordinate before the sign flip keeps each cone pointed
+        ray = st.tuples(st.integers(1, 2), *[st.integers(-2, 2)] * (rank - 1))
+        rays = draw(st.lists(ray, min_size=1, max_size=rank + 1))
+        cones.append(RationalCone([tuple(s * x for s, x in zip(signs, r)) for r in rays], rank))
+    closed = draw(st.booleans())
+    return fan_from_maximal(cones, rank) if closed else Fan(cones, rank)
+
+
+@PROPERTY
+@given(cone_lists(), st.data())
+def test_subdivisions_match_maximal_cones_of_the_closure(f, data):
+    assert f.maximal_cones() == reference_maximal_cones(f)
+    ray = data.draw(st.tuples(*[st.integers(-2, 2)] * f.rank).filter(any))
+    assert star_subdivide(f, ray).cones == reference_star_subdivide(f, ray).cones
+    selected = data.draw(st.lists(st.sampled_from(f.cones), max_size=4))
+    assert barycentric_subdivide(f, selected).cones == \
+        reference_barycentric_subdivide(f, selected).cones
+    assert barycentric_subdivide(f, list(f.top_cones())).cones == \
+        reference_barycentric_subdivide(f, list(f.top_cones())).cones
+
+
+def test_subdivision_drops_a_cone_nested_by_an_earlier_step():
+    # the star at (0, 1) turns cone((1,1),(-1,1)) into two cones, one of
+    # them strictly inside the overlapping cone((1,0),(0,1)); the next step
+    # starts from the maximal cones, so that one is gone from the result
+    c1 = RationalCone([(1, 0), (0, 1)], 2)
+    c2 = RationalCone([(1, 1), (-1, 1)], 2)
+    c3 = RationalCone([(0, -1), (1, -1)], 2)
+    for f in (Fan([c1, c2, c3], 2), fan_from_maximal([c1, c2, c3], 2)):
+        got = barycentric_subdivide(f, [c2, c3])
+        assert got.cones == reference_barycentric_subdivide(f, [c2, c3]).cones
+        assert RationalCone([(0, 1), (1, 1)], 2) not in got
