@@ -1,11 +1,14 @@
 """Exact linear algebra over Fraction and the integers.
 
 Vectors are tuples of Fraction (or int), matrices are tuples of row tuples.
-Everything here is a decision procedure; no floats.
+Everything here is a decision procedure; no floats.  A rational form is
+stored once as an integer matrix over a positive denominator (scaled_int)
+and evaluated by form, which is exact on int and Fraction coordinates
+alike: over int for int coordinates.
 """
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from operator import mul
 
 
@@ -177,12 +180,15 @@ def inverse(A):
     return tuple(tuple(row[n:]) for row in R[:n])
 
 
-def _clear_denominators(v):
-    from math import lcm
-    den = 1
-    for x in v:
-        den = lcm(den, frac(x).denominator)
-    return tuple(int(x * den) for x in v)
+def scaled_int(A):
+    """(B, d) with d the least positive integer making B = d*A integral."""
+    d = lcm(*(x.denominator for row in A for x in row))
+    return tuple(tuple(x.numerator * (d // x.denominator) for x in row) for row in A), d
+
+
+def form(B, x, y):
+    """y^t B x: exact on int and Fraction entries, over int when all are int."""
+    return sum(b * sum(map(mul, row, x)) for row, b in zip(B, y))
 
 
 def gcd_vec(v):
@@ -194,7 +200,7 @@ def gcd_vec(v):
 
 def primitive(v):
     """Primitive integer vector on the same ray (positive gcd removed)."""
-    w = _clear_denominators(v)
+    (w,), _ = scaled_int([v])
     g = gcd_vec(w)
     if g == 0:
         return tuple(0 for _ in w)
@@ -210,7 +216,7 @@ def kernel_int(A):
     """
     if not A:
         return ()
-    rows = [list(_clear_denominators(r)) for r in A]
+    rows = [list(r) for r in scaled_int(A)[0]]
     n, m = len(rows), len(rows[0])
     U = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
 
@@ -260,22 +266,6 @@ def kernel_int(A):
         if all(rows[i][j] == 0 for i in range(n)):
             kernel.append(tuple(U[j]))
     return tuple(sorted(kernel))
-
-
-def int_rows(A):
-    """A as rows of int when every entry is integral, else None."""
-    if all(type(x) is int or frac(x).denominator == 1 for row in A for x in row):
-        return tuple(tuple(int(x) for x in row) for row in A)
-    return None
-
-
-def is_int_vec(v):
-    return all(type(x) is int for x in v)
-
-
-def int_form(rows, x, y):
-    """y^t A x for the int rows of A: exact integer arithmetic on int x, y."""
-    return sum(b * sum(map(mul, row, x)) for row, b in zip(rows, y))
 
 
 def gram_preservers(A, domain, mod=None):

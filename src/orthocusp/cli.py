@@ -15,7 +15,6 @@ import argparse
 import json
 import os
 import sys
-from fractions import Fraction
 
 from . import reportio as io
 from .errors import OrthocuspError, UsageError
@@ -123,10 +122,9 @@ def build_parser() -> argparse.ArgumentParser:
 def cmd_invariants(args):
     L = io.lattice_from_json(_read_json(args.gram))
     try:
-        primes = [int(x) for x in args.primes.split(",") if x.strip()]
+        places = [REAL_PLACE] + [Place(int(x)) for x in args.primes.split(",") if x.strip()]
     except ValueError:
         raise UsageError("--primes must be a comma-separated list of primes")
-    places = [REAL_PLACE] + [Place(p) for p in primes]
     hasse = {}
     for v in places:
         key = "oo" if v.is_real else str(v.p)
@@ -246,6 +244,11 @@ def cmd_fan(args):
     )
 
     f = io.fan_from_json(_read_json(args.fan))
+    cone = None
+    if args.cone is not None:
+        if not 0 <= args.cone < len(f.cones):
+            raise UsageError(f"cone index {args.cone} out of range")
+        cone = f.cones[args.cone]
     if args.action == "validate":
         rep = validate_fan(f)
         return io.make_report("fan validate",
@@ -262,23 +265,19 @@ def cmd_fan(args):
             out[str(i)] = {"rays": [list(r) for r in c.rays], "regular": is_regular(c)}
         return io.make_report("fan regular", out)
     if args.action == "chart":
-        if args.cone is None:
+        if cone is None:
             raise UsageError("fan chart needs --cone INDEX")
-        try:
-            c = f.cones[args.cone]
-        except IndexError:
-            raise UsageError(f"cone index {args.cone} out of range")
-        gens, rels = chart_presentation(c)
+        gens, rels = chart_presentation(cone)
         return io.make_report(
             "fan chart",
             {
-                "rays": [list(r) for r in c.rays],
+                "rays": [list(r) for r in cone.rays],
                 "generators": [list(g) for g in gens],
                 "relations": [{"lhs": list(l), "rhs": list(r)} for l, r in rels],
             },
         )
     # subdivide
-    selected = [f.cones[args.cone]] if args.cone is not None else list(f.top_cones())
+    selected = [cone] if cone is not None else list(f.top_cones())
     g = barycentric_subdivide(f, selected)
     return io.make_report("fan subdivide", io.fan_to_json(g))
 
@@ -294,7 +293,7 @@ def cmd_core_decompose(args):
 
     if args.height < 1:
         raise UsageError("--height must be >= 1")
-    gram = io.matrix_from_json(_read_json(args.gram)["gram"])
+    gram = io.lattice_from_json(_read_json(args.gram)).gram
     dim = len(gram)
     if args.positivity:
         rho = io.vector_from_json(args.positivity.split(","))
@@ -324,7 +323,9 @@ def cmd_core_decompose(args):
         "fan_validity": rep.fan_valid,
     }
     if args.gens:
-        gens = [io.matrix_from_json(m) for m in _read_json(args.gens)["generators"]]
+        gens = [io.matrix_from_json(m) for m in io.list_field(_read_json(args.gens), "generators")]
+        if any(len(g) != dim or any(len(row) != dim for row in g) for g in gens):
+            raise UsageError(f"every generator must be a {dim}x{dim} matrix")
         grep = gamma_check(fan, gens, cone, window_bound=2 * args.height)
         results["gamma_check"] = {
             "preserved": grep.preserved,
@@ -387,6 +388,8 @@ def cmd_local_density(args):
         Place(args.p)
     except ValueError as e:
         raise UsageError(f"--p: {e}")
+    if args.kmax < 1:
+        raise UsageError("--kmax must be >= 1")
     L = io.lattice_from_json(_read_json(args.gram))
     res = local_density(L, args.p, args.kmax)
     return io.make_report(
@@ -406,16 +409,21 @@ def _alpha_inf(args):
 
     flagged = False
     if args.alpha_inf is not None:
-        alpha = Fraction(args.alpha_inf)
+        alpha = io.rat_from_str(args.alpha_inf)
+        if alpha <= 0:
+            raise UsageError("--alpha-inf must be positive")
     else:
         if args.densities is None:
             raise UsageError("need --alpha-inf or --densities")
-        blob = _read_json(args.densities)
-        dens = [Fraction(x) for x in blob["alpha_p"]]
+        dens = io.vector_from_json(io.list_field(_read_json(args.densities), "alpha_p"))
+        if any(d <= 0 for d in dens):
+            raise UsageError("every local density must be positive")
         spn = args.spn
         if spn is None:
             spn = 1
             flagged = True
+        elif spn < 1:
+            raise UsageError("--spn must be >= 1")
         alpha = alpha_inf_from_densities(dens, spn_plus=spn)
     return alpha, flagged
 
@@ -443,6 +451,8 @@ def cmd_dim_leading(args):
     from .dimform import hm_volume, leading_dimension
     from .qform import signature as sig
 
+    if args.ell < 2:
+        raise UsageError("--ell must be >= 2")
     L = io.lattice_from_json(_read_json(args.gram))
     alpha, flagged = _alpha_inf(args)
     vol = hm_volume(L, alpha, spn_flagged=flagged)
@@ -466,6 +476,8 @@ def cmd_ramify(args):
     from .cycles import classify_ramification, enumerate_isometries
     from .errors import NoPositiveEigenplane, NotRootOfUnity
 
+    if args.bound < 1:
+        raise UsageError("--bound must be >= 1")
     L = io.lattice_from_json(_read_json(args.gram))
     pool = enumerate_isometries(L, args.bound)
     rows = []

@@ -10,7 +10,6 @@ r_tau of the character image, never on a choice of primitive root.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -20,7 +19,7 @@ from .errors import (
     NoPositiveEigenplane,
     NotRootOfUnity,
 )
-from .qform import QuadraticLattice
+from .qform import QuadraticLattice, orthogonal_complement_basis
 
 INTERIOR_UNRAMIFIED = "interior_unramified"
 HEEGNER_REFLECTION = "heegner_reflection_type"
@@ -64,10 +63,10 @@ def _int_identity(n):
 def matrix_order(m):
     """Order of a square matrix, or None when it is not of finite order.
 
-    Powers stop at max_finite_order(rank); integral matrices are
-    multiplied over int.
+    Powers stop at max_finite_order(rank); int matrices are multiplied
+    over int.
     """
-    m = la.int_rows(m) or la.mat(m)
+    m = tuple(map(tuple, m))
     ident = _int_identity(len(m))
     p = m
     for k in range(1, max_finite_order(len(m)) + 1):
@@ -82,13 +81,12 @@ def enumerate_isometries(L: QuadraticLattice, bound: int):
 
     Column backtracking (la.gram_preservers) over the box [-bound, bound]^m
     on the integer multiple of the Gram matrix; always contains +/-
-    identity.  Desk scale: rank <= 6, bound small.
+    identity.  The matrices are kept as int rows.  Desk scale: rank <= 6,
+    bound small.
     """
-    den = math.lcm(*(x.denominator for row in L.gram for x in row))
-    A = [[int(x * den) for x in row] for row in L.gram]
     box = itertools.product(range(-bound, bound + 1), repeat=L.rank)
-    found = sorted(tuple(zip(*cols)) for cols in la.gram_preservers(A, box))
-    return [IsometryElement(mat=la.mat(g), order=matrix_order(g)) for g in found]
+    found = sorted(tuple(zip(*cols)) for cols in la.gram_preservers(L.scaled_gram, box))
+    return [IsometryElement(mat=g, order=matrix_order(g)) for g in found]
 
 
 def _cyclotomic_coeffs(n: int):
@@ -162,8 +160,7 @@ def euler_phi(n: int) -> int:
 
 
 def _matrix_poly(coeffs, g):
-    """sum_i coeffs[i] g^i, over int when g is integral."""
-    g = la.int_rows(g) or g
+    """sum_i coeffs[i] g^i, over int when g has int entries."""
     p = _int_identity(len(g))
     out = la.mat_scale(0, p)
     for c in coeffs:
@@ -214,10 +211,9 @@ def fixed_sublattice(g: IsometryElement, L: QuadraticLattice) -> FixedLocusRepor
     """
     if g.order is None:
         raise NotRootOfUnity("isometry must have finite order")
-    mat = la.mat(g.mat)
     chosen = None
     for m in _divisors(g.order):
-        val = _matrix_poly(_cyclotomic_coeffs(m), mat)
+        val = _matrix_poly(_cyclotomic_coeffs(m), g.mat)
         ker = la.kernel_int(val)
         if not ker:
             continue
@@ -231,7 +227,7 @@ def fixed_sublattice(g: IsometryElement, L: QuadraticLattice) -> FixedLocusRepor
             "no cyclotomic factor carries a signature-(2,*) subspace"
         )
     m, s_basis = chosen
-    perp = la.kernel_int([la.mat_vec(L.gram, v) for v in s_basis])
+    perp = orthogonal_complement_basis(L, s_basis)
     eqs = tuple(tuple(la.mat_vec(L.gram, y)) for y in perp)
     return FixedLocusReport(
         s_basis=tuple(s_basis),
@@ -249,11 +245,9 @@ def _canonical_exponent(m: int) -> int:
 
 def double_perp(L: QuadraticLattice, vectors):
     """((span)^perp)^perp cap L as a saturated basis."""
-    perp = la.kernel_int([la.mat_vec(L.gram, v) for v in vectors]) if vectors else \
-        tuple(tuple(int(x) for x in row) for row in la.identity(L.rank))
-    if not perp:
-        return tuple(tuple(int(x) for x in row) for row in la.identity(L.rank))
-    return la.kernel_int([la.mat_vec(L.gram, v) for v in perp])
+    ident = _int_identity(L.rank)
+    perp = orthogonal_complement_basis(L, vectors) if vectors else ident
+    return orthogonal_complement_basis(L, perp) if perp else ident
 
 
 def restriction_matrix(g_mat, basis):
@@ -334,7 +328,7 @@ def cyclotomic_decomposition(g: IsometryElement, L: QuadraticLattice,
     gram_S = _restricted_gram(L, s_basis)
 
     def pair(x, y):
-        return la.dot(la.mat_vec(gram_S, x), y)
+        return la.form(gram_S, x, y)
 
     def cyclic_span(v):
         vecs = [la.vec(v)]
@@ -439,7 +433,7 @@ def stabilizer_orders(L: QuadraticLattice, s_basis, isometries):
             gamma_s.append(g)
     restrictions = set()
     tilde = 0
-    perp = la.kernel_int([la.mat_vec(L.gram, v) for v in s_basis]) if s_basis else ()
+    perp = orthogonal_complement_basis(L, s_basis)
     for g in gamma_s:
         R = restriction_matrix(g.mat, s_basis) if s_basis else ()
         restrictions.add(R)

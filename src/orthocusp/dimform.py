@@ -19,6 +19,7 @@ from . import _linalg as la
 from ._linalg import frac
 from .errors import DeskScopeError, NotStabilized, WrongSignature
 from .qform import QuadraticLattice, discriminant, signature
+from .reportio import rat_to_str
 
 CONVENTION_GAMMA = "gamma-reciprocal: Gamma(k/2)^{-1} in place of the printed Gamma(-k/2)"
 CONVENTION_BINOMIAL = "binomial-index: chi computed on P^{n+1} (printed lower index n fails chi(O)=1)"
@@ -107,10 +108,9 @@ def local_density(L: QuadraticLattice, p: int, k_max: int = 4) -> LocalDensityRe
     """
     if p == 2:
         raise DeskScopeError("p = 2 local densities are outside desk scope")
-    m = L.rank
-    A = L.int_gram
-    if A is None:
+    if L.den != 1:
         raise DeskScopeError("congruence counting needs an integral Gram matrix")
+    m, A = L.rank, L.scaled_gram
     densities = []
     counts = []
     for k in range(1, k_max + 1):
@@ -124,7 +124,8 @@ def local_density(L: QuadraticLattice, p: int, k_max: int = 4) -> LocalDensityRe
             return LocalDensityResult(p=p, k_stable=k - 1, alpha_p=densities[-1],
                                       counts=tuple(counts))
     raise NotStabilized(
-        f"densities {densities} did not stabilize by k_max={k_max} within the scan budget"
+        f"densities [{', '.join(map(rat_to_str, densities))}] did not stabilize "
+        f"by k_max={k_max} within the scan budget"
     )
 
 

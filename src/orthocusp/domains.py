@@ -37,6 +37,22 @@ class KappaClass(Enum):
     MINUS = "minus_component"
 
 
+def _sparse_form(G, x, y, skip_exact_zero=False):
+    """sum_i x_i sum_j G[i][j] y_j over complex coordinates, skipping the
+    zero entries of G and, with skip_exact_zero, the exact-zero x_i."""
+    out = 0
+    for i, xi in enumerate(x):
+        if skip_exact_zero and isinstance(xi, (int, Fraction)) and xi == 0:
+            continue
+        row = G[i]
+        acc = 0
+        for j, yj in enumerate(y):
+            if row[j] != 0:
+                acc = acc + yj * row[j]
+        out = out + xi * acc
+    return out
+
+
 class Frame:
     """Ambient lattice with a fixed isotropic split (e1, e2, basis of U)."""
 
@@ -64,33 +80,14 @@ class Frame:
 
     def bilinear_c(self, x, y):
         """C-bilinear extension of b to complex coordinate vectors."""
-        G = self.lattice.gram
-        out = 0
-        for i, xi in enumerate(x):
-            if isinstance(xi, (int, Fraction)) and xi == 0:
-                continue
-            row = G[i]
-            acc = 0
-            for j, yj in enumerate(y):
-                if row[j] != 0:
-                    acc = acc + yj * row[j]
-            out = out + xi * acc
-        return out
+        return _sparse_form(self.lattice.gram, x, y, skip_exact_zero=True)
 
     def quadratic_c(self, x):
         return self.bilinear_c(x, x)
 
     def q_u(self, y):
         """Tube quadratic form on U-coordinates (C-bilinear)."""
-        out = 0
-        for i, yi in enumerate(y):
-            row = self.u_gram[i]
-            acc = 0
-            for j, yj in enumerate(y):
-                if row[j] != 0:
-                    acc = acc + yj * row[j]
-            out = out + yi * acc
-        return out
+        return _sparse_form(self.u_gram, y, y)
 
     def ambient_from_tube(self, a, b, y):
         """Coordinates of a*e1 + b*e2 + sum y_i u_i in the lattice basis."""
@@ -106,8 +103,7 @@ class Frame:
 
     def tube_coords_of(self, v):
         """U-coordinates of the U-component of an ambient complex vector."""
-        pairings = [sum(v[k] * w for k, w in enumerate(la.mat_vec(self.lattice.gram, u)))
-                    for u in self.u_basis]
+        pairings = [la.form(self.lattice.gram, u, v) for u in self.u_basis]
         return tuple(
             sum(self._u_gram_inv[i][j] * pairings[j] for j in range(self.n))
             for i in range(self.n)
@@ -115,8 +111,7 @@ class Frame:
 
     def e2_coefficient(self, v):
         """Coefficient of e2 in v, i.e. b(v, e1)."""
-        row = la.mat_vec(self.lattice.gram, self.e1)
-        return sum(v[k] * w for k, w in enumerate(row))
+        return la.form(self.lattice.gram, self.e1, v)
 
 
 @dataclass(frozen=True)
@@ -181,15 +176,7 @@ class BoundedFrame(Frame):
         self.a_prime = la.mat(A_prime)
 
     def q_a_prime(self, z):
-        out = 0
-        for i, zi in enumerate(z):
-            row = self.a_prime[i]
-            acc = 0
-            for j, zj in enumerate(z):
-                if row[j] != 0:
-                    acc = acc + zj * row[j]
-            out = out + zi * acc
-        return out
+        return _sparse_form(self.a_prime, z, z)
 
     def h_a_prime(self, z):
         """Hermitian-type pairing z A' conj(z)^t (real-valued)."""

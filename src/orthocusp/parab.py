@@ -102,11 +102,6 @@ def boundary_data(flag: CuspFlag) -> BoundaryData:
     )
 
 
-def _block_pairing(A, x, y):
-    return sum(x[i] * sum(A[i][j] * y[j] for j in range(len(y))) for i in range(len(x))) \
-        if A else Fraction(0)
-
-
 def build_unipotent(flag: CuspFlag, params):
     """Unipotent element from its free parameters.
 
@@ -129,7 +124,7 @@ def build_unipotent(flag: CuspFlag, params):
         g[0][3] = -y3
         g[1][2] = y3
         g[3][2] = y1
-        g[0][2] = -(y1 * y3 + Fraction(1, 2) * _block_pairing(A, y4, y4))
+        g[0][2] = -(y1 * y3 + Fraction(1, 2) * la.form(A, y4, y4))
         for k in range(m - 4):
             g[4 + k][2] = y4[k]
             g[0][4 + k] = -Ay4[k]
@@ -141,10 +136,10 @@ def build_unipotent(flag: CuspFlag, params):
         raise WrongFlagKind("y4, z4 must have length n-2")
     Ay4 = la.mat_vec(A, y4) if A else ()
     Az4 = la.mat_vec(A, z4) if A else ()
-    g[0][2] = -Fraction(1, 2) * _block_pairing(A, y4, y4)
-    g[1][3] = -Fraction(1, 2) * _block_pairing(A, z4, z4)
+    g[0][2] = -Fraction(1, 2) * la.form(A, y4, y4)
+    g[1][3] = -Fraction(1, 2) * la.form(A, z4, z4)
     g[0][3] = x3
-    g[1][2] = -_block_pairing(A, y4, z4) - x3
+    g[1][2] = -la.form(A, y4, z4) - x3
     for k in range(m - 4):
         g[4 + k][2] = y4[k]
         g[4 + k][3] = z4[k]
@@ -196,7 +191,7 @@ def omega_member(u, flag: CuspFlag) -> bool:
         A = flag.block
         if len(y4) != len(A):
             raise WrongFlagKind("y4 must match the block size")
-        return y1 * y3 + Fraction(1, 2) * _block_pairing(A, y4, y4) > 0 and y3 > 0
+        return y1 * y3 + Fraction(1, 2) * la.form(A, y4, y4) > 0 and y3 > 0
     if len(u) != 1:
         raise WrongFlagKind("rank-2 cone coordinate is (w1,)")
     return frac(u[0]) > 0
@@ -226,7 +221,7 @@ def phi_alpha(p, flag: CuspFlag):
     if flag.kind == RANK1:
         return (im[0], im[1], tuple(im[2:]))
     A = flag.block
-    val = 2 * im[0] * im[1] + _block_pairing(A, im[2:], im[2:])
+    val = 2 * im[0] * im[1] + la.form(A, im[2:], im[2:])
     return (val,)
 
 
@@ -328,7 +323,7 @@ def adjacency_data(f2: CuspFlag, f1_generator, lattice: QuadraticLattice):
     incl = (y1, y3, y4)
     ray = la.primitive((y1, y3) + tuple(y4))
     A = flag1.block
-    qval = ray[0] * ray[1] + Fraction(1, 2) * _block_pairing(A, ray[2:], ray[2:])
+    qval = ray[0] * ray[1] + Fraction(1, 2) * la.form(A, ray[2:], ray[2:])
     return AdjacencyRecord(inclusion=incl, ray=ray, ray_is_isotropic=(qval == 0))
 
 

@@ -1,10 +1,11 @@
 """Rational quadratic lattices and their local/global invariants.
 
 The bilinear form is b (so q(x) = b(x,x) = x^t G x for the Gram matrix G);
-all arithmetic is exact: over int for an integral Gram and int vectors,
-over Fraction otherwise.  Hilbert symbols use the standard
-closed-form local recipes; the test suite backs the p=2 branch with an
-independent congruence-search oracle.
+all arithmetic is exact.  The Gram is also kept as the integer matrix
+scaled_gram = den * G, and b(x, y) is its integer value over den: over int
+for int vectors, whatever the denominators of G.  Hilbert symbols use the
+standard closed-form local recipes; the test suite backs the p=2 branch
+with an independent congruence-search oracle.
 """
 
 from __future__ import annotations
@@ -50,12 +51,10 @@ class QuadraticLattice:
             raise ValueError("gram must be a nonempty symmetric square matrix")
         self.gram = G
         self.rank = len(G)
-        self.int_gram = la.int_rows(G)  # None unless the Gram is integral
+        self.scaled_gram, self.den = la.scaled_int(G)
 
     def bilinear(self, x, y) -> Fraction:
-        if self.int_gram is not None and la.is_int_vec(x) and la.is_int_vec(y):
-            return Fraction(la.int_form(self.int_gram, x, y))
-        return la.dot(la.mat_vec(self.gram, la.vec(x)), la.vec(y))
+        return Fraction(la.form(self.scaled_gram, x, y), self.den)
 
     def quadratic(self, x) -> Fraction:
         return self.bilinear(x, x)
@@ -253,17 +252,10 @@ def find_isotropic_split(L: QuadraticLattice, height: int):
             continue
         if L.quadratic(cand) != 0:
             continue
-        w = la.mat_vec(L.gram, la.vec(cand))
-        if any(x.denominator != 1 for x in w):
-            # rational Gram: b(e1, .) not an integral functional; solve over Z
-            # after scaling is not allowed (e2 must be integral), so skip.
-            den = 1
-            for x in w:
-                den = den * x.denominator // gcd(den, x.denominator)
-            if den != 1:
-                continue
-        wi = [int(x) for x in w]
-        e2 = _solve_unimodular(wi)
+        w = la.mat_vec(L.scaled_gram, cand)
+        if any(x % L.den for x in w):
+            continue  # b(e1, .) is not an integral functional: no integral e2
+        e2 = _solve_unimodular([x // L.den for x in w])
         if e2 is not None:
             return tuple(cand), tuple(e2)
     return None
@@ -302,8 +294,7 @@ def _solve_unimodular(w):
 
 def orthogonal_complement_basis(L: QuadraticLattice, vectors):
     """Saturated Z-basis of {y : b(v, y) = 0 for all given v}."""
-    rows = [la.mat_vec(L.gram, la.vec(v)) for v in vectors]
-    return la.kernel_int(rows)
+    return la.kernel_int([la.mat_vec(L.scaled_gram, v) for v in vectors])
 
 
 def is_atilde_shape(L: QuadraticLattice) -> bool:

@@ -31,12 +31,21 @@ def rat_from_str(s) -> Fraction:
     raise UsageError(f"expected rational string, got {s!r}")
 
 
+def list_field(blob, key) -> list:
+    """blob[key] of a JSON object blob, which must hold a list there."""
+    if not isinstance(blob, dict) or not isinstance(blob.get(key), list):
+        raise UsageError(f"expected a JSON object with a list {key!r}")
+    return blob[key]
+
+
 def matrix_to_json(M):
     return [[rat_to_str(x) for x in row] for row in M]
 
 
 def matrix_from_json(rows):
-    return tuple(tuple(rat_from_str(x) for x in row) for row in rows)
+    if not isinstance(rows, (list, tuple)):
+        raise UsageError(f"expected a list of rows, got {rows!r}")
+    return tuple(vector_from_json(row) for row in rows)
 
 
 def vector_to_json(v):
@@ -44,6 +53,8 @@ def vector_to_json(v):
 
 
 def vector_from_json(xs):
+    if not isinstance(xs, (list, tuple)):
+        raise UsageError(f"expected a list of rationals, got {xs!r}")
     return tuple(rat_from_str(x) for x in xs)
 
 
@@ -52,9 +63,12 @@ def lattice_to_json(L: QuadraticLattice) -> dict:
 
 
 def lattice_from_json(blob: dict) -> QuadraticLattice:
-    if "gram" not in blob:
+    if not isinstance(blob, dict) or "gram" not in blob:
         raise UsageError("lattice file must contain a 'gram' matrix")
-    return QuadraticLattice(matrix_from_json(blob["gram"]))
+    try:
+        return QuadraticLattice(matrix_from_json(blob["gram"]))
+    except ValueError as e:
+        raise UsageError(str(e))
 
 
 def complex_to_json(z):
@@ -116,9 +130,18 @@ def fan_to_json(f) -> dict:
 def fan_from_json(blob: dict):
     from .fan import Fan, RationalCone
 
-    rank = int(blob["rank"])
-    cones = [RationalCone([tuple(int(x) for x in r) for r in c["rays"]], rank)
-             for c in blob["cones"]]
+    if not isinstance(blob, dict) or "rank" not in blob:
+        raise UsageError("fan file must contain a 'rank'")
+    rank = rat_from_str(blob["rank"])
+    if rank.denominator != 1 or rank < 1:
+        raise UsageError("fan rank must be an integer >= 1")
+    rank = int(rank)
+    cones = []
+    for c in list_field(blob, "cones"):
+        rays = [vector_from_json(r) for r in list_field(c, "rays")]
+        if any(len(r) != rank or any(x.denominator != 1 for x in r) for r in rays):
+            raise UsageError(f"a ray of a rank-{rank} fan needs {rank} integer coordinates")
+        cones.append(RationalCone([tuple(map(int, r)) for r in rays], rank))
     return Fan(cones, rank)
 
 

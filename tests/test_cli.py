@@ -215,13 +215,47 @@ class TestBoundaryRefusals:
         ["chern", "td", "--degree", "-1"],
         ["chern", "q-poly", "--dim", "-1", "--rank", "1"],
         ["chern", "q-poly", "--dim", "2", "--rank", "-1"],
+        ["invariants", "--gram", "@ragged"],
+        ["invariants", "--gram", "@nonsquare"],
+        ["invariants", "--gram", "@hyp", "--primes", "4"],
+        ["fan", "validate", "--fan", "@half_ray"],
+        ["fan", "validate", "--fan", "@no_rank"],
+        ["fan", "validate", "--fan", "@long_ray"],
+        ["fan", "subdivide", "--fan", "@p2", "--cone", "7"],
+        ["core-decompose", "--gram", "@hyp", "--height", "1", "--gens", "@no_gens"],
+        ["hm-volume", "--gram", "@g3", "--densities", "@bad_density"],
+        ["hm-volume", "--gram", "@g3", "--alpha-inf", "abc"],
+        ["dim-leading", "--gram", "@g3", "--ell", "1", "--alpha-inf", "1"],
+        ["ramify", "--gram", "@hyp", "--bound", "-1"],
+        ["local-density", "--gram", "@one", "--p", "3", "--kmax", "0"],
     ])
     def test_out_of_range_value_is_usage_error(self, tmp_path, capsys, argv):
-        files = {"@hyp": write(tmp_path, "hyp.json", HYP),
-                 "@one": write(tmp_path, "one.json", {"gram": [["1"]]})}
+        blobs = {
+            "hyp": HYP,
+            "one": {"gram": [["1"]]},
+            "g3": {"gram": [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "-1"]]},
+            "ragged": {"gram": [["1", "0"], ["0"]]},
+            "nonsquare": {"gram": [["1", "0"]]},
+            "half_ray": {"rank": 2, "cones": [{"rays": [["1/2", "0"]]}]},
+            "no_rank": {"cones": [{"rays": [[1, 0]]}]},
+            "long_ray": {"rank": 2, "cones": [{"rays": [[1, 0, 0]]}]},
+            "p2": P2_FAN,
+            "no_gens": {"gens": []},
+            "bad_density": {"alpha_p": ["4/3", "abc"]},
+        }
+        files = {"@" + k: write(tmp_path, k + ".json", v) for k, v in blobs.items()}
         assert main([files.get(a, a) for a in argv]) == 2
         err = capsys.readouterr().err
         assert err.startswith("usage error: ") and err.count("\n") == 1
+
+    def test_unstable_density_detail_is_canonical(self, tmp_path, capsys):
+        gram = write(tmp_path, "g3.json",
+                     {"gram": [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "-1"]]})
+        assert main(["local-density", "--gram", gram, "--p", "3"]) == 1
+        results = json.loads(capsys.readouterr().out)["results"]
+        assert results == {"error": "NotStabilized",
+                           "detail": "densities [16/9] did not stabilize by k_max=4 "
+                                     "within the scan budget"}
 
     def test_domain_error_report_goes_to_stdout(self, tmp_path, capsys):
         # p = 2 is a prime outside desk scope: a domain error, not a usage error

@@ -1,0 +1,157 @@
+"""Malformed input files at the CLI boundary: no traceback, only exit codes.
+
+Derandomized hypothesis writes --gram, --fan, --gens and --densities files
+with missing keys, wrong types, ragged rows, non-rational strings and wrong
+ray lengths, and runs each through `main`.  Every run must return 0, 1 or
+2 without raising, and print either nothing or one canonical JSON report.
+Ranks stay <= 3 and heights and bounds at 1, so the whole file runs in
+seconds.
+"""
+
+import contextlib
+import io
+import json
+import os
+import tempfile
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from orthocusp.cli import main
+from orthocusp.reportio import dumps_canonical
+
+FUZZ = settings(max_examples=40, deadline=None, derandomize=True)
+
+SCALARS = st.one_of(
+    st.sampled_from(["0", "1", "-1", "2", "1/2", "-2/3", "abc", "1/0", "", "x/y"]),
+    st.integers(-2, 2),
+    st.none(),
+    st.booleans(),
+    st.sampled_from([0.5, -1.0]),
+)
+
+
+def rows():
+    """Lists of up to 3 rows of up to 3 scalars, square or ragged."""
+    return st.lists(st.lists(SCALARS, max_size=3), max_size=3)
+
+
+def square_int_matrices(max_rank=3):
+    return st.integers(1, max_rank).flatmap(lambda m: st.lists(
+        st.lists(st.integers(-2, 2), min_size=m, max_size=m), min_size=m, max_size=m))
+
+
+@st.composite
+def symmetric_grams(draw, max_rank=3):
+    """Well-formed symmetric Grams: degenerate, indefinite or rational."""
+    m = draw(st.integers(1, max_rank))
+    G = [[None] * m for _ in range(m)]
+    for i in range(m):
+        for j in range(i, m):
+            G[i][j] = G[j][i] = draw(st.sampled_from(["0", "1", "-1", "2", "-2", "1/2"]))
+    return {"gram": G}
+
+
+@st.composite
+def integral_fans(draw, max_rank=3):
+    """Well-formed fan files whose cones may overlap or contain lines."""
+    rank = draw(st.integers(1, max_rank))
+    ray = st.lists(st.integers(-1, 1), min_size=rank, max_size=rank)
+    cones = draw(st.lists(st.lists(ray, max_size=rank + 1), max_size=4))
+    return {"rank": rank, "cones": [{"rays": c} for c in cones]}
+
+
+JUNK = st.one_of(st.none(), st.integers(-2, 2), st.just("text"), st.just([]),
+                 st.just({}), SCALARS)
+
+
+def blob_with(key, value):
+    """{key: value}, the same blob under another key, or no object at all."""
+    return st.one_of(
+        value.map(lambda v: {key: v}),
+        value.map(lambda v: {key + "_": v}),
+        JUNK,
+    )
+
+
+GRAMS = st.one_of(symmetric_grams(), blob_with("gram", st.one_of(rows(), JUNK)))
+RAYS = st.lists(st.one_of(st.lists(st.integers(-1, 1), min_size=1, max_size=3),
+                          st.lists(SCALARS, max_size=3), JUNK), max_size=3)
+FANS = st.one_of(
+    integral_fans(),
+    st.fixed_dictionaries(
+        {"rank": st.one_of(st.integers(0, 3), SCALARS, JUNK),
+         "cones": st.lists(st.one_of(blob_with("rays", RAYS), JUNK), max_size=3)}),
+    blob_with("cones", st.lists(blob_with("rays", RAYS), max_size=2)),
+)
+GENS = blob_with("generators", st.one_of(
+    st.lists(st.one_of(square_int_matrices(), rows(), JUNK), max_size=2), JUNK))
+DENSITIES = blob_with("alpha_p", st.one_of(st.lists(SCALARS, max_size=3), JUNK))
+
+G3 = {"gram": [["1", "0", "0"], ["0", "-1", "0"], ["0", "0", "-1"]]}
+G21 = {"gram": [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "-1"]]}
+
+
+def run(argv, files):
+    """main(argv) with @name tokens replaced by paths of the given JSON blobs."""
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = {}
+        for name, blob in files.items():
+            paths["@" + name] = os.path.join(tmp, name + ".json")
+            with open(paths["@" + name], "w", encoding="utf-8") as fh:
+                json.dump(blob, fh)
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([paths.get(a, a) for a in argv])
+    assert code in (0, 1, 2), (argv, files, code)
+    text = out.getvalue()
+    if text:
+        assert dumps_canonical(json.loads(text)) == text, (argv, files)
+    if code == 2:
+        assert err.getvalue().startswith("usage error: ") or "usage:" in err.getvalue()
+    return code
+
+
+GRAM_COMMANDS = [
+    ["invariants", "--gram", "@f", "--primes", "3"],
+    ["cusp", "--gram", "@f", "--flag", "rank1"],
+    ["core-decompose", "--gram", "@f", "--height", "1"],
+    ["local-density", "--gram", "@f", "--p", "3", "--kmax", "1"],
+    ["hm-volume", "--gram", "@f", "--alpha-inf", "1"],
+    ["dim-leading", "--gram", "@f", "--ell", "2", "--alpha-inf", "1"],
+    ["ramify", "--gram", "@f", "--bound", "1"],
+]
+FAN_COMMANDS = [
+    ["fan", "validate", "--fan", "@f"],
+    ["fan", "complete", "--fan", "@f"],
+    ["fan", "regular", "--fan", "@f"],
+    ["fan", "chart", "--fan", "@f", "--cone", "0"],
+    ["fan", "subdivide", "--fan", "@f"],
+    ["fan", "subdivide", "--fan", "@f", "--cone", "1"],
+]
+
+
+@FUZZ
+@given(GRAMS, st.sampled_from(GRAM_COMMANDS))
+def test_malformed_gram_files(blob, argv):
+    run(argv, {"f": blob})
+
+
+@FUZZ
+@given(FANS, st.sampled_from(FAN_COMMANDS))
+def test_malformed_fan_files(blob, argv):
+    run(argv, {"f": blob})
+
+
+@FUZZ
+@given(GENS)
+def test_malformed_generator_files(blob):
+    run(["core-decompose", "--gram", "@g", "--height", "1", "--gens", "@f"],
+        {"f": blob, "g": G3})
+
+
+@FUZZ
+@given(DENSITIES, st.sampled_from(["hm-volume", "dim-leading"]))
+def test_malformed_density_files(blob, command):
+    argv = [command, "--gram", "@g", "--densities", "@f"]
+    run(argv + (["--ell", "2"] if command == "dim-leading" else []), {"f": blob, "g": G21})

@@ -4,8 +4,9 @@ The reference functions below are the paths the integer column
 backtracking replaced: a Fraction scan of the whole box at every depth of
 the isometry search, matrix powers up to a fixed cap of 120, and a scan of
 all mod^(m^2) matrices for congruence counts.  Beside them, the Fraction
-forms that the int fast paths of bilinear, pair and contains fall back to.
-They are slow and kept only as oracles.
+forms that bilinear, pair and contains, which evaluate a scaled integer
+matrix, must agree with on integral and rational forms alike.  They are
+slow and kept only as oracles.
 """
 
 import itertools
@@ -93,12 +94,15 @@ def scan_count(A, m, mod):
 
 
 @st.composite
-def integral_grams(draw, ranks=(2, 3), entries=2):
+def integral_grams(draw, ranks=(2, 3), entries=2, dens=(1,)):
+    """Symmetric Grams: int entries, over a denominator d drawn from dens when d > 1."""
     m = draw(st.sampled_from(ranks))
+    d = draw(st.sampled_from(dens))
     G = [[0] * m for _ in range(m)]
     for i in range(m):
         for j in range(i, m):
-            G[i][j] = G[j][i] = draw(st.integers(-entries, entries))
+            x = draw(st.integers(-entries, entries))
+            G[i][j] = G[j][i] = x if d == 1 else Fraction(x, d)
     return G
 
 
@@ -133,8 +137,18 @@ def test_congruence_counts_match_full_scan_mod_25(A):
     assert _count_gram_preservers(A, 2, 25) == scan_count(A, 2, 25)
 
 
+@settings(max_examples=10, deadline=None, derandomize=True)
+@given(integral_grams(dens=(2, 3, 6)))
+def test_rational_gram_isometries_match_box_scan_of_integer_multiple(G):
+    L = QuadraticLattice(G)
+    assume(nondegenerate(G) and L.den > 1)
+    pool = enumerate_isometries(L, 1)
+    want = box_scan_isometries(la.mat_scale(L.den, L.gram), 1)
+    assert [g.mat for g in pool] == [la.mat(g) for g in want]
+
+
 @PROPERTY
-@given(integral_grams(ranks=(2, 3, 4), entries=3), st.data())
+@given(integral_grams(ranks=(2, 3, 4), entries=3, dens=(1, 2, 3)), st.data())
 def test_int_bilinear_matches_fraction_form(G, data):
     L = QuadraticLattice(G)
     vecs = st.lists(st.integers(-5, 5), min_size=L.rank, max_size=L.rank).map(tuple)
@@ -144,20 +158,29 @@ def test_int_bilinear_matches_fraction_form(G, data):
     assert L.bilinear(la.vec(x), la.vec(y)) == got
 
 
+def fraction_contains(cone, v, closed):
+    q, s = fraction_form(cone.lattice.gram, v, v), la.dot(cone.side, la.vec(v))
+    return q >= 0 and s >= 0 if closed else q > 0 and s > 0
+
+
 @PROPERTY
-@given(st.sampled_from([1, 2, 3]), st.data())
-def test_int_cone_tests_match_fraction_inputs(k, data):
-    # an integral cone with a non-identity inner form, and light_cone(k)
-    for cone in (light_cone(k),
-                 SelfAdjointCone(light_cone(k).lattice.gram, (2,) + (1,) * k,
-                                 inner=[[2 if i == j else int(i + j == 1)
-                                         for j in range(k + 1)] for i in range(k + 1)])):
+@given(st.sampled_from([1, 2, 3]), st.sampled_from([1, 2, 3]), st.sampled_from([1, 2, 3]),
+       st.data())
+def test_int_cone_tests_match_fraction_inputs(k, gram_den, inner_den, data):
+    # light_cone(k), and the same quadric over gram_den with a non-identity
+    # inner form over inner_den
+    G = la.mat_scale(Fraction(1, gram_den), light_cone(k).lattice.gram)
+    inner = [[Fraction(2 if i == j else int(i + j == 1), inner_den) for j in range(k + 1)]
+             for i in range(k + 1)]
+    for cone in (light_cone(k), SelfAdjointCone(G, (2,) + (1,) * k, inner=inner)):
         vecs = st.lists(st.integers(-4, 4), min_size=k + 1, max_size=k + 1).map(tuple)
         v, w = data.draw(vecs), data.draw(vecs)
         for closed in (False, True):
-            assert cone.contains(v, closed) == cone.contains(la.vec(v), closed)
+            want = fraction_contains(cone, v, closed)
+            assert cone.contains(v, closed) == cone.contains(la.vec(v), closed) == want
         got = cone.pair(v, w)
-        assert type(got) is Fraction and got == cone.pair(la.vec(v), la.vec(w))
+        assert type(got) is Fraction and got == fraction_form(cone.inner, v, w)
+        assert cone.pair(la.vec(v), la.vec(w)) == got
 
 
 # ---------------------------------------------------------------- explicit
