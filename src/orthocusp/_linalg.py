@@ -181,7 +181,12 @@ def inverse(A):
 
 
 def scaled_int(A):
-    """(B, d) with d the least positive integer making B = d*A integral."""
+    """(B, d) with d the least positive integer making B = d*A integral.
+
+    Entries are read through frac, so int, Fraction, float and rational
+    strings are all taken exactly.
+    """
+    A = mat(A)
     d = lcm(*(x.denominator for row in A for x in row))
     return tuple(tuple(x.numerator * (d // x.denominator) for x in row) for row in A), d
 

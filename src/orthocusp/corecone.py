@@ -64,15 +64,15 @@ class SelfAdjointCone:
         if inner is None:
             inner = la.identity(self.dim)
         self.inner = la.mat(inner)
-        idiag, _ = diagonalize(QuadraticLattice(self.inner))
+        self._inner = QuadraticLattice(self.inner)
+        idiag, _ = diagonalize(self._inner)
         if any(d <= 0 for d in idiag):
             raise ValueError("inner form must be positive definite")
-        self._inner, self._inner_den = la.scaled_int(self.inner)
         # a positive integer multiple of the side covector keeps its signs
         (self._side,), _ = la.scaled_int([self.side])
 
     def pair(self, x, y) -> Fraction:
-        return Fraction(la.form(self._inner, x, y), self._inner_den)
+        return self._inner.bilinear(x, y)
 
     def contains(self, v, closed: bool = False) -> bool:
         q, s = la.form(self.lattice.scaled_gram, v, v), la.dot(self._side, v)

@@ -251,7 +251,7 @@ def double_perp(L: QuadraticLattice, vectors):
 
 
 def restriction_matrix(g_mat, basis):
-    """Matrix of g on the saturated sublattice spanned by basis (integral)."""
+    """Matrix of g on the saturated sublattice spanned by basis, as int rows."""
     images = [la.mat_vec(g_mat, v) for v in basis]
     cols = []
     B = la.transpose(basis)
@@ -263,7 +263,7 @@ def restriction_matrix(g_mat, basis):
     R = la.transpose(cols)
     if any(x.denominator != 1 for row in R for x in row):
         raise ValueError("restriction is not integral; basis not saturated?")
-    return la.mat(R)
+    return tuple(tuple(int(x) for x in row) for row in R)
 
 
 def chi_order_at(g: IsometryElement, L: QuadraticLattice):

@@ -19,7 +19,6 @@ from . import _linalg as la
 from ._linalg import frac
 from .errors import DeskScopeError, NotStabilized, WrongSignature
 from .qform import QuadraticLattice, discriminant, signature
-from .reportio import rat_to_str
 
 CONVENTION_GAMMA = "gamma-reciprocal: Gamma(k/2)^{-1} in place of the printed Gamma(-k/2)"
 CONVENTION_BINOMIAL = "binomial-index: chi computed on P^{n+1} (printed lower index n fails chi(O)=1)"
@@ -124,7 +123,7 @@ def local_density(L: QuadraticLattice, p: int, k_max: int = 4) -> LocalDensityRe
             return LocalDensityResult(p=p, k_stable=k - 1, alpha_p=densities[-1],
                                       counts=tuple(counts))
     raise NotStabilized(
-        f"densities [{', '.join(map(rat_to_str, densities))}] did not stabilize "
+        f"densities [{', '.join(map(str, densities))}] did not stabilize "
         f"by k_max={k_max} within the scan budget"
     )
 

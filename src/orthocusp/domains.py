@@ -332,9 +332,7 @@ def grass_of(p: ProjPoint) -> GrassPlane:
     """[v] -> span(Re v, Im v); independent of the representative."""
     X = tuple(re_part(c) for c in p.coords)
     Y = tuple(im_part(c) for c in p.coords)
-    if p.mode == "exact":
-        return GrassPlane(X, Y, p.frame.lattice)
-    return GrassPlane(X, Y, p.frame.lattice)
+    return GrassPlane(la.vec(X), la.vec(Y), p.frame.lattice)
 
 
 def upsilon(z: BoundedPoint) -> TubePoint:
@@ -483,6 +481,7 @@ def oplus_sign(g, lattice: QuadraticLattice) -> int:
         raise ValueError("form has no positive-definite plane")
     cols = la.transpose(T)
     X, Y = cols[pos[0]], cols[pos[1]]
+    g = la.mat(g)
     gX, gY = la.mat_vec(g, X), la.mat_vec(g, Y)
     M = la.mat(
         [

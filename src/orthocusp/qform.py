@@ -54,6 +54,7 @@ class QuadraticLattice:
         self.scaled_gram, self.den = la.scaled_int(G)
 
     def bilinear(self, x, y) -> Fraction:
+        """b(x, y) for int or Fraction coordinates (la.vec converts others)."""
         return Fraction(la.form(self.scaled_gram, x, y), self.den)
 
     def quadratic(self, x) -> Fraction:

@@ -23,6 +23,7 @@ from orthocusp.cycles import (
     gamma_canonical,
     matrix_order,
     max_finite_order,
+    restriction_matrix,
     stabilizer_orders,
 )
 from orthocusp.errors import FixedVectorPresent, NoPositiveEigenplane
@@ -142,6 +143,11 @@ class TestCyclotomicDecomposition:
         cert = cyclotomic_decomposition(g, A2)
         assert cert.m == 3 and cert.d == 1 and cert.rank == 2
         assert cert.verified
+
+    def test_restriction_is_int_rows(self):
+        R = restriction_matrix(la.mat(JJ), ((1, 0, 0, 0), (0, 1, 0, 0)))
+        assert R == ((0, -1), (1, 0))
+        assert all(type(x) is int for row in R for x in row)
 
     def test_phi_divides_rank(self):
         for L, mat in ((DIAG11, J2), (SIG22, JJ)):

@@ -4,6 +4,7 @@ All assertions run in the exact Gaussian-rational backend unless a test is
 explicitly about float tolerances.
 """
 
+import math
 import random
 from fractions import Fraction as F
 
@@ -197,6 +198,13 @@ class TestGrass:
         assert P.y == tuple(map(F, (0, 1, 0, 1)))
         assert P.is_normalized
 
+    def test_float_point_plane(self):
+        frame = standard_bounded_frame(2)
+        P = grass_of(ProjPoint((1 + 0j, 1j, 1 + 0j, 1j), frame))
+        assert P.x == tuple(map(F, (1, 0, 1, 0)))
+        assert P.y == tuple(map(F, (0, 1, 0, 1)))
+        assert P.is_normalized
+
 
 class TestBoundedModel:
     @pytest.mark.parametrize("n,block", [(2, None), (3, None), (4, [[-2, -1], [-1, -4]])])
@@ -374,6 +382,15 @@ class TestCircleAction:
         # the eigenvector spans the same plane as the original [v]
         assert grass_of(ProjPoint(w, frame)).same_plane(P)
 
+    def test_float_theta(self):
+        frame = standard_bounded_frame(2)
+        P = grass_of(ProjPoint((1 + 0j, 1j, 1 + 0j, 1j), frame))
+        M = circle_action_matrix(P, theta=0.3)
+        assert len(M) == 4 and all(len(row) == 4 for row in M)
+        c, s = math.cos(0.6), math.sin(0.6)
+        want = tuple(c * x + s * y for x, y in zip(P.x, P.y))
+        assert max(abs(a - b) for a, b in zip(la.mat_vec(M, P.x), want)) < 1e-12
+
 
 class TestIsometryEquivariance:
     def split_isometries(self, frame, rng):
@@ -405,6 +422,7 @@ class TestIsometryEquivariance:
         for g in self.split_isometries(frame, rng):
             assert is_isometry(g, frame.lattice)
             sign = oplus_sign(g, frame.lattice)
+            assert oplus_sign([[float(x) for x in row] for row in g], frame.lattice) == sign
             for v in pts:
                 gv = tuple(sum((GR(g[i][j]) * v[j] for j in range(len(v))), GR(0))
                            for i in range(len(v)))

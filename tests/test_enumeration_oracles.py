@@ -186,6 +186,12 @@ def test_int_cone_tests_match_fraction_inputs(k, gram_den, inner_den, data):
 # ---------------------------------------------------------------- explicit
 
 
+def test_scaled_int_reads_entries_exactly():
+    assert la.scaled_int([[0.5, "1/3"], [2, Fraction(1, 6)]]) == (((3, 2), (12, 1)), 6)
+    assert la.primitive((0.5, "3/2")) == (1, 3)
+    assert la.kernel_int([["1/2", 0.5]]) == la.kernel_int([[1, 1]])
+
+
 def test_g4_bound_1_group():
     pool = enumerate_isometries(QuadraticLattice([[1, 0, 0, 0], [0, 1, 0, 0],
                                                   [0, 0, -1, 0], [0, 0, 0, -1]]), 1)
