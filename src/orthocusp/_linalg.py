@@ -1,10 +1,12 @@
 """Exact linear algebra over Fraction and the integers.
 
 Vectors are tuples of Fraction (or int), matrices are tuples of row tuples.
-Everything here is a decision procedure; no floats.  A rational form is
-stored once as an integer matrix over a positive denominator (scaled_int)
-and evaluated by form, which is exact on int and Fraction coordinates
-alike: over int for int coordinates.
+Everything here is a decision procedure; no floats.  A rational matrix is
+stored once as an integer matrix over a positive denominator (scaled_int).
+One fraction-free integer elimination, echelon, serves every rank, kernel,
+solve, inverse and determinant.  A rational form is evaluated by form,
+which is exact on int and Fraction coordinates alike: over int for int
+coordinates.
 """
 
 from fractions import Fraction
@@ -81,75 +83,58 @@ def is_symmetric(A):
     )
 
 
-def determinant(A):
-    """Fraction-exact determinant by Gaussian elimination with pivoting."""
-    n = len(A)
-    M = [list(map(frac, row)) for row in A]
-    det = Fraction(1)
-    for c in range(n):
-        piv = next((r for r in range(c, n) if M[r][c] != 0), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != c:
-            M[c], M[piv] = M[piv], M[c]
-            det = -det
-        det *= M[c][c]
-        inv = 1 / M[c][c]
-        for r in range(c + 1, n):
-            if M[r][c] != 0:
-                f = M[r][c] * inv
-                for k in range(c, n):
-                    M[r][k] -= f * M[c][k]
-    return det
+def echelon(A):
+    """Fraction-free Gauss-Jordan elimination: (M, pivots, d, sign).
 
-
-def rref(A):
-    """Reduced row echelon form; returns (R, pivot_columns)."""
-    if not A:
-        return (), ()
-    M = [list(map(frac, row)) for row in A]
-    n, m = len(M), len(M[0])
-    pivots = []
-    r = 0
+    A is scaled once to an integer matrix (scaled_int); every later
+    division is exact (Bareiss, "Sylvester's identity and multistep
+    integer-preserving Gaussian elimination", Math. Comp. 1968).  The
+    reduced row echelon form of A is M / d, with every pivot entry of M
+    equal to d; sign is the parity of the row swaps, so a square A of full
+    rank has determinant sign * d over the scale of A to the n-th power.
+    """
+    M = [list(row) for row in scaled_int(A)[0]]
+    n, m = len(M), len(M[0]) if M else 0
+    pivots, d, sign = [], 1, 1
     for c in range(m):
-        piv = next((i for i in range(r, n) if M[i][c] != 0), None)
+        r = len(pivots)
+        piv = next((i for i in range(r, n) if M[i][c]), None)
         if piv is None:
             continue
-        M[r], M[piv] = M[piv], M[r]
-        inv = 1 / M[r][c]
-        M[r] = [x * inv for x in M[r]]
-        for i in range(n):
-            if i != r and M[i][c] != 0:
-                f = M[i][c]
-                M[i] = [x - f * y for x, y in zip(M[i], M[r])]
+        if piv != r:
+            M[r], M[piv], sign = M[piv], M[r], -sign
+        p, top = M[r][c], M[r]
+        M = [row if i == r else [(p * x - row[c] * y) // d for x, y in zip(row, top)]
+             for i, row in enumerate(M)]
         pivots.append(c)
-        r += 1
-        if r == n:
+        d = p
+        if len(pivots) == n:
             break
-    return tuple(tuple(row) for row in M), tuple(pivots)
+    return tuple(map(tuple, M)), tuple(pivots), d, sign
+
+
+def determinant(A):
+    """Exact determinant of a square matrix, as a Fraction."""
+    B, s = scaled_int(A)
+    _, pivots, d, sign = echelon(B)
+    return Fraction(sign * d, s ** len(B)) if len(pivots) == len(B) else Fraction(0)
 
 
 def rank(A):
-    return len(rref(A)[1])
+    return len(echelon(A)[1])
 
 
 def solve(A, b):
     """One solution of A x = b over Fraction, or None if inconsistent."""
     if not A:
         return None
-    n, m = len(A), len(A[0])
-    aug = [list(map(frac, row)) + [frac(bi)] for row, bi in zip(A, b)]
-    R, piv = rref(aug)
-    for row in R:
-        if all(x == 0 for x in row[:m]) and row[m] != 0:
-            return None
+    m = len(A[0])
+    M, pivots, d, _ = echelon([list(row) + [bi] for row, bi in zip(A, b)])
+    if m in pivots:
+        return None
     x = [Fraction(0)] * m
-    r = 0
-    for c in piv:
-        if c == m:
-            return None
-        x[c] = R[r][m]
-        r += 1
+    for row, c in zip(M, pivots):
+        x[c] = Fraction(row[m], d)
     return tuple(x)
 
 
@@ -158,26 +143,24 @@ def nullspace(A):
     if not A:
         return ()
     m = len(A[0])
-    R, piv = rref(A)
-    free = [c for c in range(m) if c not in piv]
+    M, pivots, d, _ = echelon(A)
     basis = []
-    for f in free:
+    for f in (c for c in range(m) if c not in pivots):
         v = [Fraction(0)] * m
         v[f] = Fraction(1)
-        for r, c in enumerate(piv):
-            v[c] = -R[r][f]
+        for row, c in zip(M, pivots):
+            v[c] = Fraction(-row[f], d)
         basis.append(tuple(v))
     return tuple(basis)
 
 
 def inverse(A):
     n = len(A)
-    aug = [list(map(frac, row)) + [Fraction(1 if i == j else 0) for j in range(n)]
-           for i, row in enumerate(A)]
-    R, piv = rref(aug)
-    if list(piv[:n]) != list(range(n)):
+    M, pivots, d, _ = echelon([list(row) + [int(i == j) for j in range(n)]
+                               for i, row in enumerate(A)])
+    if pivots[:n] != tuple(range(n)):
         raise ZeroDivisionError("matrix not invertible")
-    return tuple(tuple(row[n:]) for row in R[:n])
+    return tuple(tuple(Fraction(x, d) for x in row[n:]) for row in M)
 
 
 def scaled_int(A):
@@ -186,7 +169,7 @@ def scaled_int(A):
     Entries are read through frac, so int, Fraction, float and rational
     strings are all taken exactly.
     """
-    A = mat(A)
+    A = [[x if isinstance(x, int) else frac(x) for x in row] for row in A]
     d = lcm(*(x.denominator for row in A for x in row))
     return tuple(tuple(x.numerator * (d // x.denominator) for x in row) for row in A), d
 
@@ -196,20 +179,11 @@ def form(B, x, y):
     return sum(b * sum(map(mul, row, x)) for row, b in zip(B, y))
 
 
-def gcd_vec(v):
-    g = 0
-    for x in v:
-        g = gcd(g, abs(int(x)))
-    return g
-
-
 def primitive(v):
     """Primitive integer vector on the same ray (positive gcd removed)."""
     (w,), _ = scaled_int([v])
-    g = gcd_vec(w)
-    if g == 0:
-        return tuple(0 for _ in w)
-    return tuple(x // g for x in w)
+    g = gcd(*w)
+    return tuple(x // g for x in w) if g else w
 
 
 def kernel_int(A):

@@ -139,7 +139,7 @@ def cmd_invariants(args):
     )
 
 
-def _parse_point(blob, mode):
+def _parse_point(blob, mode, src):
     from .domains import BoundedFrame, BoundedPoint, Frame, ProjPoint, TubePoint
     from .qform import (
         find_isotropic_split,
@@ -148,6 +148,8 @@ def _parse_point(blob, mode):
     )
 
     model, coords, lattice, split = io.point_from_json(blob, mode)
+    if model != src:
+        raise UsageError(f"point file is a {model!r} point, not {src!r}")
     if split is None and is_atilde_shape(lattice):
         frame = BoundedFrame(lattice)
     else:
@@ -160,9 +162,19 @@ def _parse_point(blob, mode):
         e1, e2, u_basis = split
         if u_basis is None:
             u_basis = orthogonal_complement_basis(lattice, [e1, e2])
-        frame = Frame(lattice, e1, e2, u_basis)
+        if any(len(v) != lattice.rank for v in (e1, e2, *u_basis)):
+            raise UsageError(f"frame vectors need {lattice.rank} coordinates")
+        try:
+            frame = Frame(lattice, e1, e2, u_basis)
+        except (ValueError, ZeroDivisionError) as e:
+            raise UsageError(f"bad frame: {e}")
     if model == "bounded" and not isinstance(frame, BoundedFrame):
         raise UsageError("bounded-model points need the two-hyperbolic-planes shape")
+    size = lattice.rank if model == "projective" else frame.n
+    if len(coords) != size:
+        raise UsageError(f"a {model} point in this frame needs {size} coordinates")
+    if not coords:
+        raise UsageError(f"this frame has no {model} coordinates")
     if model == "projective":
         return ProjPoint(coords, frame), frame
     if model == "tube":
@@ -181,10 +193,7 @@ def cmd_map_point(args):
         upsilon_inv,
     )
 
-    blob = _read_json(args.point)
-    if blob.get("model") != args.src:
-        raise UsageError(f"point file is a {blob.get('model')!r} point, not {args.src!r}")
-    point, frame = _parse_point(blob, args.mode)
+    point, frame = _parse_point(_read_json(args.point), args.mode, args.src)
 
     def to_tube(p):
         if isinstance(p, TubePoint):

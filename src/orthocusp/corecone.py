@@ -246,11 +246,11 @@ def support_fan(K: KernelSpec, E: ExtremeSet, cone: SelfAdjointCone,
     decomposition of the windowed rational closure with a warning.
     """
     window = window or E.truncation
-    pts = [la.vec(p) for p in E.points]
+    pts = E.points
     dim = cone.dim
     recession = boundary_rays(cone, window)
     gens = [la.mat_vec(cone.inner, e) + (1,) for e in pts] \
-        + [la.mat_vec(cone.inner, la.vec(r)) + (0,) for r in recession]
+        + [la.mat_vec(cone.inner, r) + (0,) for r in recession]
     facets, eqs = _facets_of(gens, dim + 1)
     functionals = []
     for a in facets + eqs + tuple(tuple(-x for x in e) for e in eqs):

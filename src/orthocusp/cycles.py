@@ -19,7 +19,7 @@ from .errors import (
     NoPositiveEigenplane,
     NotRootOfUnity,
 )
-from .qform import QuadraticLattice, orthogonal_complement_basis
+from .qform import QuadraticLattice, orthogonal_complement_basis, signature
 
 INTERIOR_UNRAMIFIED = "interior_unramified"
 HEEGNER_REFLECTION = "heegner_reflection_type"
@@ -159,14 +159,12 @@ def euler_phi(n: int) -> int:
     return out
 
 
-def _matrix_poly(coeffs, g):
-    """sum_i coeffs[i] g^i, over int when g has int entries."""
-    p = _int_identity(len(g))
-    out = la.mat_scale(0, p)
-    for c in coeffs:
+def _matrix_poly(coeffs, powers):
+    """sum_i coeffs[i] g^i from the powers g^0, g^1, ... of g."""
+    out = la.mat_scale(0, powers[0])
+    for c, p in zip(coeffs, powers):
         if c:
             out = la.mat_add(out, la.mat_scale(c, p))
-        p = la.mat_mul(p, g)
     return out
 
 
@@ -179,12 +177,7 @@ def _restricted_gram(L: QuadraticLattice, basis):
 
 
 def _signature_of_block(B):
-    if not B:
-        return (0, 0)
-    from .qform import QuadraticLattice as QL
-    from .qform import signature as sig
-
-    return sig(QL(B))
+    return signature(QuadraticLattice(B)) if B else (0, 0)
 
 
 @dataclass(frozen=True)
@@ -211,10 +204,13 @@ def fixed_sublattice(g: IsometryElement, L: QuadraticLattice) -> FixedLocusRepor
     """
     if g.order is None:
         raise NotRootOfUnity("isometry must have finite order")
+    coeffs = {m: _cyclotomic_coeffs(m) for m in _divisors(g.order)}
+    powers = [_int_identity(len(g.mat))]
+    while len(powers) < max(map(len, coeffs.values())):
+        powers.append(la.mat_mul(powers[-1], g.mat))
     chosen = None
-    for m in _divisors(g.order):
-        val = _matrix_poly(_cyclotomic_coeffs(m), g.mat)
-        ker = la.kernel_int(val)
+    for m, cs in coeffs.items():
+        ker = la.kernel_int(_matrix_poly(cs, powers))
         if not ker:
             continue
         r, s = _signature_of_block(_restricted_gram(L, ker))
@@ -426,10 +422,9 @@ def classify_ramification(g: IsometryElement, L: QuadraticLattice) -> FixedLocus
 
 def stabilizer_orders(L: QuadraticLattice, s_basis, isometries):
     """Desk-scale orders of Gamma_S, Gamma-bar_S, Gamma-tilde_S in a pool."""
-    span = [la.vec(v) for v in s_basis]
     gamma_s = []
     for g in isometries:
-        if all(la.in_span(la.mat_vec(g.mat, v), span) for v in span):
+        if all(la.in_span(la.mat_vec(g.mat, v), s_basis) for v in s_basis):
             gamma_s.append(g)
     restrictions = set()
     tilde = 0

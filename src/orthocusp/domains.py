@@ -294,7 +294,7 @@ class GrassPlane:
 
     def same_plane(self, other: "GrassPlane") -> bool:
         rows = [self.x, self.y, other.x, other.y]
-        return la.rank(la.mat(rows)) == 2
+        return la.rank(rows) == 2
 
 
 def grass_plane_from_vectors(X, Y, lattice: QuadraticLattice) -> GrassPlane:

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from fractions import Fraction
 from math import gcd
 
 from . import _linalg as la
@@ -38,15 +37,16 @@ def _extreme_rays_of_halfspaces(normals, dim, equations=()):
         return ()
 
     def lift(y):
-        return la.primitive([sum(c * b[i] for c, b in zip(y, basis)) for i in range(dim)])
+        # a primitive y lifts to a primitive vector: the basis is saturated
+        return tuple(sum(c * b[i] for c, b in zip(y, basis)) for i in range(dim))
 
-    rows = [[la.dot(la.primitive(n), b) for b in basis] for n in normals]
-    rows = [_primitive_int(r) for r in rows if any(r)]
-    first = la.rref(la.transpose(rows))[1]
+    rows = [la.primitive(r) for r in ([la.dot(n, b) for b in basis] for n in normals)
+            if any(r)]
+    first = la.echelon(la.transpose(rows))[1]
     if len(first) < k:
         if len(first) < k - 1:
             return ()
-        line = lift(la.nullspace(rows or [(0,) * k])[0])
+        line = lift(la.primitive(la.nullspace(rows or [(0,) * k])[0]))
         return tuple(sorted({line, tuple(-x for x in line)}))
     order = list(first) + [i for i in range(len(rows)) if i not in first]
     rows = [rows[i] for i in order]
@@ -68,16 +68,10 @@ def _extreme_rays_of_halfspaces(normals, dim, equations=()):
                     continue
                 if any(common & z == common for r, z in rays if r is not p and r is not n):
                     continue
-                nxt.append((_primitive_int([sp * x - sn * y for x, y in zip(n, p)]),
+                nxt.append((la.primitive([sp * x - sn * y for x, y in zip(n, p)]),
                             common | bit))
         rays = nxt
     return tuple(sorted(lift(r) for r, _ in rays))
-
-
-def _primitive_int(v):
-    """Primitive vector on the ray of a nonzero integer vector."""
-    g = gcd(*v)
-    return tuple(x // g for x in v)
 
 
 def _facets_of(gens, rank):
@@ -113,20 +107,25 @@ class RationalCone:
         self.rank = int(rank)
         self.rays = tuple(sorted({la.primitive(r) for r in rays if any(r)}))
         self.lines = tuple(sorted(la.primitive(l) for l in lines))
-        if canonicalize and self.rays:
+        if canonicalize and self.rays and self.is_pointed:
             facets, eqs = self.facet_normals()
-            if la.rank(facets + eqs) == self.rank:
-                self.rays = tuple(r for r in self.rays
-                                  if _incidence_rank(r, facets, eqs) == self.rank - 1)
+            self.rays = tuple(r for r in self.rays
+                              if _incidence_rank(r, facets, eqs) == self.rank - 1)
 
     @property
     def is_degenerate(self) -> bool:
         return bool(self.lines)
 
     @property
+    def is_pointed(self) -> bool:
+        """Whether the cone contains no line: its facets and span equations
+        have full rank."""
+        facets, eqs = self.facet_normals()
+        return la.rank(facets + eqs) == self.rank
+
+    @property
     def dim(self) -> int:
-        gens = list(self.rays) + list(self.lines)
-        return la.rank([la.vec(g) for g in gens]) if gens else 0
+        return la.rank(self.rays + self.lines)
 
     def __eq__(self, other):
         return (isinstance(other, RationalCone) and self.rank == other.rank
@@ -164,13 +163,11 @@ def dual_cone(c: RationalCone) -> RationalCone:
     The dual of a non-full-dimensional cone is degenerate: its lines are
     the orthogonal complement of span(c).
     """
-    gens = [la.vec(r) for r in c.rays] + [la.vec(l) for l in c.lines] \
-        + [tuple(-x for x in la.vec(l)) for l in c.lines]
+    gens = list(c.rays) + list(c.lines) + [tuple(-x for x in l) for l in c.lines]
     if not gens:
-        ident = la.identity(c.rank)
-        return RationalCone([], c.rank,
-                            lines=[tuple(int(x) for x in ident[i]) for i in range(c.rank)],
-                            canonicalize=False)
+        return RationalCone([], c.rank, canonicalize=False,
+                            lines=[tuple(int(i == j) for j in range(c.rank))
+                                   for i in range(c.rank)])
     lines = la.kernel_int(gens)
     rays = _extreme_rays_of_halfspaces(gens, c.rank, equations=lines)
     return RationalCone(rays, c.rank, lines=lines, canonicalize=False)
@@ -200,7 +197,7 @@ def faces(c: RationalCone):
         nxt = []
         for rs in frontier:
             for d in ineqs:
-                cut = tuple(r for r in rs if la.dot(la.vec(d), la.vec(r)) == 0)
+                cut = tuple(r for r in rs if la.dot(d, r) == 0)
                 if cut not in seen:
                     seen[cut] = True
                     nxt.append(cut)
@@ -288,14 +285,12 @@ def validate_fan(f: Fan) -> FanReport:
 
 def is_regular(c: RationalCone) -> bool:
     """Simplicial with primitive generators extending to a lattice basis."""
-    rays = [la.vec(r) for r in c.rays]
+    rays = c.rays
     if not rays:
         return True
     d = c.dim
     if len(rays) != d:
         return False
-    from math import gcd
-
     g = 0
     for subset in itertools.combinations(range(c.rank), d):
         sub = [[rays[i][j] for j in subset] for i in range(d)]
@@ -376,8 +371,7 @@ def _resolution_ray(c: RationalCone):
     strictly smaller multiplicity.  Plain primitive-barycenter iteration
     does not terminate in general (cone((1,0),(7,10)) cycles at index 5).
     """
-    rays = [la.vec(r) for r in c.rays]
-    if len(rays) != c.dim:
+    if len(c.rays) != c.dim:
         return c.barycenter()
     cols = [tuple(int(x) for x in r) for r in c.rays]
     best = None
@@ -437,7 +431,7 @@ def _parallelepiped_points(cols):
         t = la.mat_vec(MtM_inv, rhs)
         # check x actually equals sum t_i c_i (x may be off-span)
         recon = [sum(t[i] * cols[i][j] for i in range(k)) for j in range(n)]
-        if list(map(Fraction, x)) != recon:
+        if list(x) != recon:
             continue
         if all(0 <= ti <= 1 for ti in t):
             pts.append(tuple(int(v) for v in x))
@@ -447,7 +441,7 @@ def _parallelepiped_points(cols):
 def _triangulate(c: RationalCone):
     """Split a pointed cone into simplicial subcones (lists of rays)."""
     rays = list(c.rays)
-    if la.rank([la.vec(r) for r in rays]) == len(rays):
+    if la.rank(rays) == len(rays):
         return [tuple(rays)]
     r0 = rays[0]
     pieces = []
@@ -493,7 +487,7 @@ def _hilbert_basis_pointed(d: RationalCone, primal: RationalCone):
         w = [sum(r[k] for r in primal.rays) for k in range(d.rank)]
     else:
         w = [1] * d.rank
-    cand = sorted(cand, key=lambda v: (la.dot(la.vec(w), la.vec(v)), v))
+    cand = sorted(cand, key=lambda v: (la.dot(w, v), v))
     basis = []
     for v in cand:
         reducible = False
@@ -517,8 +511,7 @@ def chart_presentation(c: RationalCone):
     gens = hilbert_basis(c)
     if not gens:
         return (), ()
-    cols = [la.vec(g) for g in gens]
-    ker = la.kernel_int(la.transpose(cols))
+    ker = la.kernel_int(la.transpose(gens))
     rels = []
     for k in ker:
         lhs = tuple(max(x, 0) for x in k)
@@ -567,8 +560,7 @@ class PLSupport:
         x = la.vec(x)
         for c in self.fan.top_cones():
             if c.contains(x):
-                rays = [la.vec(r) for r in c.rays]
-                sol = la.solve(la.transpose(rays), x)
+                sol = la.solve(la.transpose(c.rays), x)
                 if sol is None:
                     continue
                 return sum(s * la.frac(self.ray_values[r]) for s, r in zip(sol, c.rays))

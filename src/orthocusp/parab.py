@@ -231,7 +231,7 @@ def stabilizes_flag(g, flag: CuspFlag) -> bool:
     if flag.kind == RANK1:
         return all(cols[0][i] == 0 for i in range(1, m)) and cols[0][0] != 0
     ok = all(cols[j][i] == 0 for j in (0, 1) for i in range(2, m))
-    return ok and la.rank(la.mat([cols[0][:2], cols[1][:2]])) == 2
+    return ok and la.rank([cols[0][:2], cols[1][:2]]) == 2
 
 
 def levi_project(g, flag: CuspFlag):

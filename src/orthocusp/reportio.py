@@ -78,11 +78,16 @@ def complex_to_json(z):
 
 
 def complex_from_json(pair, mode="exact"):
+    if not isinstance(pair, list) or len(pair) != 2:
+        raise UsageError(f"expected a [re, im] pair, got {pair!r}")
     re, im = pair
     if mode == "exact":
         return GaussianRational(rat_from_str(re), rat_from_str(im))
-    return complex(float(Fraction(re) if isinstance(re, str) and "/" in re else float(re)),
-                   float(Fraction(im) if isinstance(im, str) and "/" in im else float(im)))
+    try:
+        return complex(float(Fraction(re) if isinstance(re, str) and "/" in re else float(re)),
+                       float(Fraction(im) if isinstance(im, str) and "/" in im else float(im)))
+    except (TypeError, ValueError, ZeroDivisionError):
+        raise UsageError(f"expected a pair of real numbers, got {pair!r}")
 
 
 def point_to_json(model: str, coords, frame_lattice: QuadraticLattice,
@@ -105,19 +110,19 @@ def point_from_json(blob: dict, mode="exact"):
 
     split is None or (e1, e2, u_basis_or_None), all exact vectors.
     """
-    model = blob.get("model")
+    model = blob.get("model") if isinstance(blob, dict) else None
     if model not in ("projective", "tube", "bounded"):
         raise UsageError("point model must be projective, tube, or bounded")
-    coords = tuple(complex_from_json(p, mode) for p in blob["coords"])
-    frame = lattice_from_json(blob["frame"])
+    coords = tuple(complex_from_json(p, mode) for p in list_field(blob, "coords"))
+    frame = blob.get("frame")
+    lattice = lattice_from_json(frame)
     split = None
-    if "e1" in blob["frame"]:
+    if "e1" in frame:
         ub = None
-        if "u_basis" in blob["frame"]:
-            ub = tuple(vector_from_json(u) for u in blob["frame"]["u_basis"])
-        split = (vector_from_json(blob["frame"]["e1"]),
-                 vector_from_json(blob["frame"]["e2"]), ub)
-    return model, coords, frame, split
+        if "u_basis" in frame:
+            ub = tuple(vector_from_json(u) for u in list_field(frame, "u_basis"))
+        split = (vector_from_json(frame["e1"]), vector_from_json(frame.get("e2")), ub)
+    return model, coords, lattice, split
 
 
 def fan_to_json(f) -> dict:
@@ -141,7 +146,10 @@ def fan_from_json(blob: dict):
         rays = [vector_from_json(r) for r in list_field(c, "rays")]
         if any(len(r) != rank or any(x.denominator != 1 for x in r) for r in rays):
             raise UsageError(f"a ray of a rank-{rank} fan needs {rank} integer coordinates")
-        cones.append(RationalCone([tuple(map(int, r)) for r in rays], rank))
+        cone = RationalCone([tuple(map(int, r)) for r in rays], rank)
+        if not cone.is_pointed:
+            raise UsageError(f"a fan cone may not contain a line: rays {cone.rays}")
+        cones.append(cone)
     return Fan(cones, rank)
 
 

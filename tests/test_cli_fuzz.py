@@ -1,8 +1,8 @@
 """Malformed input files at the CLI boundary: no traceback, only exit codes.
 
-Derandomized hypothesis writes --gram, --fan, --gens and --densities files
-with missing keys, wrong types, ragged rows, non-rational strings and wrong
-ray lengths, and runs each through `main`.  Every run must return 0, 1 or
+Derandomized hypothesis writes --gram, --fan, --gens, --densities and
+--point files with missing keys, wrong types, ragged rows, non-rational
+strings and wrong ray or coordinate lengths, and runs each through `main`.  Every run must return 0, 1 or
 2 without raising, and print either nothing or one canonical JSON report.
 Ranks stay <= 3 and heights and bounds at 1, so the whole file runs in
 seconds.
@@ -14,7 +14,8 @@ import json
 import os
 import tempfile
 
-from hypothesis import given, settings
+import pytest
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from orthocusp.cli import main
@@ -88,6 +89,28 @@ GENS = blob_with("generators", st.one_of(
     st.lists(st.one_of(square_int_matrices(), rows(), JUNK), max_size=2), JUNK))
 DENSITIES = blob_with("alpha_p", st.one_of(st.lists(SCALARS, max_size=3), JUNK))
 
+ATILDE4 = {"gram": [["0", "0", "1", "0"], ["0", "0", "0", "1"],
+                   ["1", "0", "0", "0"], ["0", "1", "0", "0"]]}
+MODELS = ["projective", "tube", "bounded"]
+PAIRS = st.one_of(
+    st.lists(st.lists(st.sampled_from(["0", "1", "-1", "1/2"]), min_size=2, max_size=2),
+             max_size=5),
+    st.lists(st.one_of(st.lists(SCALARS, max_size=3), JUNK), max_size=4),
+)
+E1, E2 = ["1", "0", "0", "0"], ["0", "0", "1", "0"]
+FRAMES = st.one_of(st.just(ATILDE4), symmetric_grams(max_rank=4), JUNK, st.sampled_from([
+    dict(ATILDE4, e1=E1),
+    dict(ATILDE4, e1=E1, e2=E2, u_basis="text"),
+    dict(ATILDE4, e1=E1, e2=E2, u_basis=[["0", "1", "0", "0"]]),
+    dict(ATILDE4, e1=["1", "0", "1", "0"], e2=E2),
+    dict(ATILDE4, e1=["1", "0"], e2=["0", "1"]),
+]))
+POINTS = st.one_of(
+    st.fixed_dictionaries({"model": st.one_of(st.sampled_from(MODELS), JUNK),
+                           "coords": st.one_of(PAIRS, JUNK), "frame": FRAMES}),
+    st.lists(PAIRS, max_size=2),
+    blob_with("coords", PAIRS),
+)
 G3 = {"gram": [["1", "0", "0"], ["0", "-1", "0"], ["0", "0", "-1"]]}
 G21 = {"gram": [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "-1"]]}
 
@@ -155,3 +178,22 @@ def test_malformed_generator_files(blob):
 def test_malformed_density_files(blob, command):
     argv = [command, "--gram", "@g", "--densities", "@f"]
     run(argv + (["--ell", "2"] if command == "dim-leading" else []), {"f": blob, "g": G21})
+
+
+@FUZZ
+@given(POINTS, st.sampled_from(MODELS), st.sampled_from(MODELS),
+       st.sampled_from(["exact", "float"]))
+@example([["0", "1"], ["0", "1"]], "tube", "projective", "exact")
+@example({"model": "tube", "coords": [["0", "1", "2"], ["0", "1"]], "frame": ATILDE4},
+         "tube", "projective", "exact")
+@example({"model": "tube", "coords": [["0", "x"], ["0", "1"]], "frame": ATILDE4},
+         "tube", "projective", "float")
+def test_malformed_point_files(blob, src, dst, mode):
+    run(["map-point", "--point", "@f", "--from", src, "--to", dst, "--mode", mode],
+        {"f": blob})
+
+
+@pytest.mark.parametrize("argv", [c for c in FAN_COMMANDS if "--cone" not in c])
+def test_fan_cone_with_a_line_is_refused(argv):
+    blob = {"rank": 2, "cones": [{"rays": [[1, 0], [-1, 0]]}, {"rays": [[0, 1]]}]}
+    assert run(argv, {"f": blob}) == 2

@@ -3,7 +3,10 @@
 The reference functions below are the brute-force paths the kernel
 replaced: a subset search over (dim - 1)-row nullspaces, an exact phase-1
 simplex for cone membership, one LP per pool point for hull vertices, and
-a solve over every dim-subset of the extreme set for support functionals.
+a solve over every dim-subset of the extreme set for support functionals,
+and the Fraction row reduction (rref) and Gaussian determinant that
+rank, nullspace, solve and inverse ran on before one integer elimination
+(la.echelon) took their place.
 Beside them are the separate window loops (open points, closed points,
 boundary rays, kernel points) that core_extremes ran at H and again at 2H,
 and the star and barycentric subdivisions that took the maximal cones of
@@ -47,6 +50,99 @@ PROPERTY = settings(max_examples=60, deadline=None, derandomize=True)
 
 
 # ---------------------------------------------------------------- reference
+
+
+def determinant(A):
+    """Fraction-exact determinant by Gaussian elimination with pivoting."""
+    n = len(A)
+    M = [list(map(la.frac, row)) for row in A]
+    det = Fraction(1)
+    for c in range(n):
+        piv = next((r for r in range(c, n) if M[r][c] != 0), None)
+        if piv is None:
+            return Fraction(0)
+        if piv != c:
+            M[c], M[piv] = M[piv], M[c]
+            det = -det
+        det *= M[c][c]
+        inv = 1 / M[c][c]
+        for r in range(c + 1, n):
+            if M[r][c] != 0:
+                f = M[r][c] * inv
+                for k in range(c, n):
+                    M[r][k] -= f * M[c][k]
+    return det
+
+
+def rref(A):
+    """Reduced row echelon form; returns (R, pivot_columns)."""
+    if not A:
+        return (), ()
+    M = [list(map(la.frac, row)) for row in A]
+    n, m = len(M), len(M[0])
+    pivots = []
+    r = 0
+    for c in range(m):
+        piv = next((i for i in range(r, n) if M[i][c] != 0), None)
+        if piv is None:
+            continue
+        M[r], M[piv] = M[piv], M[r]
+        inv = 1 / M[r][c]
+        M[r] = [x * inv for x in M[r]]
+        for i in range(n):
+            if i != r and M[i][c] != 0:
+                f = M[i][c]
+                M[i] = [x - f * y for x, y in zip(M[i], M[r])]
+        pivots.append(c)
+        r += 1
+        if r == n:
+            break
+    return tuple(tuple(row) for row in M), tuple(pivots)
+
+
+def rref_solve(A, b):
+    if not A:
+        return None
+    n, m = len(A), len(A[0])
+    aug = [list(map(la.frac, row)) + [la.frac(bi)] for row, bi in zip(A, b)]
+    R, piv = rref(aug)
+    for row in R:
+        if all(x == 0 for x in row[:m]) and row[m] != 0:
+            return None
+    x = [Fraction(0)] * m
+    r = 0
+    for c in piv:
+        if c == m:
+            return None
+        x[c] = R[r][m]
+        r += 1
+    return tuple(x)
+
+
+def rref_nullspace(A):
+    if not A:
+        return ()
+    m = len(A[0])
+    R, piv = rref(A)
+    free = [c for c in range(m) if c not in piv]
+    basis = []
+    for f in free:
+        v = [Fraction(0)] * m
+        v[f] = Fraction(1)
+        for r, c in enumerate(piv):
+            v[c] = -R[r][f]
+        basis.append(tuple(v))
+    return tuple(basis)
+
+
+def rref_inverse(A):
+    n = len(A)
+    aug = [list(map(la.frac, row)) + [Fraction(1 if i == j else 0) for j in range(n)]
+           for i, row in enumerate(A)]
+    R, piv = rref(aug)
+    if list(piv[:n]) != list(range(n)):
+        raise ZeroDivisionError("matrix not invertible")
+    return tuple(tuple(row[n:]) for row in R[:n])
 
 
 def nonneg_solve(A, b):
@@ -240,6 +336,64 @@ def reference_barycentric_subdivide(f, selected):
 
 
 # ---------------------------------------------------------------- properties
+
+# ints, Fractions, floats and rational strings: everything la.frac reads
+entry = st.one_of(st.integers(-3, 3),
+                  st.fractions(min_value=-3, max_value=3, max_denominator=4),
+                  st.sampled_from([0.5, -1.25, "2/3", "-3/4", "5"]))
+
+
+@st.composite
+def rational_systems(draw):
+    """(A, b, x): an n x m matrix A, square half the time, with rows drawn
+    freely or as integer combinations of a few base rows, so that zero and
+    rank-deficient input is common; a right-hand side b, inconsistent for
+    most deficient A; and a vector x, for the consistent right-hand side Ax."""
+    n = draw(st.integers(0, 4))
+    m = n if draw(st.booleans()) else draw(st.integers(0, 4))
+    if draw(st.booleans()):
+        A = tuple(tuple(draw(entry) for _ in range(m)) for _ in range(n))
+    else:
+        base = [[la.frac(draw(entry)) for _ in range(m)]
+                for _ in range(draw(st.integers(0, n)))]
+        coeff = st.integers(-2, 2)
+        A = tuple(tuple(sum((draw(coeff) * r[j] for r in base), Fraction(0))
+                        for j in range(m)) for _ in range(n))
+    return A, [draw(entry) for _ in range(n)], [draw(entry) for _ in range(m)]
+
+
+@PROPERTY
+@given(rational_systems())
+@example(((), [], []))
+@example((((0, 0), (0, 0)), [0, 1], [1, 1]))
+@example((((1, 2), (2, 4)), [1, 1], [1, -1]))
+def test_elimination_matches_fraction_rref(system):
+    A, b, x = system
+    R, pivots = rref(A)
+    M, piv, d, _ = la.echelon(A)
+    assert piv == pivots and all(M[r][c] == d for r, c in enumerate(piv))
+    assert tuple(tuple(Fraction(x, d) for x in row) for row in M) == R
+    assert la.rank(A) == len(pivots)
+    assert la.nullspace(A) == rref_nullspace(A)
+    if A:
+        for rhs in (b, la.mat_vec(la.mat(A), la.vec(x))):
+            assert la.solve(A, rhs) == rref_solve(A, rhs)
+    if len(A[0] if A else ()) == len(A):
+        assert la.determinant(A) == determinant(A)
+        try:
+            want = rref_inverse(A)
+        except ZeroDivisionError:
+            with pytest.raises(ZeroDivisionError):
+                la.inverse(A)
+        else:
+            assert la.inverse(A) == want
+
+
+def test_elimination_of_the_empty_matrix():
+    assert la.echelon(()) == ((), (), 1, 1)
+    assert la.determinant(()) == determinant(()) == 1
+    assert la.inverse(()) == ()
+    assert la.solve((), ()) is None and la.nullspace(()) == ()
 
 coord = st.integers(-3, 3)
 
