@@ -4,9 +4,10 @@ Vectors are tuples of Fraction (or int), matrices are tuples of row tuples.
 Everything here is a decision procedure; no floats.  A rational matrix is
 stored once as an integer matrix over a positive denominator (scaled_int).
 One fraction-free integer elimination, echelon, serves every rank, kernel,
-solve, inverse and determinant.  A rational form is evaluated by form,
-which is exact on int and Fraction coordinates alike: over int for int
-coordinates.
+solve, inverse and determinant; scaled_nullspace hands out the rational
+kernel basis as integer rows over one common multiple.  The products
+(mat_mul, mat_vec, dot) and the form evaluator (form) keep the type of
+their input: int in, int out, so integer data never meets a Fraction.
 """
 
 from fractions import Fraction
@@ -36,15 +37,15 @@ def transpose(A):
 
 def mat_mul(A, B):
     Bt = transpose(B)
-    return tuple(tuple(sum(a * b for a, b in zip(row, col)) for col in Bt) for row in A)
+    return tuple([tuple([sum(map(mul, row, col)) for col in Bt]) for row in A])
 
 
 def mat_vec(A, v):
-    return tuple(sum(a * x for a, x in zip(row, v)) for row in A)
+    return tuple([sum(map(mul, row, v)) for row in A])
 
 
 def dot(u, v):
-    return sum(a * b for a, b in zip(u, v))
+    return sum(map(mul, u, v))
 
 
 def vec_add(u, v):
@@ -140,18 +141,27 @@ def solve(A, b):
 
 def nullspace(A):
     """Basis of the rational kernel of A (rows of the result)."""
+    N, d = scaled_nullspace(A)
+    return tuple(tuple(Fraction(x, d) for x in v) for v in N)
+
+
+def scaled_nullspace(A):
+    """(N, d): integer rows N with N / d the basis nullspace(A) returns.
+
+    d is echelon's last pivot, one common multiple for every basis vector.
+    """
     if not A:
-        return ()
+        return (), 1
     m = len(A[0])
     M, pivots, d, _ = echelon(A)
     basis = []
     for f in (c for c in range(m) if c not in pivots):
-        v = [Fraction(0)] * m
-        v[f] = Fraction(1)
+        v = [0] * m
+        v[f] = d
         for row, c in zip(M, pivots):
-            v[c] = Fraction(-row[f], d)
+            v[c] = -row[f]
         basis.append(tuple(v))
-    return tuple(basis)
+    return tuple(basis), d
 
 
 def inverse(A):

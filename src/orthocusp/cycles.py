@@ -5,12 +5,20 @@ isometries: the candidate period plane of g lives on the saturated kernel
 of the cyclotomic value Phi_m(g) for the unique m whose isotypic subspace
 carries positive index 2.  The classification depends only on the order
 r_tau of the character image, never on a choice of primitive root.
+
+The classification runs over int from start to finish: matrix powers,
+the restricted Grams (blocks of the lattice's scaled integer Gram, whose
+positive scale changes no signature and no zero test) and the cyclotomic
+certificate's candidate vectors, which are one integer multiple of the
+rational kernel basis.  Only the certificate's factor bases are divided
+back to that rational basis.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from . import _linalg as la
@@ -40,6 +48,7 @@ class IsometryElement:
         return IsometryElement(mat=m, order=matrix_order(m))
 
 
+@functools.lru_cache(maxsize=None)
 def max_finite_order(m: int) -> int:
     """Largest finite order in GL_m(Q), and so in GL_m(Z): the largest n with
     psi(n) <= m, where psi(n) sums phi(p^a) over the prime powers p^a
@@ -172,8 +181,9 @@ def _divisors(n):
     return [d for d in range(1, n + 1) if n % d == 0]
 
 
-def _restricted_gram(L: QuadraticLattice, basis):
-    return la.mat([[L.bilinear(a, b) for b in basis] for a in basis])
+def _scaled_gram_on(L: QuadraticLattice, basis):
+    """Integer Gram of the span of basis: den times its rational Gram."""
+    return [[la.form(L.scaled_gram, a, b) for b in basis] for a in basis]
 
 
 def _signature_of_block(B):
@@ -213,7 +223,7 @@ def fixed_sublattice(g: IsometryElement, L: QuadraticLattice) -> FixedLocusRepor
         ker = la.kernel_int(_matrix_poly(cs, powers))
         if not ker:
             continue
-        r, s = _signature_of_block(_restricted_gram(L, ker))
+        r, s = _signature_of_block(_scaled_gram_on(L, ker))
         if r == 2:
             if chosen is not None:
                 raise NoPositiveEigenplane("positive plane is not unique")
@@ -303,6 +313,11 @@ def cyclotomic_decomposition(g: IsometryElement, L: QuadraticLattice,
     Requires the mu_{r_tau}-action on S to have no nonzero fixed vectors
     (FixedVectorPresent otherwise).  When a cyclic factor is q-trivial it
     is repaired by the paired-factor substitution y = x^(1) + x^(2).
+
+    Runs over int: the Gram of S is den times the rational one, and each
+    round's candidates are the complement's rational basis times one
+    integer c, so every cyclic span scales by c and no zero test moves.
+    The factor bases are divided by c again.
     """
     if s_basis is None:
         report = fixed_sublattice(g, L)
@@ -317,67 +332,63 @@ def cyclotomic_decomposition(g: IsometryElement, L: QuadraticLattice,
     if m is None:
         raise NotRootOfUnity("restriction has infinite order")
     if m > 1:
-        fixed = la.nullspace(la.mat_add(R, la.mat_scale(Fraction(-1), la.identity(k))))
-        if fixed:
+        R_minus_1 = [[x - (i == j) for j, x in enumerate(row)] for i, row in enumerate(R)]
+        if la.rank(R_minus_1) < k:
             raise FixedVectorPresent("action on S has nonzero fixed vectors")
     phi = euler_phi(m)
-    gram_S = _restricted_gram(L, s_basis)
+    gram_S = _scaled_gram_on(L, s_basis)
 
     def pair(x, y):
         return la.form(gram_S, x, y)
 
     def cyclic_span(v):
-        vecs = [la.vec(v)]
+        vecs = [tuple(v)]
         for _ in range(phi - 1):
             vecs.append(la.mat_vec(R, vecs[-1]))
         return vecs
+
+    def singular(W):
+        return la.rank([[pair(a, b) for b in W] for a in W]) < len(W)
 
     factors = []
     repaired = 0
     space_eqs = []  # rows: pairing functionals of the factors found so far
 
-    def complement_basis():
-        if not space_eqs:
-            return [la.vec(row) for row in la.identity(k)]
-        return [la.vec(v) for v in la.nullspace(space_eqs)]
-
     while True:
         # pick a vector in the orthogonal complement of the found factors
-        cands = [v for v in complement_basis() if any(v)]
+        cands, c = la.scaled_nullspace(space_eqs or [(0,) * k])
         if not cands:
             break
         v = cands[0]
         W = cyclic_span(v)
-        GW = [[pair(a, b) for b in W] for a in W]
-        if la.determinant(GW) == 0:
+        if singular(W):
             mate = next((u for u in cands[1:]
                          if any(pair(w, u) != 0 for w in W)), None)
             if mate is None:
                 raise FixedVectorPresent("cannot repair a q-trivial factor")
             v = la.vec_add(v, mate)
             W = cyclic_span(v)
-            GW = [[pair(a, b) for b in W] for a in W]
-            if la.determinant(GW) == 0:
+            if singular(W):
                 raise FixedVectorPresent("repair step failed to fix degeneracy")
             repaired += 1
-        factors.append(tuple(W))
+        factors.append((W, c))
         for w in W:
             space_eqs.append(la.mat_vec(gram_S, w))
         if len(factors) * phi >= k:
             break
     ortho = all(
         pair(a, b) == 0
-        for f1, f2 in itertools.combinations(factors, 2)
+        for (f1, _), (f2, _) in itertools.combinations(factors, 2)
         for a in f1
         for b in f2
     )
-    nondeg = all(la.determinant([[pair(a, b) for b in f] for a in f]) != 0
-                 for f in factors)
+    nondeg = not any(singular(f) for f, _ in factors)
     return CyclotomicCertificate(
         m=m,
         d=len(factors),
         rank=k,
-        factor_bases=tuple(factors),
+        factor_bases=tuple(tuple(tuple(Fraction(x, c) for x in w) for w in W)
+                           for W, c in factors),
         nondegenerate=nondeg,
         orthogonal=ortho,
         repaired_pairs=repaired,

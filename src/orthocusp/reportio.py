@@ -16,6 +16,8 @@ from .qform import QuadraticLattice
 
 
 def rat_to_str(x) -> str:
+    if type(x) is int:
+        return str(x)
     x = Fraction(x)
     return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 

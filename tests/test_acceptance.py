@@ -553,6 +553,8 @@ def criterion_11_cases(tmp_path):
         {"rays": [[1, 0], [0, 1]]}, {"rays": [[0, 1], [-1, -1]]},
         {"rays": [[-1, -1], [1, 0]]}, {"rays": [[1, 0]]}, {"rays": [[0, 1]]},
         {"rays": [[-1, -1]]}, {"rays": []}]})
+    gram4 = write("g4.json", {"gram": [["1", "0", "0", "0"], ["0", "1", "0", "0"],
+                                       ["0", "0", "-1", "0"], ["0", "0", "0", "-1"]]})
     one = write("one.json", {"gram": [["1"]]})
     a2 = write("a2gram.json", {"gram": [["2", "1"], ["1", "2"]]})
     point = write("pt.json", {"model": "bounded",
@@ -591,6 +593,8 @@ def criterion_11_cases(tmp_path):
         ("dim-leading", ["dim-leading", "--gram", gram3, "--ell", "4",
                          "--alpha-inf", "1"]),
         ("ramify", ["ramify", "--gram", a2, "--bound", "1"]),
+        # <1,1,-1,-1>: rank-4 cyclotomic certificates at orders 4 and 8
+        ("ramify-g4", ["ramify", "--gram", gram4, "--bound", "1"]),
         ("core-decompose-lc2-central-dual",
          ["core-decompose", "--gram", lc2, "--variant", "central_dual",
           "--height", "2", "--gens", lc2gens]),

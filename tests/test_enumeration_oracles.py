@@ -5,20 +5,37 @@ backtracking replaced: a Fraction scan of the whole box at every depth of
 the isometry search, matrix powers up to a fixed cap of 120, and a scan of
 all mod^(m^2) matrices for congruence counts.  Beside them, the Fraction
 forms that bilinear, pair and contains, which evaluate a scaled integer
-matrix, must agree with on integral and rational forms alike.  They are
-slow and kept only as oracles.
+matrix, must agree with on integral and rational forms alike, and the
+Fraction cyclotomic certificate (on the rational Gram of S and the
+rational kernel bases) that the integer one replaced.  They are slow and
+kept only as oracles.
 """
 
 import itertools
 from fractions import Fraction
 
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from orthocusp import _linalg as la
 from orthocusp.corecone import SelfAdjointCone, light_cone
-from orthocusp.cycles import enumerate_isometries
+from orthocusp.cycles import (
+    CyclotomicCertificate,
+    cyclotomic_decomposition,
+    enumerate_isometries,
+    euler_phi,
+    fixed_sublattice,
+    matrix_order,
+    restriction_matrix,
+)
 from orthocusp.dimform import _count_gram_preservers
+from orthocusp.errors import (
+    FixedVectorPresent,
+    NoPositiveEigenplane,
+    NotRootOfUnity,
+    OrthocuspError,
+)
 from orthocusp.qform import QuadraticLattice
 
 PROPERTY = settings(max_examples=30, deadline=None, derandomize=True)
@@ -90,6 +107,91 @@ def scan_count(A, m, mod):
     return count
 
 
+def restricted_gram(L, basis):
+    return la.mat([[L.bilinear(a, b) for b in basis] for a in basis])
+
+
+def fraction_cyclotomic_decomposition(g, L, s_basis=None):
+    """The certificate computed over Fraction on the rational Gram of S."""
+    if s_basis is None:
+        report = fixed_sublattice(g, L)
+        s_basis = report.s_basis
+        m = report.r_tau
+    else:
+        m = None
+    R = restriction_matrix(g.mat, s_basis)
+    k = len(s_basis)
+    if m is None:
+        m = matrix_order(R)
+    if m is None:
+        raise NotRootOfUnity("restriction has infinite order")
+    if m > 1:
+        fixed = la.nullspace(la.mat_add(R, la.mat_scale(Fraction(-1), la.identity(k))))
+        if fixed:
+            raise FixedVectorPresent("action on S has nonzero fixed vectors")
+    phi = euler_phi(m)
+    gram_S = restricted_gram(L, s_basis)
+
+    def pair(x, y):
+        return la.form(gram_S, x, y)
+
+    def cyclic_span(v):
+        vecs = [la.vec(v)]
+        for _ in range(phi - 1):
+            vecs.append(la.mat_vec(R, vecs[-1]))
+        return vecs
+
+    factors = []
+    repaired = 0
+    space_eqs = []
+
+    def complement_basis():
+        if not space_eqs:
+            return [la.vec(row) for row in la.identity(k)]
+        return [la.vec(v) for v in la.nullspace(space_eqs)]
+
+    while True:
+        cands = [v for v in complement_basis() if any(v)]
+        if not cands:
+            break
+        v = cands[0]
+        W = cyclic_span(v)
+        GW = [[pair(a, b) for b in W] for a in W]
+        if la.determinant(GW) == 0:
+            mate = next((u for u in cands[1:]
+                         if any(pair(w, u) != 0 for w in W)), None)
+            if mate is None:
+                raise FixedVectorPresent("cannot repair a q-trivial factor")
+            v = la.vec_add(v, mate)
+            W = cyclic_span(v)
+            GW = [[pair(a, b) for b in W] for a in W]
+            if la.determinant(GW) == 0:
+                raise FixedVectorPresent("repair step failed to fix degeneracy")
+            repaired += 1
+        factors.append(tuple(W))
+        for w in W:
+            space_eqs.append(la.mat_vec(gram_S, w))
+        if len(factors) * phi >= k:
+            break
+    ortho = all(
+        pair(a, b) == 0
+        for f1, f2 in itertools.combinations(factors, 2)
+        for a in f1
+        for b in f2
+    )
+    nondeg = all(la.determinant([[pair(a, b) for b in f] for a in f]) != 0
+                 for f in factors)
+    return CyclotomicCertificate(
+        m=m,
+        d=len(factors),
+        rank=k,
+        factor_bases=tuple(factors),
+        nondegenerate=nondeg,
+        orthogonal=ortho,
+        repaired_pairs=repaired,
+    )
+
+
 # ---------------------------------------------------------------- strategies
 
 
@@ -158,6 +260,30 @@ def test_int_bilinear_matches_fraction_form(G, data):
     assert L.bilinear(la.vec(x), la.vec(y)) == got
 
 
+@PROPERTY
+@given(st.integers(1, 4), st.integers(1, 4), st.data())
+def test_int_products_stay_int_and_match_fraction_products(n, m, data):
+    ints = st.integers(-9, 9)
+    A = data.draw(st.lists(st.lists(ints, min_size=m, max_size=m).map(tuple),
+                           min_size=n, max_size=n).map(tuple))
+    B = data.draw(st.lists(st.lists(ints, min_size=n, max_size=n).map(tuple),
+                           min_size=m, max_size=m).map(tuple))
+    u = data.draw(st.lists(ints, min_size=m, max_size=m).map(tuple))
+    w = data.draw(st.lists(ints, min_size=n, max_size=n).map(tuple))
+
+    def entries(x):
+        return [y for z in x for y in entries(z)] if isinstance(x, tuple) else [x]
+
+    def fractions(x):
+        return tuple(map(fractions, x)) if isinstance(x, tuple) else Fraction(x)
+
+    for fn, args in ((la.mat_mul, (A, B)), (la.mat_vec, (A, u)), (la.dot, (w, w)),
+                     (la.form, (A, u, w))):
+        got = fn(*args)
+        assert all(type(x) is int for x in entries(got)), fn.__name__
+        assert fn(*map(fractions, args)) == got, fn.__name__
+
+
 def fraction_contains(cone, v, closed):
     q, s = fraction_form(cone.lattice.gram, v, v), la.dot(cone.side, la.vec(v))
     return q >= 0 and s >= 0 if closed else q > 0 and s > 0
@@ -202,3 +328,37 @@ def test_g4_bound_1_group():
 def test_diag_11m1_count_at_3():
     A = [[1, 0, 0], [0, 1, 0], [0, 0, -1]]
     assert _count_gram_preservers(A, 3, 3) == 48 == scan_count(A, 3, 3)
+
+
+def certificate_outcome(fn, *args):
+    """The certificate's fields, or the domain error's type and message."""
+    try:
+        cert = fn(*args)
+    except OrthocuspError as e:
+        return type(e).__name__, str(e)
+    return (cert.m, cert.d, cert.rank, cert.factor_bases, cert.nondegenerate,
+            cert.orthogonal, cert.repaired_pairs, cert.verified)
+
+
+@pytest.mark.parametrize("G, bound, repairs", [
+    ([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, -1, 0], [0, 0, 0, -1]], 1, False),
+    ([[0, 0, 1, 0], [0, 0, 0, 1], [1, 0, 0, 0], [0, 1, 0, 0]], 1, True),
+    ([[2, 1, 0], [1, 2, 0], [0, 0, -1]], 2, False),
+], ids=["g4", "u+u", "a2+<-1>"])
+def test_integer_certificate_matches_fraction_certificate(G, bound, repairs):
+    L = QuadraticLattice(G)
+    finite = [g for g in enumerate_isometries(L, bound) if g.order is not None]
+    certificates = []
+    for g in finite:
+        want = certificate_outcome(fraction_cyclotomic_decomposition, g, L)
+        assert certificate_outcome(cyclotomic_decomposition, g, L) == want, g.mat
+        if len(want) > 2:
+            certificates.append(want)
+        try:
+            s_basis = fixed_sublattice(g, L).s_basis
+        except NoPositiveEigenplane:
+            continue
+        assert certificate_outcome(cyclotomic_decomposition, g, L, s_basis) == \
+            certificate_outcome(fraction_cyclotomic_decomposition, g, L, s_basis)
+    assert certificates
+    assert any(c[6] for c in certificates) == repairs  # U+U has q-trivial factors

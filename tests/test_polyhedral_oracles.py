@@ -9,9 +9,9 @@ rank, nullspace, solve and inverse ran on before one integer elimination
 (la.echelon) took their place.
 Beside them are the separate window loops (open points, closed points,
 boundary rays, kernel points) that core_extremes ran at H and again at 2H,
-and the star and barycentric subdivisions that took the maximal cones of
-the whole face closure at every step.  They are slow and kept only as
-oracles.
+the star and barycentric subdivisions that took the maximal cones of
+the whole face closure at every step, and the fan validation that
+intersected every pair of cones.  They are slow and kept only as oracles.
 """
 
 import itertools
@@ -38,12 +38,15 @@ from orthocusp.corecone import (
 from orthocusp.errors import UnstableTruncation
 from orthocusp.fan import (
     Fan,
+    FanReport,
     RationalCone,
     _extreme_rays_of_halfspaces,
     barycentric_subdivide,
     faces,
     fan_from_maximal,
+    intersect_cones,
     star_subdivide,
+    validate_fan,
 )
 
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True)
@@ -335,6 +338,34 @@ def reference_barycentric_subdivide(f, selected):
     return out
 
 
+def all_pairs_validate_fan(f):
+    """Face closure, then every pair of cones in order."""
+    report = FanReport(valid=True)
+    cone_set = list(f.cones)
+    for c in cone_set:
+        for fc in faces(c):
+            if fc not in f:
+                report.valid = False
+                report.violations.append(
+                    {"kind": "missing_face", "cone": list(c.rays), "face": list(fc.rays)}
+                )
+                return report
+    for a, b in itertools.combinations(cone_set, 2):
+        inter = intersect_cones(a, b)
+        if inter not in f or inter not in faces(a) or inter not in faces(b):
+            report.valid = False
+            report.violations.append(
+                {
+                    "kind": "bad_intersection",
+                    "cone_a": list(a.rays),
+                    "cone_b": list(b.rays),
+                    "intersection": list(inter.rays),
+                }
+            )
+            return report
+    return report
+
+
 # ---------------------------------------------------------------- properties
 
 # ints, Fractions, floats and rational strings: everything la.frac reads
@@ -549,3 +580,61 @@ def test_subdivision_drops_a_cone_nested_by_an_earlier_step():
         got = barycentric_subdivide(f, [c2, c3])
         assert got.cones == reference_barycentric_subdivide(f, [c2, c3]).cones
         assert RationalCone([(0, 1), (1, 1)], 2) not in got
+
+
+def _closed(maximal, rank):
+    return fan_from_maximal([RationalCone(rays, rank) for rays in maximal], rank)
+
+
+def _complete_fan(rays):
+    """Face closure of the cones on all but one of the given rays."""
+    return _closed([[r for j, r in enumerate(rays) if j != i] for i in range(len(rays))],
+                   len(rays[0]))
+
+
+def _support_fan_of_light_cone_2():
+    lc = light_cone(2)
+    E = core_extremes(lc, "perfect", 3)
+    return support_fan(KernelSpec(points=E.points), E, lc)[0]
+
+
+E2 = ((1, 0), (0, 1))
+E3 = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+VALIDATION_FANS = {
+    "p1-cubed": lambda: _closed([[(sx, 0, 0), (0, sy, 0), (0, 0, sz)]
+                                 for sx in (1, -1) for sy in (1, -1) for sz in (1, -1)], 3),
+    "p3": lambda: _complete_fan(list(E3) + [(-1, -1, -1)]),
+    "p4": lambda: _complete_fan([tuple(int(i == j) for j in range(4)) for i in range(4)]
+                                + [(-1, -1, -1, -1)]),
+    "acceptance": lambda: _complete_fan(list(E2) + [(-1, -1)]),
+    "light-cone-2-support": _support_fan_of_light_cone_2,
+    "overlapping-maximal-cones": lambda: _closed([E2, [(1, 1), (-1, 1)]], 2),
+    "meet-in-a-face-of-one-only": lambda: _closed([E3[:2], [(1, 1, 0), (0, 0, 1)]], 3),
+    "nested-non-face": lambda: _closed([E2, [(1, 1)]], 2),
+    "missing-face": lambda: Fan([RationalCone(E2, 2), RationalCone([(1, 0)], 2)], 2),
+    "not-pointed": lambda: Fan([RationalCone([(1, 0), (-1, 0), (0, 1)], 2),
+                                RationalCone([(1, 0)], 2), RationalCone([(-1, 0)], 2),
+                                RationalCone([(0, 1)], 2), RationalCone([], 2)], 2),
+}
+
+
+def fan_outcome(validate, f):
+    try:
+        return validate(f)
+    except ValueError as e:
+        return str(e)
+
+
+@pytest.mark.parametrize("name", sorted(VALIDATION_FANS))
+def test_maximal_pair_validation_matches_all_pairs(name):
+    f = VALIDATION_FANS[name]()
+    got = fan_outcome(validate_fan, f)
+    assert got == fan_outcome(all_pairs_validate_fan, f)
+    assert got.valid == (name in ("p1-cubed", "p3", "p4", "acceptance",
+                                  "light-cone-2-support"))
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(cone_lists())
+def test_maximal_pair_validation_matches_all_pairs_on_random_fans(f):
+    assert fan_outcome(validate_fan, f) == fan_outcome(all_pairs_validate_fan, f)
