@@ -5,7 +5,11 @@ Everything here is a decision procedure; no floats.  A rational matrix is
 stored once as an integer matrix over a positive denominator (scaled_int).
 One fraction-free integer elimination, echelon, serves every rank, kernel,
 solve, inverse and determinant; scaled_nullspace hands out the rational
-kernel basis as integer rows over one common multiple.  The products
+kernel basis as integer rows over one common multiple.  One unimodular
+integer column reduction, column_reduce, owns the integer kernel lattice
+(kernel_int) and the lattice block behind fan's multiplicities and
+fundamental parallelepipeds; extended Euclid on two integers (ext_gcd)
+sits beside it.  The products
 (mat_mul, mat_vec, dot) and the form evaluator (form) keep the type of
 their input: int in, int out, so integer data never meets a Fraction.
 """
@@ -196,65 +200,57 @@ def primitive(v):
     return tuple(x // g for x in w) if g else w
 
 
-def kernel_int(A):
-    """Z-basis of the integer kernel lattice of an integer/rational matrix.
+def column_reduce(A):
+    """(H, U, r): H = B U with B = scaled_int(A)[0], U unimodular, r = rank A.
 
-    Works by exact column reduction of A with a tracked unimodular column
-    transform; columns of the transform below zeroed columns of A form a
-    basis, and that basis spans the full (saturated) kernel lattice.
+    The one exact integer column reduction.  Row by row, the columns right
+    of the earlier pivots are reduced by division with remainder against
+    the one holding the least nonzero entry of that row, until only it is
+    nonzero; it becomes the next pivot column.  So H is in column echelon
+    form: columns r.. are zero, and columns r.. of U are a Z-basis of the
+    integer kernel of A.  For independent rows, H[i][i] is the pivot of
+    row i and the first r columns of H are lower triangular.
     """
-    if not A:
-        return ()
-    rows = [list(r) for r in scaled_int(A)[0]]
-    n, m = len(rows), len(rows[0])
-    U = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
-
-    def col(j):
-        return [rows[i][j] for i in range(n)]
-
-    def swap(j, k):
-        for i in range(n):
-            rows[i][j], rows[i][k] = rows[i][k], rows[i][j]
-        U[j], U[k] = U[k], U[j]
-
-    def addmul(j, k, q):
-        # column_j += q * column_k
-        for i in range(n):
-            rows[i][j] += q * rows[i][k]
-        for t in range(m):
-            U[j][t] += q * U[k][t]
-
-    pivot_col = 0
-    for r in range(n):
-        if pivot_col >= m:
-            break
+    C = [list(col) for col in transpose(scaled_int(A)[0])]
+    m = len(C)
+    U = [[int(i == j) for i in range(m)] for j in range(m)]  # columns of U
+    p = 0
+    for r in range(len(A)):
         while True:
-            nz = [j for j in range(pivot_col, m) if rows[r][j] != 0]
+            nz = [j for j in range(p, m) if C[j][r]]
             if not nz:
                 break
-            j0 = min(nz, key=lambda j: abs(rows[r][j]))
-            if j0 != pivot_col:
-                swap(pivot_col, j0)
-            done = True
-            for j in range(pivot_col + 1, m):
-                if rows[r][j] != 0:
-                    q = -(rows[r][j] // rows[r][pivot_col])
-                    addmul(j, pivot_col, q)
-                    if rows[r][j] != 0:
-                        done = False
-            if done:
+            j0 = min(nz, key=lambda j: abs(C[j][r]))
+            C[p], C[j0], U[p], U[j0] = C[j0], C[p], U[j0], U[p]
+            if len(nz) == 1:
+                p += 1
                 break
-        if rows[r][pivot_col] != 0:
-            pivot_col += 1
-    kernel = []
-    for j in range(pivot_col, m):
-        if all(rows[i][j] == 0 for i in range(n)):
-            kernel.append(tuple(U[j]))
-    # also catch zero columns before pivot_col (possible with zero input cols)
-    for j in range(pivot_col):
-        if all(rows[i][j] == 0 for i in range(n)):
-            kernel.append(tuple(U[j]))
-    return tuple(sorted(kernel))
+            for j in range(p + 1, m):
+                q = C[j][r] // C[p][r]
+                if q:
+                    C[j] = [a - q * b for a, b in zip(C[j], C[p])]
+                    U[j] = [a - q * b for a, b in zip(U[j], U[p])]
+    return transpose(C), transpose(U), p
+
+
+def kernel_int(A):
+    """Z-basis of the integer kernel lattice of an integer/rational matrix:
+    the columns of column_reduce's U beyond the rank, sorted.  The basis
+    spans the full (saturated) kernel lattice."""
+    _, U, r = column_reduce(A)
+    return tuple(sorted(transpose(U)[r:]))
+
+
+def ext_gcd(a, b):
+    """(g, x, y) with a x + b y = g = gcd(a, b) >= 0 (extended Euclid)."""
+    x0, x1, y0, y1 = 1, 0, 0, 1
+    while b:
+        q, a, b = a // b, b, a % b
+        x0, x1 = x1, x0 - q * x1
+        y0, y1 = y1, y0 - q * y1
+    if a < 0:
+        return -a, -x0, -y0
+    return a, x0, y0
 
 
 def gram_preservers(A, domain, mod=None):

@@ -12,6 +12,7 @@ respects the cap).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -42,7 +43,10 @@ def thread_cap() -> int:
     return cap
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing leaves it as it
+    was, so every main call shares it."""
     p = argparse.ArgumentParser(prog="orthocusp", description=__doc__)
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--out", default=None, help="output path (default stdout)")
@@ -483,7 +487,7 @@ def cmd_dim_leading(args):
 
 def cmd_ramify(args):
     from .cycles import classify_ramification, enumerate_isometries
-    from .errors import NoPositiveEigenplane, NotRootOfUnity
+    from .errors import FixedVectorPresent, NoPositiveEigenplane, NotRootOfUnity
 
     if args.bound < 1:
         raise UsageError("--bound must be >= 1")
@@ -515,6 +519,8 @@ def cmd_ramify(args):
                 row["classification"] = "skipped: no positive eigenplane"
             except NotRootOfUnity:
                 row["classification"] = "skipped: not finite order"
+            except FixedVectorPresent:
+                row["classification"] = "skipped: fixed vector present"
         rows.append(row)
     return io.make_report(
         "ramify",

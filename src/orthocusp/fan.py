@@ -3,7 +3,10 @@
 All arithmetic is exact (integers and Fractions); every predicate is a
 decision procedure.  Cones are stored by primitive integral ray
 generators, canonicalized to extreme rays via double description; facet
-normals are cached after the first dual computation.
+normals are cached after the first dual computation.  The lattice points
+of a simplicial cone's fundamental parallelepiped (_parallelepiped), and
+with them multiplicity, regularity, resolution rays and Hilbert-basis
+candidates, come from the integer column reduction _linalg.column_reduce.
 
 Scale expectations are desk scale (ambient rank <= 5 or so, coordinates in
 the hundreds); the algorithms favour clarity and exactness over speed.
@@ -13,7 +16,8 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from math import gcd
+from fractions import Fraction
+from operator import mul
 
 from . import _linalg as la
 from .errors import ConeNotInFan
@@ -311,18 +315,10 @@ def validate_fan(f: Fan) -> FanReport:
 
 
 def is_regular(c: RationalCone) -> bool:
-    """Simplicial with primitive generators extending to a lattice basis."""
-    rays = c.rays
-    if not rays:
-        return True
-    d = c.dim
-    if len(rays) != d:
-        return False
-    g = 0
-    for subset in itertools.combinations(range(c.rank), d):
-        sub = [[rays[i][j] for j in subset] for i in range(d)]
-        g = gcd(g, abs(int(la.determinant(sub))))
-    return g == 1
+    """Simplicial with multiplicity 1: the primitive generators extend to a
+    lattice basis."""
+    return len(c.rays) == c.dim and all(
+        abs(row[i]) == 1 for i, row in enumerate(la.column_reduce(c.rays)[0]))
 
 
 def is_complete(f: Fan) -> bool:
@@ -392,29 +388,15 @@ def _resolution_ray(c: RationalCone):
     """Stellar-subdivision ray that strictly decreases multiplicity.
 
     Non-simplicial cones get their primitive barycenter (simplicializing);
-    simplicial non-regular cones get the lexicographically smallest nonzero
-    lattice point of the half-open fundamental parallelepiped, whose
-    barycentric coordinates are all < 1, so every resulting piece has
-    strictly smaller multiplicity.  Plain primitive-barycenter iteration
-    does not terminate in general (cone((1,0),(7,10)) cycles at index 5).
+    simplicial non-regular cones have multiplicity >= 2 and get the least
+    primitive nonzero point of the half-open fundamental parallelepiped,
+    whose coefficients are all < 1, so every resulting piece has strictly
+    smaller multiplicity.  Plain primitive-barycenter iteration does not
+    terminate in general (cone((1,0),(7,10)) cycles at index 5).
     """
     if len(c.rays) != c.dim:
         return c.barycenter()
-    cols = [tuple(int(x) for x in r) for r in c.rays]
-    best = None
-    MtM_inv = la.inverse([[la.dot(a, b) for b in cols] for a in cols])
-    for p in _parallelepiped_points(cols):
-        if not any(p):
-            continue
-        rhs = [la.dot(col, p) for col in cols]
-        t = la.mat_vec(MtM_inv, rhs)
-        if all(ti < 1 for ti in t):
-            q = la.primitive(p)
-            if best is None or q < best:
-                best = q
-    if best is None:
-        raise RuntimeError("simplicial non-regular cone without interior point")
-    return best
+    return min(la.primitive(p) for p, _ in _parallelepiped(c.rays) if any(p))
 
 
 def make_regular(f: Fan, max_rounds: int = 30) -> Fan:
@@ -434,35 +416,26 @@ def make_regular(f: Fan, max_rounds: int = 30) -> Fan:
     raise RuntimeError(f"not regular after {max_rounds} rounds")
 
 
-def _parallelepiped_points(cols):
-    """Integer points of {sum t_i c_i : t in [0,1]^k} for independent cols."""
-    k = len(cols)
-    n = len(cols[0])
-    # bounding box of the vertices (all subset sums of columns)
-    mins = [0] * n
-    maxs = [0] * n
-    for j in range(n):
-        s = 0
-        for c in cols:
-            if c[j] < 0:
-                mins[j] += c[j]
-            else:
-                maxs[j] += c[j]
-    pts = []
-    # solve t = M^{-1} x on the span; cols independent so use least squares
-    # via solving the k x k system (M^t M) t = M^t x exactly
-    MtM = [[la.dot(a, b) for b in cols] for a in cols]
-    MtM_inv = la.inverse(MtM)
-    for x in itertools.product(*[range(mins[j], maxs[j] + 1) for j in range(n)]):
-        rhs = [la.dot(c, x) for c in cols]
-        t = la.mat_vec(MtM_inv, rhs)
-        # check x actually equals sum t_i c_i (x may be off-span)
-        recon = [sum(t[i] * cols[i][j] for i in range(k)) for j in range(n)]
-        if list(x) != recon:
-            continue
-        if all(0 <= ti <= 1 for ti in t):
-            pts.append(tuple(int(v) for v in x))
-    return pts
+def _parallelepiped(rays):
+    """(point, t) for each lattice point sum t_i r_i, 0 <= t_i < 1, of the
+    half-open fundamental parallelepiped of independent integral rays.
+
+    In the Z-basis of span(rays) cap Z^n that la.column_reduce finds, the
+    rays are the rows of a lower-triangular block H, and the y with
+    0 <= y_i < |H_ii| are one representative of each coset of the ray
+    lattice; y = s H lifts to the point sum frac(s_i) r_i (Cox, Little &
+    Schenck, Toric Varieties, 11.1).  So there are mult(rays) = prod |H_ii|
+    points.
+    """
+    H, k = la.column_reduce(rays)[0], len(rays)
+    out = []
+    for y in itertools.product(*(range(abs(H[i][i])) for i in range(k))):
+        s = [0] * k
+        for j in reversed(range(k)):
+            s[j] = Fraction(y[j] - sum(s[i] * H[i][j] for i in range(j + 1, k)), H[j][j])
+        t = tuple(x % 1 for x in s)
+        out.append((tuple(int(sum(map(mul, t, col))) for col in zip(*rays)), t))
+    return out
 
 
 def _triangulate(c: RationalCone):
@@ -504,10 +477,7 @@ def hilbert_basis(c: RationalCone):
 def _hilbert_basis_pointed(d: RationalCone, primal: RationalCone):
     cand = set(d.rays)
     for tri in _triangulate(d):
-        cols = [tuple(int(x) for x in r) for r in tri]
-        for p in _parallelepiped_points(cols):
-            if any(p):
-                cand.add(tuple(int(x) for x in p))
+        cand.update(p for p, _ in _parallelepiped(tri) if any(p))
     # grade by a strictly positive functional: the sum of primal rays spans
     # the interior pairing (fall back to coordinate sum of dual generators)
     if primal.rays:

@@ -299,10 +299,9 @@ def adjacency_data(f2: CuspFlag, f1_generator, lattice: QuadraticLattice):
     if gcd(c0, c1) != 1:
         raise ValueError("generator must be primitive")
     # move the line to span(v0) by an SL2 change on both hyperbolic pairs
-    ext = _extended_gcd(c0, c1)
     h = [[Fraction(1 if i == j else 0) for j in range(m)] for i in range(m)]
     # columns: v0 -> (c0, c1), v1 -> (-beta, alpha) with alpha c0 + beta c1 = 1
-    alpha, beta = ext
+    _, alpha, beta = la.ext_gcd(c0, c1)
     h[0][0], h[1][0] = Fraction(c0), Fraction(c1)
     h[0][1], h[1][1] = Fraction(-beta), Fraction(alpha)
     # dual pair: preserve b(v0,v2), b(v1,v3): block = (h^-1)^t on (v2, v3)
@@ -325,15 +324,3 @@ def adjacency_data(f2: CuspFlag, f1_generator, lattice: QuadraticLattice):
     A = flag1.block
     qval = ray[0] * ray[1] + Fraction(1, 2) * la.form(A, ray[2:], ray[2:])
     return AdjacencyRecord(inclusion=incl, ray=ray, ray_is_isotropic=(qval == 0))
-
-
-def _extended_gcd(a, b):
-    """(x, y) with a x + b y = gcd(a, b) = 1 for coprime inputs."""
-    x0, x1, y0, y1 = 1, 0, 0, 1
-    while b:
-        q, a, b = a // b, b, a % b
-        x0, x1 = x1, x0 - q * x1
-        y0, y1 = y1, y0 - q * y1
-    if a < 0:
-        x0, y0 = -x0, -y0
-    return (x0, y0)

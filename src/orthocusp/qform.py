@@ -275,17 +275,9 @@ def _solve_unimodular(w):
             coeff = [0] * n
             coeff[i] = 1 if wi > 0 else -1
             continue
-        # extended gcd of g and wi
-        a, b = g, abs(wi)
-        x0, x1, y0, y1 = 1, 0, 0, 1
-        while b:
-            q, a, b = a // b, b, a % b
-            x0, x1 = x1, x0 - q * x1
-            y0, y1 = y1, y0 - q * y1
-        # a = x0*g + y0*|wi|
-        coeff = [x0 * c for c in coeff]
-        coeff[i] += y0 * (1 if wi > 0 else -1)
-        g = a
+        g, x, y = la.ext_gcd(g, abs(wi))
+        coeff = [x * c for c in coeff]
+        coeff[i] += y * (1 if wi > 0 else -1)
         if g == 1:
             break
     if g != 1:

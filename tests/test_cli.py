@@ -363,3 +363,15 @@ class TestRamifyCLI:
         classes = {r["classification"] for r in rep["elements"]}
         assert "interior_unramified" in classes
         assert "minus_identity" in classes
+
+    def test_fixed_vector_elements_are_skipped_rows(self, tmp_path):
+        # U+U at bound 1 has elements whose cyclotomic repair cannot remove
+        # a fixed vector; they get a row each, and the rest are classified
+        gram = write(tmp_path, "uu.json", ATILDE4)
+        code, blob = run_to_file(tmp_path, ["ramify", "--gram", gram, "--bound", "1"])
+        assert code == 0
+        rep = json.loads(blob)["results"]
+        assert len(rep["elements"]) == rep["group_size"] == 800
+        classes = [r["classification"] for r in rep["elements"]]
+        assert classes.count("skipped: fixed vector present") == 10
+        assert "special_cycle" in classes and "interior_unramified" in classes

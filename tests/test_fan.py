@@ -280,8 +280,11 @@ class TestHilbertBasis:
 
     def test_regular_full_dim_has_n_generators(self):
         assert len(hilbert_basis(cone((1, 0), (1, 1)))) == 2
-        assert len(hilbert_basis(cone((1, 0, 0), (0, 1, 0), (1, 1, 2)))) > 3 or True
         assert len(hilbert_basis(cone((1, 0, 0), (0, 1, 0), (0, 0, 1)))) == 3
+
+    def test_multiplicity_two_cone_in_rank_three(self):
+        assert hilbert_basis(cone((1, 0, 0), (0, 1, 0), (1, 1, 2))) == (
+            (0, 0, 1), (0, 1, 0), (0, 2, -1), (1, 0, 0), (1, 1, -1), (2, 0, -1))
 
     def test_every_window_point_is_generated(self):
         c = cone((1, 0), (1, 3))

@@ -11,11 +11,17 @@ Beside them are the separate window loops (open points, closed points,
 boundary rays, kernel points) that core_extremes ran at H and again at 2H,
 the star and barycentric subdivisions that took the maximal cones of
 the whole face closure at every step, and the fan validation that
-intersected every pair of cones.  They are slow and kept only as oracles.
+intersected every pair of cones.  Last come the bounding-box scan for the
+points of a fundamental parallelepiped and the gcd of maximal minors that
+fan's regularity test, resolution ray and Hilbert bases ran on before one
+integer column reduction (la.column_reduce) replaced them, and the kernel
+loop that reduction was lifted from.  They are slow and kept only as
+oracles.
 """
 
 import itertools
 from fractions import Fraction
+from math import gcd
 
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
@@ -23,6 +29,7 @@ from hypothesis import strategies as st
 import pytest
 
 from orthocusp import _linalg as la
+from orthocusp import fan as fan_module
 from orthocusp.corecone import (
     ExtremeSet,
     KernelSpec,
@@ -41,10 +48,16 @@ from orthocusp.fan import (
     FanReport,
     RationalCone,
     _extreme_rays_of_halfspaces,
+    _parallelepiped,
+    _resolution_ray,
     barycentric_subdivide,
+    chart_presentation,
     faces,
     fan_from_maximal,
+    hilbert_basis,
     intersect_cones,
+    is_regular,
+    make_regular,
     star_subdivide,
     validate_fan,
 )
@@ -366,6 +379,90 @@ def all_pairs_validate_fan(f):
     return report
 
 
+def box_parallelepiped(rays):
+    """(x, t) for the integer points x = sum t_i r_i with t in [0, 1]^k of
+    independent rays: every point of the bounding box of the vertices, t
+    from the normal equations, and a test that x lies in the span."""
+    n = len(rays[0])
+    lo = [sum(min(r[j], 0) for r in rays) for j in range(n)]
+    hi = [sum(max(r[j], 0) for r in rays) for j in range(n)]
+    gram_inv = la.inverse([[la.dot(a, b) for b in rays] for a in rays])
+    pts = []
+    for x in itertools.product(*(range(a, b + 1) for a, b in zip(lo, hi))):
+        t = la.mat_vec(gram_inv, [la.dot(r, x) for r in rays])
+        if [sum(ti * r[j] for ti, r in zip(t, rays)) for j in range(n)] == list(x) \
+                and all(0 <= ti <= 1 for ti in t):
+            pts.append((x, t))
+    return pts
+
+
+def minors_multiplicity(rays):
+    """gcd of the maximal minors of independent rays."""
+    return gcd(*(int(la.determinant([[r[j] for j in cols] for r in rays]))
+                 for cols in itertools.combinations(range(len(rays[0])), len(rays))))
+
+
+def minors_is_regular(c):
+    return not c.rays or (len(c.rays) == c.dim and minors_multiplicity(c.rays) == 1)
+
+
+def box_resolution_ray(c):
+    if len(c.rays) != c.dim:
+        return c.barycenter()
+    pts = [la.primitive(x) for x, t in box_parallelepiped(c.rays)
+           if any(x) and all(ti < 1 for ti in t)]
+    if not pts:
+        raise RuntimeError("simplicial non-regular cone without interior point")
+    return min(pts)
+
+
+def with_box_scan(fn, *args):
+    """fn(*args) with the box scan, the minors test and the box-scan
+    resolution ray in place of fan's column-reduction kernel."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fan_module, "_parallelepiped", box_parallelepiped)
+        mp.setattr(fan_module, "is_regular", minors_is_regular)
+        mp.setattr(fan_module, "_resolution_ray", box_resolution_ray)
+        return fn(*args)
+
+
+def loop_kernel_int(A):
+    """Integer kernel basis by the row-by-row column loop on the full matrix."""
+    if not A:
+        return ()
+    rows = [list(r) for r in la.scaled_int(A)[0]]
+    n, m = len(rows), len(rows[0])
+    U = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
+    pivot_col = 0
+    for r in range(n):
+        if pivot_col >= m:
+            break
+        while True:
+            nz = [j for j in range(pivot_col, m) if rows[r][j] != 0]
+            if not nz:
+                break
+            j0 = min(nz, key=lambda j: abs(rows[r][j]))
+            for i in range(n):
+                rows[i][pivot_col], rows[i][j0] = rows[i][j0], rows[i][pivot_col]
+            U[pivot_col], U[j0] = U[j0], U[pivot_col]
+            done = True
+            for j in range(pivot_col + 1, m):
+                if rows[r][j] != 0:
+                    q = -(rows[r][j] // rows[r][pivot_col])
+                    for i in range(n):
+                        rows[i][j] += q * rows[i][pivot_col]
+                    for t in range(m):
+                        U[j][t] += q * U[pivot_col][t]
+                    if rows[r][j] != 0:
+                        done = False
+            if done:
+                break
+        if rows[r][pivot_col] != 0:
+            pivot_col += 1
+    return tuple(sorted(tuple(U[j]) for j in range(m)
+                        if all(rows[i][j] == 0 for i in range(n))))
+
+
 # ---------------------------------------------------------------- properties
 
 # ints, Fractions, floats and rational strings: everything la.frac reads
@@ -638,3 +735,54 @@ def test_maximal_pair_validation_matches_all_pairs(name):
 @given(cone_lists())
 def test_maximal_pair_validation_matches_all_pairs_on_random_fans(f):
     assert fan_outcome(validate_fan, f) == fan_outcome(all_pairs_validate_fan, f)
+
+
+@PROPERTY
+@given(rational_systems())
+def test_column_reduction_matches_the_kernel_loop(system):
+    A = system[0]
+    assert la.kernel_int(A) == loop_kernel_int(A)
+    if A and A[0]:
+        H, U, r = la.column_reduce(A)
+        assert la.mat_mul(la.scaled_int(A)[0], U) == H and abs(la.determinant(U)) == 1
+        assert r == la.rank(A) and not any(x for row in H for x in row[r:])
+
+
+@st.composite
+def independent_ray_sets(draw, bound):
+    """k <= n independent integral rays in Z^n, n = 2..4, entries bounded by
+    bound[n]."""
+    n = draw(st.integers(2, 4))
+    k = draw(st.integers(1, n))
+    entry = st.integers(-bound[n], bound[n])
+    rays = draw(st.lists(st.tuples(*[entry] * n), min_size=k, max_size=k))
+    assume(la.rank(rays) == k)
+    return rays
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(independent_ray_sets({2: 5, 3: 3, 4: 2}))
+@example([(1, 0), (7, 10)])
+@example([(2, 4, 6)])
+def test_parallelepiped_matches_box_scan(rays):
+    got = _parallelepiped(rays)
+    half_open = {(x, tuple(t)) for x, t in box_parallelepiped(rays) if all(ti < 1 for ti in t)}
+    assert set(got) == half_open and len(got) == len(half_open)
+    assert len(got) == minors_multiplicity(rays)
+    c = RationalCone(rays, len(rays[0]))
+    assert is_regular(c) == minors_is_regular(c)
+    if not is_regular(c):
+        assert _resolution_ray(c) == box_resolution_ray(c)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(independent_ray_sets({2: 5, 3: 2, 4: 1}))
+@example([(1, 0), (7, 10)])
+@example([(1, 0, 0), (0, 1, 0), (1, 1, 2)])
+def test_charts_and_resolutions_match_box_scan(rays):
+    c = RationalCone(rays, len(rays[0]))
+    assert hilbert_basis(c) == with_box_scan(hilbert_basis, c)
+    assert chart_presentation(c) == with_box_scan(chart_presentation, c)
+    if c.rank == 2:
+        f = fan_from_maximal([c], 2)
+        assert make_regular(f).cones == with_box_scan(make_regular, f).cones
