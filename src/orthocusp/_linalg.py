@@ -9,7 +9,8 @@ kernel basis as integer rows over one common multiple.  One unimodular
 integer column reduction, column_reduce, owns the integer kernel lattice
 (kernel_int) and the lattice block behind fan's multiplicities and
 fundamental parallelepipeds; extended Euclid on two integers (ext_gcd)
-sits beside it.  The products
+sits beside it, with the package's integer arithmetic: factor is its one
+trial division and is_prime its one primality test.  The products
 (mat_mul, mat_vec, dot) and the form evaluator (form) keep the type of
 their input: int in, int out, so integer data never meets a Fraction.
 """
@@ -253,6 +254,54 @@ def ext_gcd(a, b):
     return a, x0, y0
 
 
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_BOUND = 3317044064679887385961981
+
+
+def factor(n):
+    """{p: e} with |n| the product of the p^e, by trial division; {} for 0, 1."""
+    n, out, d = abs(n), {}, 2
+    while d * d <= n:
+        while n % d == 0:
+            n //= d
+            out[d] = out.get(d, 0) + 1
+        d += 1 if d == 2 else 2
+    if n > 1:
+        out[n] = 1
+    return out
+
+
+def is_prime(n):
+    """Deterministic Miller-Rabin on the 13 prime bases 2..41.
+
+    It is exact below 3 317 044 064 679 887 385 961 981, the least strong
+    pseudoprime to all 13 bases (Sorenson & Webster, "Strong pseudoprimes
+    to twelve prime bases", Math. Comp. 2017); at or above it a ValueError
+    is raised.
+    """
+    if n >= _MR_BOUND:
+        raise ValueError(f"primality is decided only below {_MR_BOUND}")
+    if n < 2:
+        return False
+    for a in _MR_BASES:
+        if n % a == 0:
+            return n == a
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
 def gram_preservers(A, domain, mod=None):
     """Every X, as its tuple of columns, with X^t A X = A and columns in domain.
 
@@ -262,30 +311,32 @@ def gram_preservers(A, domain, mod=None):
     per candidate, column j is drawn from the candidates of norm A[j][j],
     and it is tested only against the earlier columns.
     """
-    def red(x):
-        return x % mod if mod else x
-
-    m = len(A)
     by_norm = {}
     for v in domain:
         Av = tuple(sum(map(mul, row, v)) for row in A)
-        by_norm.setdefault(red(sum(map(mul, Av, v))), []).append((v, Av))
-    cols, images = [], []
+        q = sum(map(mul, Av, v))
+        by_norm.setdefault(q % mod if mod else q, []).append((v, Av))
+    yield from _extend_columns(A, mod, by_norm, [], [])
 
-    def extend(j):
-        if j == m:
-            yield tuple(cols)
-            return
-        targets = [red(A[i][j]) for i in range(j)]
-        for v, Av in by_norm.get(red(A[j][j]), ()):
-            if all(red(sum(map(mul, img, v))) == t for img, t in zip(images, targets)):
-                cols.append(v)
-                images.append(Av)
-                yield from extend(j + 1)
-                cols.pop()
-                images.pop()
 
-    yield from extend(0)
+def _extend_columns(A, mod, by_norm, cols, images):
+    """gram_preservers' backtracking step: every completion of cols."""
+    j = len(cols)
+    if j == len(A):
+        yield tuple(cols)
+        return
+    *targets, norm = [A[i][j] % mod if mod else A[i][j] for i in range(j + 1)]
+    for v, Av in by_norm.get(norm, ()):
+        if mod:
+            ok = all(sum(map(mul, img, v)) % mod == t for img, t in zip(images, targets))
+        else:
+            ok = all(sum(map(mul, img, v)) == t for img, t in zip(images, targets))
+        if ok:
+            cols.append(v)
+            images.append(Av)
+            yield from _extend_columns(A, mod, by_norm, cols, images)
+            cols.pop()
+            images.pop()
 
 
 def in_span(v, vectors):

@@ -126,9 +126,13 @@ def build_parser() -> argparse.ArgumentParser:
 def cmd_invariants(args):
     L = io.lattice_from_json(_read_json(args.gram))
     try:
-        places = [REAL_PLACE] + [Place(int(x)) for x in args.primes.split(",") if x.strip()]
+        primes = [int(x) for x in args.primes.split(",") if x.strip()]
     except ValueError:
         raise UsageError("--primes must be a comma-separated list of primes")
+    try:
+        places = [REAL_PLACE] + [Place(p) for p in primes]
+    except ValueError as e:
+        raise UsageError(f"--primes: {e}")
     hasse = {}
     for v in places:
         key = "oo" if v.is_real else str(v.p)

@@ -11,14 +11,15 @@ the restricted Grams (blocks of the lattice's scaled integer Gram, whose
 positive scale changes no signature and no zero test) and the cyclotomic
 certificate's candidate vectors, which are one integer multiple of the
 rational kernel basis.  Only the certificate's factor bases are divided
-back to that rational basis.
+back to that rational basis.  Factorization and primality (euler_phi,
+max_finite_order) are _linalg's factor and is_prime.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from . import _linalg as la
@@ -56,7 +57,7 @@ def max_finite_order(m: int) -> int:
     powers q with phi(q) <= m can qualify, so only those are tried."""
     orders = [(1, 0)]  # (n, sum of phi over the prime powers of n)
     for p in range(2, m + 2):
-        if all(p % d for d in range(2, p)):
+        if la.is_prime(p):
             powers, q = [(1, 0)], p
             while euler_phi(q) <= m:
                 powers.append((q, euler_phi(q)))
@@ -98,73 +99,30 @@ def enumerate_isometries(L: QuadraticLattice, bound: int):
     return [IsometryElement(mat=g, order=matrix_order(g)) for g in found]
 
 
+@functools.lru_cache(maxsize=None)
 def _cyclotomic_coeffs(n: int):
-    """Integer coefficients of the n-th cyclotomic polynomial."""
-    # Phi_n = prod_{d | n} (x^d - 1)^{mu(n/d)}: compute by polynomial division
-    poly = [1]
+    """Integer coefficients of the n-th cyclotomic polynomial, ascending.
 
-    def poly_mul_xk_minus_1(p, k):
-        out = [0] * (len(p) + k)
-        for i, c in enumerate(p):
-            out[i + k] += c
-            out[i] -= c
-        return out
-
-    def poly_div_xk_minus_1(p, k):
-        # exact division by x^k - 1
-        out = [0] * (len(p) - k)
-        rem = list(p)
-        for i in range(len(p) - k - 1 + 1)[::-1]:
-            c = rem[i + k]
-            out[i] = c
-            rem[i + k] -= c
-            rem[i] += c
-        if any(rem):
-            raise ArithmeticError(f"x^{k} - 1 does not divide the polynomial exactly")
-        return out
-
-    def mobius(n):
-        out = 1
-        d = 2
-        while d * d <= n:
-            if n % d == 0:
-                n //= d
-                if n % d == 0:
-                    return 0
-                out = -out
-            d += 1
-        if n > 1:
-            out = -out
-        return out
-
-    mults = []
-    divs = []
-    for d in range(1, n + 1):
-        if n % d == 0:
-            mu = mobius(n // d)
-            if mu == 1:
-                mults.append(d)
-            elif mu == -1:
-                divs.append(d)
-    for d in mults:
-        poly = poly_mul_xk_minus_1(poly, d)
-    for d in divs:
-        poly = poly_div_xk_minus_1(poly, d)
-    return poly
+    x^n - 1 = prod_{d | n} Phi_d, so Phi_n is x^n - 1 divided exactly by
+    the monic Phi_d of every proper divisor d.
+    """
+    poly = [-1] + [0] * (n - 1) + [1]
+    for d in _divisors(n)[:-1]:
+        phi = _cyclotomic_coeffs(d)
+        top = len(phi) - 1
+        quot = [0] * (len(poly) - top)
+        for i in reversed(range(len(quot))):
+            quot[i] = c = poly[i + top]
+            for k, b in enumerate(phi):
+                poly[i + k] -= c * b
+        poly = quot
+    return tuple(poly)
 
 
 def euler_phi(n: int) -> int:
     out = n
-    d = 2
-    m = n
-    while d * d <= m:
-        if m % d == 0:
-            out -= out // d
-            while m % d == 0:
-                m //= d
-        d += 1
-    if m > 1:
-        out -= out // m
+    for p in la.factor(n):
+        out -= out // p
     return out
 
 
@@ -418,17 +376,8 @@ def classify_ramification(g: IsometryElement, L: QuadraticLattice) -> FixedLocus
         decomposition = cyclotomic_decomposition(g, L, s_basis=report.s_basis)
         notes.append(f"CM field {field}; certificate d*phi(m) = "
                      f"{decomposition.d}*{euler_phi(m)} = {decomposition.rank}")
-    return FixedLocusReport(
-        s_basis=report.s_basis,
-        s_perp_basis=report.s_perp_basis,
-        defining_equations=report.defining_equations,
-        r_tau=m,
-        lambda_exponent=report.lambda_exponent,
-        classification=cls,
-        field_descriptor=field,
-        decomposition=decomposition,
-        notes=tuple(notes),
-    )
+    return replace(report, classification=cls, field_descriptor=field,
+                   decomposition=decomposition, notes=tuple(notes))
 
 
 def stabilizer_orders(L: QuadraticLattice, s_basis, isometries):

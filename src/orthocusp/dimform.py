@@ -163,10 +163,7 @@ def gamma_half_reciprocal_product(count: int):
             rational /= math.factorial(k // 2 - 1)
             pi_power += k // 2
         else:
-            dfact = 1
-            for j in range(k - 2, 0, -2):
-                dfact *= j
-            rational *= Fraction(2 ** ((k - 1) // 2), dfact)
+            rational *= Fraction(2 ** ((k - 1) // 2), math.prod(range(k - 2, 0, -2)))
             pi_power += (k - 1) // 2
     return rational, pi_power
 

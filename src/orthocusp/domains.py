@@ -249,9 +249,7 @@ def in_kappa(v, frame: Frame, tol: float = 0.0) -> KappaClass:
 def in_tube(y, frame: Frame) -> bool:
     """Membership in H_q^+ : q(Im y) > 0 and Im(first coordinate) > 0."""
     imv = tuple(im_part(c) for c in y)
-    qval = sum(imv[i] * sum(frame.u_gram[i][j] * imv[j] for j in range(len(imv)))
-               for i in range(len(imv)))
-    return qval > 0 and imv[0] > 0
+    return la.form(frame.u_gram, imv, imv) > 0 and imv[0] > 0
 
 
 def psi(y: TubePoint) -> ProjPoint:

@@ -5,7 +5,9 @@ all arithmetic is exact.  The Gram is also kept as the integer matrix
 scaled_gram = den * G, and b(x, y) is its integer value over den: over int
 for int vectors, whatever the denominators of G.  Hilbert symbols use the
 standard closed-form local recipes; the test suite backs the p=2 branch
-with an independent congruence-search oracle.
+with an independent congruence-search oracle.  Factorization and
+primality (square classes, relevant places, Place) are _linalg's factor
+and is_prime.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, prod
 
 from . import _linalg as la
 from ._linalg import frac
@@ -28,7 +30,7 @@ class Place:
 
     def __post_init__(self):
         if self.p is not None:
-            if self.p < 2 or any(self.p % d == 0 for d in range(2, int(self.p ** 0.5) + 1)):
+            if not la.is_prime(self.p):
                 raise ValueError(f"{self.p} is not prime")
 
     @property
@@ -85,19 +87,8 @@ def square_class(a) -> int:
     if a == 0:
         return 0
     n = a.numerator * a.denominator
-    sign = -1 if n < 0 else 1
-    n = abs(n)
-    out = 1
-    d = 2
-    while d * d <= n:
-        e = 0
-        while n % d == 0:
-            n //= d
-            e += 1
-        if e % 2:
-            out *= d
-        d += 1
-    return sign * out * n
+    odd = prod(p for p, e in la.factor(n).items() if e % 2)
+    return odd if n > 0 else -odd
 
 
 def diagonalize(L: QuadraticLattice):
@@ -216,18 +207,7 @@ def relevant_places(a, b):
     """The real place plus primes dividing 2ab (numerators and denominators)."""
     a, b = frac(a), frac(b)
     n = 2 * a.numerator * a.denominator * b.numerator * b.denominator
-    n = abs(n)
-    primes = set()
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            primes.add(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        primes.add(n)
-    return [REAL_PLACE] + [Place(p) for p in sorted(primes)]
+    return [REAL_PLACE] + [Place(p) for p in sorted(la.factor(n))]
 
 
 def _integer_vectors(dim: int, height: int):
@@ -246,10 +226,8 @@ def find_isotropic_split(L: QuadraticLattice, height: int):
     """
     if height < 1:
         raise ValueError("height must be >= 1")
-    n = L.rank
-    for cand in _integer_vectors(n, height):
-        g = gcd(*[abs(c) for c in cand]) if n > 1 else abs(cand[0])
-        if g != 1:
+    for cand in _integer_vectors(L.rank, height):
+        if gcd(*cand) != 1:
             continue
         if L.quadratic(cand) != 0:
             continue

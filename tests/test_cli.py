@@ -56,6 +56,14 @@ class TestInvariants:
     def test_missing_gram_is_usage_error(self, tmp_path, capsys):
         assert main(["invariants"]) == 2
 
+    def test_hasse_at_a_large_prime(self, tmp_path):
+        # 2^61 - 1 is prime, out of reach of trial division
+        gram = write(tmp_path, "g.json", HYP)
+        code, blob = run_to_file(tmp_path, ["invariants", "--gram", gram,
+                                            "--primes", "3,2305843009213693951"])
+        assert code == 0
+        assert json.loads(blob)["results"]["hasse"]["2305843009213693951"] == 1
+
     def test_bad_prime_list(self, tmp_path):
         gram = write(tmp_path, "g.json", HYP)
         assert main(["invariants", "--gram", gram, "--primes", "2,x"]) == 2
@@ -218,6 +226,10 @@ class TestBoundaryRefusals:
         ["invariants", "--gram", "@ragged"],
         ["invariants", "--gram", "@nonsquare"],
         ["invariants", "--gram", "@hyp", "--primes", "4"],
+        ["invariants", "--gram", "@hyp", "--primes", str(10**400)],
+        ["invariants", "--gram", "@hyp", "--primes", str(10**30 + 57)],
+        ["local-density", "--gram", "@one", "--p", str(10**400)],
+        ["local-density", "--gram", "@one", "--p", str(10**30 + 57)],
         ["fan", "validate", "--fan", "@half_ray"],
         ["fan", "validate", "--fan", "@no_rank"],
         ["fan", "validate", "--fan", "@long_ray"],
@@ -247,6 +259,16 @@ class TestBoundaryRefusals:
         assert main([files.get(a, a) for a in argv]) == 2
         err = capsys.readouterr().err
         assert err.startswith("usage error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["invariants", "--gram", "@hyp", "--primes", "2," + str(10**400)],
+        ["local-density", "--gram", "@hyp", "--p", str(10**30 + 57)],
+    ])
+    def test_undecidable_prime_names_the_bound(self, tmp_path, capsys, argv):
+        hyp = write(tmp_path, "hyp.json", HYP)
+        assert main([hyp if a == "@hyp" else a for a in argv]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "below 3317044064679887385961981" in err
 
     def test_unstable_density_detail_is_canonical(self, tmp_path, capsys):
         gram = write(tmp_path, "g3.json",

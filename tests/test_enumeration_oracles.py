@@ -3,16 +3,20 @@
 The reference functions below are the paths the integer column
 backtracking replaced: a Fraction scan of the whole box at every depth of
 the isometry search, matrix powers up to a fixed cap of 120, and a scan of
-all mod^(m^2) matrices for congruence counts.  Beside them, the Fraction
-forms that bilinear, pair and contains, which evaluate a scaled integer
-matrix, must agree with on integral and rational forms alike, and the
-Fraction cyclotomic certificate (on the rational Gram of S and the
-rational kernel bases) that the integer one replaced.  They are slow and
+all mod^(m^2) matrices for congruence counts, and the column search as
+the self-recursive closure it was before it became a module-level
+generator.  Beside them, the Fraction forms that bilinear, pair and
+contains, which evaluate a scaled integer matrix, must agree with on
+integral and rational forms alike, and the Fraction cyclotomic
+certificate (on the rational Gram of S and the rational kernel bases)
+that the integer one replaced.  They are slow and
 kept only as oracles.
 """
 
+import gc
 import itertools
 from fractions import Fraction
+from operator import mul
 
 import pytest
 from hypothesis import assume, given, settings
@@ -105,6 +109,34 @@ def scan_count(A, m, mod):
         if ok:
             count += 1
     return count
+
+
+def closure_gram_preservers(A, domain, mod=None):
+    """gram_preservers as a self-recursive closure, reducing every sum by red."""
+    def red(x):
+        return x % mod if mod else x
+
+    m = len(A)
+    by_norm = {}
+    for v in domain:
+        Av = tuple(sum(map(mul, row, v)) for row in A)
+        by_norm.setdefault(red(sum(map(mul, Av, v))), []).append((v, Av))
+    cols, images = [], []
+
+    def extend(j):
+        if j == m:
+            yield tuple(cols)
+            return
+        targets = [red(A[i][j]) for i in range(j)]
+        for v, Av in by_norm.get(red(A[j][j]), ()):
+            if all(red(sum(map(mul, img, v))) == t for img, t in zip(images, targets)):
+                cols.append(v)
+                images.append(Av)
+                yield from extend(j + 1)
+                cols.pop()
+                images.pop()
+
+    yield from extend(0)
 
 
 def restricted_gram(L, basis):
@@ -224,6 +256,26 @@ def test_isometries_match_box_scan(G, bound):
     assert [g.mat for g in pool] == [la.mat(g) for g in want]
     for g in pool:
         assert g.order == capped_order(g.mat)
+
+
+@PROPERTY
+@given(integral_grams(ranks=(2, 3)), st.sampled_from([None, 2, 3, 4]))
+def test_gram_preservers_match_closure_in_order(A, mod):
+    domain = list(itertools.product(range(mod) if mod else range(-1, 2), repeat=len(A)))
+    assert list(la.gram_preservers(A, domain, mod)) == \
+        list(closure_gram_preservers(A, domain, mod))
+
+
+def test_gram_preservers_leave_no_reference_cycles():
+    A = ((1, 0, 0), (0, 1, 0), (0, 0, -1))
+    gc.collect()
+    gc.disable()
+    try:
+        found = list(la.gram_preservers(A, itertools.product(range(-1, 2), repeat=3)))
+        unreachable = gc.collect()
+    finally:
+        gc.enable()
+    assert len(found) == 16 and unreachable == 0
 
 
 @PROPERTY

@@ -1,6 +1,7 @@
 """Rules the package source keeps."""
 
 import ast
+import sys
 from pathlib import Path
 
 import orthocusp
@@ -18,4 +19,20 @@ def test_no_assert_statements():
              for path in SOURCES
              for node in ast.walk(ast.parse(path.read_text(), str(path)))
              if isinstance(node, ast.Assert)]
+    assert found == []
+
+
+def test_imports_are_stdlib_or_package():
+    # the core is pure standard library: no third-party import anywhere
+    found = []
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno}:{name}" for name in names
+                      if name.split(".")[0] not in sys.stdlib_module_names | {"orthocusp"}]
     assert found == []
