@@ -9,9 +9,12 @@ points are filters of it.  core_extremes scans once, at 2H, and takes
 the H window as the points of sup-norm <= H.  A pool point is extreme
 when it is a vertex of the hull of the window pool plus the window
 recession rays, and no other pool point reaches it through the closed
-cone.  The support-hyperplane candidates are facet normals of the
-windowed hull of the extreme set.  Both hulls come from the integer
-double-description kernel in fan.py.
+cone.  The vertices are the extreme rays that the integer
+double-description kernel in fan.py returns for the lifted hull; the
+second condition keeps the minima of one graded sweep over the pool
+(fan._cone_minima, which also serves Hilbert bases).  The
+support-hyperplane candidates are facet normals of the windowed hull of
+the extreme set.
 """
 
 from __future__ import annotations
@@ -25,8 +28,9 @@ from .errors import NotConePreserving, UnstableTruncation
 from .fan import (
     Fan,
     RationalCone,
+    _cone_minima,
+    _extreme_rays_of_halfspaces,
     _facets_of,
-    _incidence_rank,
     fan_from_maximal,
     validate_fan,
 )
@@ -168,20 +172,23 @@ def _extreme_points_of(pool, recession, cone: SelfAdjointCone):
     """Pool points that are vertices of conv(pool) + cone(recession) and
     are not v = s + c for another pool point s and c in the closed cone.
 
-    Vertices are the pool points p whose lift (p, 1) has incidence rank
-    dim in the cone over (pool, 1) and (recession, 0).  The closed-cone
-    filter stays: the window recession rays under-approximate the cone.
+    The pool is a set of distinct integral points of the closed cone.
+    Vertices are read off the extreme rays of the pointed cone over
+    (pool, 1) and (recession, 0): the lift (p, 1) of an integral p is
+    primitive, so the rays with a nonzero last coordinate are exactly the
+    (p, 1) of the vertices.  The closed-cone filter stays, since the
+    window recession rays under-approximate the cone: it keeps the minima
+    of the pool in the closed cone's order, graded by the side covector,
+    which is positive on the closed cone minus 0 (w is timelike, so w^perp
+    is negative definite).
     """
     gens = [tuple(p) + (1,) for p in pool] + [tuple(r) + (0,) for r in recession]
     facets, eqs = _facets_of(gens, cone.dim + 1)
-
-    def dominated(v):
-        return any(cone.contains(tuple(a - b for a, b in zip(v, s)), closed=True)
-                   for s in pool if tuple(s) != tuple(v))
-
-    return tuple(v for v in sorted(pool)
-                 if _incidence_rank(tuple(v) + (1,), facets, eqs) == cone.dim
-                 and not dominated(v))
+    rays = _extreme_rays_of_halfspaces(facets, cone.dim + 1, equations=eqs)
+    vertices = {r[:-1] for r in rays if r[-1]}
+    minima = _cone_minima(pool, lambda v: la.dot(cone._side, v),
+                          lambda x: cone.contains(x, closed=True))
+    return tuple(sorted(v for v in minima if tuple(v) in vertices))
 
 
 def core_extremes(cone: SelfAdjointCone, variant: str, height: int) -> ExtremeSet:
@@ -313,21 +320,14 @@ def gamma_check(fan: Fan, gens, cone: SelfAdjointCone, window_bound: int) -> Gam
     window.  Raises NotConePreserving when a generator fails to preserve
     the cone itself, or when an unexcused image cone is missing.
     """
+    tops = list(fan.top_cones())
+    sample = next((s for s in (c.barycenter() for c in tops) if any(s)), None)
     for g in gens:
         g = la.mat(g)
         if not la.preserves_form(g, cone.lattice.gram):
             raise NotConePreserving("generator is not an isometry of the cone form")
-        sample = None
-        for c in fan.top_cones():
-            s = tuple(sum(r[k] for r in c.rays) for k in range(cone.dim))
-            if any(s):
-                sample = s
-                break
-        if sample is not None:
-            img = la.mat_vec(g, sample)
-            if la.dot(cone.rho, img) <= 0:
-                raise NotConePreserving("generator swaps the cone components")
-    tops = list(fan.top_cones())
+        if sample is not None and la.dot(cone.rho, la.mat_vec(g, sample)) <= 0:
+            raise NotConePreserving("generator swaps the cone components")
     index = {c: i for i, c in enumerate(tops)}
     parent = list(range(len(tops)))
 

@@ -102,13 +102,14 @@ def local_density(L: QuadraticLattice, p: int, k_max: int = 4) -> LocalDensityRe
     N_{p^k} = #{X mod p^k : X^t A X = A mod p^k}, counted by column
     backtracking over (Z/p^k)^m; the density N_{p^k} / p^{k m(m-1)/2} is
     returned once two consecutive k agree.  This is the normative oracle;
-    p = 2 and k with p^{k m^2} beyond the scan budget are refused rather
-    than extrapolated.
+    p = 2, degenerate Gram matrices and k with p^{k m^2} beyond the scan
+    budget are refused rather than extrapolated.
     """
     if p == 2:
         raise DeskScopeError("p = 2 local densities are outside desk scope")
     if L.den != 1:
         raise DeskScopeError("congruence counting needs an integral Gram matrix")
+    L.require_regular()
     m, A = L.rank, L.scaled_gram
     densities = []
     counts = []

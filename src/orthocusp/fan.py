@@ -89,21 +89,31 @@ def _facets_of(gens, rank):
     return _extreme_rays_of_halfspaces(gens, rank, equations=eqs), eqs
 
 
-def _incidence_rank(v, facets, eqs):
-    """Rank of the facets tight at v together with the span equations."""
-    return la.rank([a for a in facets if la.dot(a, v) == 0] + list(eqs))
+def _cone_minima(points, grade, contains):
+    """The points that no other point lies below in a cone's order.
+
+    A sweep in (grade, point) order keeps a point unless it minus a kept
+    point lies in the cone.  It is exact when the cone is pointed, the
+    grade is positive on the cone minus 0 and the points are distinct:
+    a point below p then has a smaller grade, so a minimal point below p
+    is kept before p is reached.  Kept points come in sweep order.
+    """
+    kept = []
+    for v in sorted(points, key=lambda v: (grade(v), v)):
+        if not any(contains(tuple(a - b for a, b in zip(v, h))) for h in kept):
+            kept.append(v)
+    return kept
 
 
 class RationalCone:
     """Cone generated by primitive integral rays (pointed by default).
 
-    degenerate=True marks cones allowed to contain lines; such cones carry
-    explicit line generators and arise only as duals of lower-dimensional
-    cones.
+    lines= holds the explicit line generators of a cone that contains
+    lines; such cones arise only as duals of lower-dimensional cones.
 
-    Canonicalization keeps the extreme rays of a pointed cone: the rays at
-    which the tight facets and the span equations have rank rank - 1.  A
-    cone with a lineality space has no extreme rays, so it keeps its
+    Canonicalization keeps the extreme rays of a pointed cone, which the
+    double description of its facets and span equations returns.  A cone
+    with a lineality space has no extreme rays, so it keeps its
     deduplicated input rays, which generate the same cone.
     """
 
@@ -113,8 +123,7 @@ class RationalCone:
         self.lines = tuple(sorted(la.primitive(l) for l in lines))
         if canonicalize and self.rays and self.is_pointed:
             facets, eqs = self.facet_normals()
-            self.rays = tuple(r for r in self.rays
-                              if _incidence_rank(r, facets, eqs) == self.rank - 1)
+            self.rays = _extreme_rays_of_halfspaces(facets, self.rank, equations=eqs)
 
     @property
     def is_degenerate(self) -> bool:
@@ -478,24 +487,11 @@ def _hilbert_basis_pointed(d: RationalCone, primal: RationalCone):
     cand = set(d.rays)
     for tri in _triangulate(d):
         cand.update(p for p, _ in _parallelepiped(tri) if any(p))
-    # grade by a strictly positive functional: the sum of primal rays spans
-    # the interior pairing (fall back to coordinate sum of dual generators)
-    if primal.rays:
-        w = [sum(r[k] for r in primal.rays) for k in range(d.rank)]
-    else:
-        w = [1] * d.rank
-    cand = sorted(cand, key=lambda v: (la.dot(w, v), v))
-    basis = []
-    for v in cand:
-        reducible = False
-        for h in basis:
-            diff = tuple(a - b for a, b in zip(v, h))
-            if any(diff) and d.contains(diff):
-                reducible = True
-                break
-        if not reducible:
-            basis.append(v)
-    return sorted(basis)
+    # grade by a strictly positive functional: the primal barycenter pairs
+    # positively with the dual minus its lines (fall back to the coordinate
+    # sum of dual generators)
+    w = primal.barycenter() if primal.rays else [1] * d.rank
+    return sorted(_cone_minima(cand, lambda v: la.dot(w, v), d.contains))
 
 
 def chart_presentation(c: RationalCone):

@@ -279,6 +279,16 @@ class TestBoundaryRefusals:
                            "detail": "densities [16/9] did not stabilize by k_max=4 "
                                      "within the scan budget"}
 
+    def test_degenerate_density_is_refused(self, tmp_path, capsys):
+        # the density of a degenerate form does not exist: refuse it as
+        # invariants does, not by the scan budget
+        gram = write(tmp_path, "deg.json", {"gram": [["2", "0"], ["0", "0"]]})
+        assert main(["local-density", "--gram", gram, "--p", "3"]) == 1
+        results = json.loads(capsys.readouterr().out)["results"]
+        assert results == {"error": "DegenerateForm", "detail": "det(gram) = 0"}
+        assert main(["invariants", "--gram", gram]) == 1
+        assert json.loads(capsys.readouterr().out)["results"] == results
+
     def test_domain_error_report_goes_to_stdout(self, tmp_path, capsys):
         # p = 2 is a prime outside desk scope: a domain error, not a usage error
         gram = write(tmp_path, "one.json", {"gram": [["1"]]})

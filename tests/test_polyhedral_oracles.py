@@ -15,8 +15,13 @@ intersected every pair of cones.  Last come the bounding-box scan for the
 points of a fundamental parallelepiped and the gcd of maximal minors that
 fan's regularity test, resolution ray and Hilbert bases ran on before one
 integer column reduction (la.column_reduce) replaced them, and the kernel
-loop that reduction was lifted from.  They are slow and kept only as
-oracles.
+loop that reduction was lifted from.  Then the extremality tests that
+re-derived what the double description returns: the incidence rank of
+each generator, which canonicalized RationalCone, and the hull vertices
+by incidence rank with the filter over every pool pair, which
+_extreme_points_of ran before the kernel's extreme rays and one graded
+sweep (fan._cone_minima) replaced them; and the all-pairs minima that
+sweep computes.  They are slow and kept only as oracles.
 """
 
 import itertools
@@ -47,7 +52,9 @@ from orthocusp.fan import (
     Fan,
     FanReport,
     RationalCone,
+    _cone_minima,
     _extreme_rays_of_halfspaces,
+    _facets_of,
     _parallelepiped,
     _resolution_ray,
     barycentric_subdivide,
@@ -463,6 +470,44 @@ def loop_kernel_int(A):
                         if all(rows[i][j] == 0 for i in range(n))))
 
 
+def incidence_rank(v, facets, eqs):
+    """Rank of the facets tight at v together with the span equations."""
+    return la.rank([a for a in facets if la.dot(a, v) == 0] + list(eqs))
+
+
+def incidence_canonical_rays(rays, rank):
+    """The distinct primitive rays; for a pointed cone, those at which the
+    tight facets and the span equations have rank rank - 1."""
+    rays = tuple(sorted({la.primitive(r) for r in rays if any(r)}))
+    facets, eqs = _facets_of(rays, rank)
+    if not rays or la.rank(facets + eqs) != rank:
+        return rays
+    return tuple(r for r in rays if incidence_rank(r, facets, eqs) == rank - 1)
+
+
+def pairwise_extreme_points_of(pool, recession, cone):
+    """Pool points whose lift (p, 1) has incidence rank dim in the cone over
+    (pool, 1) and (recession, 0), and which no other pool point reaches
+    through the closed cone."""
+    gens = [tuple(p) + (1,) for p in pool] + [tuple(r) + (0,) for r in recession]
+    facets, eqs = _facets_of(gens, cone.dim + 1)
+
+    def dominated(v):
+        return any(cone.contains(tuple(a - b for a, b in zip(v, s)), closed=True)
+                   for s in pool if tuple(s) != tuple(v))
+
+    return tuple(v for v in sorted(pool)
+                 if incidence_rank(tuple(v) + (1,), facets, eqs) == cone.dim
+                 and not dominated(v))
+
+
+def all_pairs_minima(points, contains):
+    """The points v with v - s in the cone for no other point s."""
+    return sorted(v for v in points
+                  if not any(s != v and contains(tuple(a - b for a, b in zip(v, s)))
+                             for s in points))
+
+
 # ---------------------------------------------------------------- properties
 
 # ints, Fractions, floats and rational strings: everything la.frac reads
@@ -577,6 +622,93 @@ def test_extreme_points_match_lp_reduction(name, closed, data):
     recession = boundary_rays(cone, 2)
     want = tuple(v for v in sorted(pool) if not lp_reducible(v, pool, recession, cone))
     assert _extreme_points_of(pool, recession, cone) == want
+
+
+# two non-diagonal forms: [[2, 1], [1, -1]] has no rational isotropic line,
+# [[0, 1], [1, 1]] has two
+WINDOW_CONES = dict(CONES, light_cone_3=light_cone(3),
+                    non_diagonal=SelfAdjointCone([[2, 1], [1, -1]], (1, 0)),
+                    non_diagonal_isotropic=SelfAdjointCone([[0, 1], [1, 1]], (1, 1)))
+
+
+@PROPERTY
+@given(st.sampled_from(sorted(WINDOW_CONES)), st.integers(1, 2), st.data())
+def test_extreme_points_match_pairwise_filter(name, height, data):
+    cone = WINDOW_CONES[name]
+    window = cone_lattice_points(cone, height, closed=True)
+    pool = data.draw(st.lists(st.sampled_from(window), min_size=1, max_size=20, unique=True))
+    recession = boundary_rays(cone, height)
+    assert _extreme_points_of(pool, recession, cone) == \
+        pairwise_extreme_points_of(pool, recession, cone)
+
+
+@pytest.mark.parametrize("name", sorted(WINDOW_CONES))
+def test_extreme_points_of_whole_windows_match_pairwise_filter(name):
+    cone = WINDOW_CONES[name]
+    for height in (1, 2):
+        for closed in (False, True):
+            pool = cone_lattice_points(cone, height, closed=closed)
+            recession = boundary_rays(cone, height)
+            assert _extreme_points_of(pool, recession, cone) == \
+                pairwise_extreme_points_of(pool, recession, cone)
+
+
+@st.composite
+def generator_sets(draw):
+    """(generators, rank), rank 2..4: drawn freely or as nonnegative
+    combinations of fewer base vectors (a lower-dimensional span), some
+    scaled to non-primitive vectors and some repeated.  A positive first
+    coordinate, drawn half the time, keeps the cone pointed."""
+    rank = draw(st.integers(2, 4))
+    first = st.integers(1, 3) if draw(st.booleans()) else coord
+    vector = st.tuples(first, *[coord] * (rank - 1))
+    if draw(st.booleans()):
+        gens = draw(st.lists(vector, min_size=1, max_size=7))
+    else:
+        base = draw(st.lists(vector, min_size=1, max_size=rank - 1))
+        weights = draw(st.lists(st.tuples(*[st.integers(0, 2)] * len(base)),
+                                min_size=1, max_size=7))
+        gens = [tuple(sum(c * b[j] for c, b in zip(w, base)) for j in range(rank))
+                for w in weights]
+    gens = [tuple(draw(st.integers(1, 3)) * x for x in g) for g in gens]
+    return gens + draw(st.lists(st.sampled_from(gens), max_size=2)), rank
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(generator_sets())
+@example(([(2, 0), (1, 0), (1, 1), (3, 3)], 2))
+@example(([(1, 0, 0), (0, 1, 0), (1, 1, 0), (-1, 0, 0)], 3))
+def test_canonical_rays_match_incidence_rank_filter(gens_rank):
+    gens, rank = gens_rank
+    assert RationalCone(gens, rank).rays == incidence_canonical_rays(gens, rank)
+
+
+@PROPERTY
+@given(pointed_ray_sets(), st.data())
+def test_cone_minima_match_all_pairs_in_rational_cones(rays_dim, data):
+    # the sum of the facet normals grades the pointed cone: it vanishes
+    # only where every facet is tight.  Reversed rays have a positive last
+    # coordinate, so the sweep cannot lean on lexicographic order; the
+    # points need not lie in the cone
+    rays, dim = rays_dim
+    c = RationalCone([r[::-1] for r in rays], dim)
+    grade = [sum(col) for col in zip(*c.facet_normals()[0])]
+    points = data.draw(st.lists(st.tuples(*[coord] * dim), max_size=25, unique=True))
+    assert sorted(_cone_minima(points, lambda v: la.dot(grade, v), c.contains)) == \
+        all_pairs_minima(points, c.contains)
+
+
+@PROPERTY
+@given(st.sampled_from(sorted(WINDOW_CONES)), st.data())
+def test_cone_minima_match_all_pairs_in_closed_cones(name, data):
+    cone = WINDOW_CONES[name]
+    points = data.draw(st.lists(st.tuples(*[coord] * cone.dim), max_size=25, unique=True))
+
+    def contains(x):
+        return cone.contains(x, closed=True)
+
+    got = _cone_minima(points, lambda v: la.dot(cone._side, v), contains)
+    assert sorted(got) == all_pairs_minima(points, contains)
 
 
 SUPPORT_CONES = dict(CONES, anisotropic=SelfAdjointCone([[1, 0], [0, -3]], (1, 0)))

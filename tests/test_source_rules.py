@@ -36,3 +36,22 @@ def test_imports_are_stdlib_or_package():
             found += [f"{path.name}:{node.lineno}:{name}" for name in names
                       if name.split(".")[0] not in sys.stdlib_module_names | {"orthocusp"}]
     assert found == []
+
+
+# the modules that read, compute or write float-mode coordinates
+FLOAT_FRONT_ENDS = {"cli", "dimform", "domains", "gaussian", "reportio"}
+
+
+def test_no_floats_outside_the_float_front_ends():
+    # exact answers: no float or complex literal, and no float( or complex(
+    # call, in the exact core
+    found = []
+    for path in SOURCES:
+        if path.stem in FLOAT_FRONT_ENDS:
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Constant) and type(node.value) in (float, complex) \
+                    or isinstance(node, ast.Call) and isinstance(node.func, ast.Name) \
+                    and node.func.id in ("float", "complex"):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
