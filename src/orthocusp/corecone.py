@@ -9,9 +9,9 @@ points are filters of it.  core_extremes scans once, at 2H, and takes
 the H window as the points of sup-norm <= H.  A pool point is extreme
 when it is a vertex of the hull of the window pool plus the window
 recession rays, and no other pool point reaches it through the closed
-cone.  The vertices are the extreme rays that the integer
-double-description kernel in fan.py returns for the lifted hull; the
-second condition keeps the minima of one graded sweep over the pool
+cone.  The vertices are the extreme generators of the lifted hull, read
+off the one double description pass of fan._facets_of; the second
+condition keeps the minima of one graded sweep over the pool
 (fan._cone_minima, which also serves Hilbert bases).  The
 support-hyperplane candidates are facet normals of the windowed hull of
 the extreme set.
@@ -29,7 +29,6 @@ from .fan import (
     Fan,
     RationalCone,
     _cone_minima,
-    _extreme_rays_of_halfspaces,
     _facets_of,
     fan_from_maximal,
     validate_fan,
@@ -173,19 +172,17 @@ def _extreme_points_of(pool, recession, cone: SelfAdjointCone):
     are not v = s + c for another pool point s and c in the closed cone.
 
     The pool is a set of distinct integral points of the closed cone.
-    Vertices are read off the extreme rays of the pointed cone over
-    (pool, 1) and (recession, 0): the lift (p, 1) of an integral p is
-    primitive, so the rays with a nonzero last coordinate are exactly the
-    (p, 1) of the vertices.  The closed-cone filter stays, since the
+    The vertices are the p whose lift (p, 1) is an extreme generator of
+    the pointed cone over (recession, 0) and (pool, 1), whose generators
+    lie on distinct rays; the recession rows come first, which keeps the
+    double description small.  The closed-cone filter stays, since the
     window recession rays under-approximate the cone: it keeps the minima
     of the pool in the closed cone's order, graded by the side covector,
     which is positive on the closed cone minus 0 (w is timelike, so w^perp
     is negative definite).
     """
-    gens = [tuple(p) + (1,) for p in pool] + [tuple(r) + (0,) for r in recession]
-    facets, eqs = _facets_of(gens, cone.dim + 1)
-    rays = _extreme_rays_of_halfspaces(facets, cone.dim + 1, equations=eqs)
-    vertices = {r[:-1] for r in rays if r[-1]}
+    gens = [tuple(r) + (0,) for r in recession] + [tuple(p) + (1,) for p in pool]
+    vertices = {g[:-1] for g in _facets_of(gens, cone.dim + 1)[2] if g[-1]}
     minima = _cone_minima(pool, lambda v: la.dot(cone._side, v),
                           lambda x: cone.contains(x, closed=True))
     return tuple(sorted(v for v in minima if tuple(v) in vertices))
@@ -258,7 +255,7 @@ def support_fan(K: KernelSpec, E: ExtremeSet, cone: SelfAdjointCone,
     recession = boundary_rays(cone, window)
     gens = [la.mat_vec(cone.inner, e) + (1,) for e in pts] \
         + [la.mat_vec(cone.inner, r) + (0,) for r in recession]
-    facets, eqs = _facets_of(gens, dim + 1)
+    facets, eqs, _ = _facets_of(gens, dim + 1)
     functionals = []
     for a in facets + eqs + tuple(tuple(-x for x in e) for e in eqs):
         if a[-1] >= 0:
@@ -271,25 +268,19 @@ def support_fan(K: KernelSpec, E: ExtremeSet, cone: SelfAdjointCone,
             continue
         functionals.append((y, tuple(tuple(e) for e in contact)))
     functionals = sorted(set(functionals))
+    cones = [RationalCone([la.primitive(e) for e in contact], dim)
+             for _, contact in functionals] or [RationalCone(list(recession), dim)]
+    fan = fan_from_maximal(cones, dim)
+    rep = validate_fan(fan)
+    report = SupportFanReport(degenerate=not functionals,
+                              functionals=tuple(y for y, _ in functionals),
+                              fan_valid=rep.valid)
     if not functionals:
-        trivial = RationalCone(list(recession), dim)
-        fan = fan_from_maximal([trivial], dim)
-        report = SupportFanReport(degenerate=True, functionals=(),
-                                  fan_valid=validate_fan(fan).valid)
         report.warnings.append(
             "DegenerateSupport: no support hyperplane has a spanning contact "
             "set in the window; returning the trivial decomposition"
         )
-        return fan, report
-    cones = []
-    for y, contact in functionals:
-        cones.append(RationalCone([la.primitive(e) for e in contact], dim))
-    fan = fan_from_maximal(cones, dim)
-    rep = validate_fan(fan)
-    report = SupportFanReport(degenerate=False,
-                              functionals=tuple(y for y, _ in functionals),
-                              fan_valid=rep.valid)
-    if not rep.valid:
+    elif not rep.valid:
         report.warnings.append(f"window fan failed validation: {rep.violations}")
     return fan, report
 
@@ -322,12 +313,6 @@ def gamma_check(fan: Fan, gens, cone: SelfAdjointCone, window_bound: int) -> Gam
     """
     tops = list(fan.top_cones())
     sample = next((s for s in (c.barycenter() for c in tops) if any(s)), None)
-    for g in gens:
-        g = la.mat(g)
-        if not la.preserves_form(g, cone.lattice.gram):
-            raise NotConePreserving("generator is not an isometry of the cone form")
-        if sample is not None and la.dot(cone.rho, la.mat_vec(g, sample)) <= 0:
-            raise NotConePreserving("generator swaps the cone components")
     index = {c: i for i, c in enumerate(tops)}
     parent = list(range(len(tops)))
 
@@ -337,18 +322,19 @@ def gamma_check(fan: Fan, gens, cone: SelfAdjointCone, window_bound: int) -> Gam
             i = parent[i]
         return i
 
-    def union(i, j):
-        parent[find(i)] = find(j)
-
     excused = []
     violations = []
     for gi, g in enumerate(gens):
         g = la.mat(g)
+        if not la.preserves_form(g, cone.lattice.gram):
+            raise NotConePreserving("generator is not an isometry of the cone form")
+        if sample is not None and la.dot(cone.rho, la.mat_vec(g, sample)) <= 0:
+            raise NotConePreserving("generator swaps the cone components")
         for c in tops:
             img_rays = [la.primitive(la.mat_vec(g, r)) for r in c.rays]
             img = RationalCone(img_rays, fan.rank)
             if img in index:
-                union(index[c], index[img])
+                parent[find(index[c])] = find(index[img])
                 continue
             if any(max(abs(x) for x in r) > window_bound for r in img_rays):
                 excused.append({"generator": gi, "cone": list(c.rays),

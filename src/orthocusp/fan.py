@@ -2,8 +2,8 @@
 
 All arithmetic is exact (integers and Fractions); every predicate is a
 decision procedure.  Cones are stored by primitive integral ray
-generators, canonicalized to extreme rays via double description; facet
-normals are cached after the first dual computation.  The lattice points
+generators; one cached double description pass (_facets_of) gives a
+cone's facets, span equations and extreme generators.  The lattice points
 of a simplicial cone's fundamental parallelepiped (_parallelepiped), and
 with them multiplicity, regularity, resolution rays and Hilbert-basis
 candidates, come from the integer column reduction _linalg.column_reduce.
@@ -17,23 +17,27 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from operator import mul
+from functools import reduce
+from operator import and_, mul
 
 from . import _linalg as la
 from .errors import ConeNotInFan
 
 
-def _extreme_rays_of_halfspaces(normals, dim, equations=()):
-    """Primitive extreme rays of {x : <n_i, x> >= 0, <e_j, x> = 0}.
+def _double_description(normals, dim, equations=()):
+    """Sorted (ray, zero set) pairs of {x : <n_i, x> >= 0, <e_j, x> = 0}.
 
     Fraction-free double description (Motzkin; Fukuda & Prodon, "Double
     description method revisited", 1996).  It works in integer coordinates
     on a Z-basis of the subspace the equations cut out, starts from the
     simplicial cone of k independent rows, and adds the other half-spaces
     one at a time, joining each positive/negative pair of rays that are
-    adjacent by the zero-set test.  A solution cone that is not pointed
-    gives +-l for a one-dimensional lineality space spanned by l, and ()
-    otherwise.
+    adjacent by the zero-set test.  Bit i of a ray's zero set is set when
+    <normals[i], ray> = 0 (a normal that vanishes on the subspace has no
+    bit); the adjacency test reads only & and bit_count, so the bits carry
+    the caller's indices from the start.  A solution cone that is not
+    pointed gives +-l for a one-dimensional lineality space spanned by l,
+    tight on every row, and () otherwise.
     """
     basis = la.kernel_int(equations or [(0,) * dim])
     k = len(basis)
@@ -44,23 +48,22 @@ def _extreme_rays_of_halfspaces(normals, dim, equations=()):
         # a primitive y lifts to a primitive vector: the basis is saturated
         return tuple(sum(c * b[i] for c, b in zip(y, basis)) for i in range(dim))
 
-    rows = [la.primitive(r) for r in ([la.dot(n, b) for b in basis] for n in normals)
-            if any(r)]
-    first = la.echelon(la.transpose(rows))[1]
+    rows = [(la.primitive(r), 1 << i) for i, r in enumerate(
+        [la.dot(n, b) for b in basis] for n in normals) if any(r)]
+    first = la.echelon(la.transpose([r for r, _ in rows]))[1]
     if len(first) < k:
         if len(first) < k - 1:
             return ()
-        line = lift(la.primitive(la.nullspace(rows or [(0,) * k])[0]))
-        return tuple(sorted({line, tuple(-x for x in line)}))
-    order = list(first) + [i for i in range(len(rows)) if i not in first]
-    rows = [rows[i] for i in order]
+        line = lift(la.primitive(la.nullspace([r for r, _ in rows] or [(0,) * k])[0]))
+        tight = sum(bit for _, bit in rows)
+        return tuple(sorted((r, tight) for r in {line, tuple(-x for x in line)}))
+    rows = [rows[i] for i in first] + [x for i, x in enumerate(rows) if i not in first]
     # simplicial start: ray j is tight on every chosen row but row j
-    inv = la.inverse(rows[:k])
-    full = (1 << k) - 1
-    rays = [(la.primitive([inv[i][j] for i in range(k)]), full & ~(1 << j))
+    inv = la.inverse([r for r, _ in rows[:k]])
+    full = sum(bit for _, bit in rows[:k])
+    rays = [(la.primitive([inv[i][j] for i in range(k)]), full & ~rows[j][1])
             for j in range(k)]
-    for t in range(k, len(rows)):
-        a, bit = rows[t], 1 << t
+    for a, bit in rows[k:]:
         signs = [(r, z, la.dot(a, r)) for r, z in rays]
         pos = [x for x in signs if x[2] > 0]
         neg = [x for x in signs if x[2] < 0]
@@ -75,18 +78,34 @@ def _extreme_rays_of_halfspaces(normals, dim, equations=()):
                 nxt.append((la.primitive([sp * x - sn * y for x, y in zip(n, p)]),
                             common | bit))
         rays = nxt
-    return tuple(sorted(lift(r) for r, _ in rays))
+    return tuple(sorted((lift(r), z) for r, z in rays))
+
+
+def _extreme_rays_of_halfspaces(normals, dim, equations=()):
+    """Primitive extreme rays of {x : <n_i, x> >= 0, <e_j, x> = 0}, sorted."""
+    return tuple(r for r, _ in _double_description(normals, dim, equations))
 
 
 def _facets_of(gens, rank):
-    """(facets, span equations) of cone(gens) in Q^rank.
+    """(facets, span equations, extreme generators) of cone(gens) in Q^rank.
 
-    The facets are the primitive extreme rays of the dual cone taken
-    inside span(gens); the span equations are a primitive basis of
-    span(gens)^perp (every unit vector when gens is empty).
+    One double description pass.  The facets are the primitive extreme
+    rays of the dual cone taken inside span(gens); the span equations are
+    a primitive basis of span(gens)^perp (every unit vector when gens is
+    empty).  g_i is extreme, kept in input order, when the zero sets of
+    the facets through it AND to 1 << i (over no facets, to every
+    generator).  This is exact when cone(gens) is pointed and the gens are
+    nonzero and on distinct rays (two gens on one ray are both dropped):
+    the facets through g cut out the least face holding g, which is the
+    ray of g when g is extreme, and otherwise has dimension >= 2 and
+    generators on at least two of its extreme rays.
     """
     eqs = tuple(la.primitive(e) for e in la.nullspace(gens or [(0,) * rank]))
-    return _extreme_rays_of_halfspaces(gens, rank, equations=eqs), eqs
+    hull = _double_description(gens, rank, equations=eqs)
+    every = (1 << len(gens)) - 1
+    extreme = tuple(g for i, g in enumerate(gens)
+                    if reduce(and_, (z for _, z in hull if z >> i & 1), every) == 1 << i)
+    return tuple(f for f, _ in hull), eqs, extreme
 
 
 def _cone_minima(points, grade, contains):
@@ -111,10 +130,10 @@ class RationalCone:
     lines= holds the explicit line generators of a cone that contains
     lines; such cones arise only as duals of lower-dimensional cones.
 
-    Canonicalization keeps the extreme rays of a pointed cone, which the
-    double description of its facets and span equations returns.  A cone
-    with a lineality space has no extreme rays, so it keeps its
-    deduplicated input rays, which generate the same cone.
+    Canonicalization keeps the extreme rays of a pointed cone, which are
+    the input rays that _facets_of finds extreme.  A cone with a
+    lineality space has no extreme rays, so it keeps its deduplicated
+    input rays, which generate the same cone.
     """
 
     def __init__(self, rays, rank: int, lines=(), canonicalize: bool = True):
@@ -122,8 +141,7 @@ class RationalCone:
         self.rays = tuple(sorted({la.primitive(r) for r in rays if any(r)}))
         self.lines = tuple(sorted(la.primitive(l) for l in lines))
         if canonicalize and self.rays and self.is_pointed:
-            facets, eqs = self.facet_normals()
-            self.rays = _extreme_rays_of_halfspaces(facets, self.rank, equations=eqs)
+            self.rays = self._facets[2]  # cached by is_pointed
 
     @property
     def is_degenerate(self) -> bool:
@@ -152,12 +170,12 @@ class RationalCone:
 
     def facet_normals(self):
         """Primitive inequalities cutting the cone inside its span, plus the
-        span equations; cached."""
+        span equations; the whole _facets_of pass is cached."""
         if not hasattr(self, "_facets"):
             gens = list(self.rays) + list(self.lines) \
                 + [tuple(-x for x in l) for l in self.lines]
             self._facets = _facets_of(gens, self.rank)
-        return self._facets
+        return self._facets[:2]
 
     def contains(self, x) -> bool:
         ineqs, eqs = self.facet_normals()
@@ -171,28 +189,24 @@ class RationalCone:
 
 
 def dual_cone(c: RationalCone) -> RationalCone:
-    """Dual cone in the dual lattice (double description).
+    """Dual cone in the dual lattice: the cached facets of c are its rays.
 
     The dual of a non-full-dimensional cone is degenerate: its lines are
     the orthogonal complement of span(c).
     """
     gens = list(c.rays) + list(c.lines) + [tuple(-x for x in l) for l in c.lines]
-    if not gens:
-        return RationalCone([], c.rank, canonicalize=False,
-                            lines=[tuple(int(i == j) for j in range(c.rank))
-                                   for i in range(c.rank)])
-    lines = la.kernel_int(gens)
-    rays = _extreme_rays_of_halfspaces(gens, c.rank, equations=lines)
-    return RationalCone(rays, c.rank, lines=lines, canonicalize=False)
+    return RationalCone(c.facet_normals()[0], c.rank,
+                        lines=la.kernel_int(gens or [(0,) * c.rank]), canonicalize=False)
 
 
 def intersect_cones(a: RationalCone, b: RationalCone) -> RationalCone:
+    """a cap b; the double description returns its primitive extreme rays."""
     ia, ea = a.facet_normals()
     ib, eb = b.facet_normals()
     normals = list(ia) + list(ib)
     eqs = list(ea) + list(eb)
     rays = _extreme_rays_of_halfspaces(normals, a.rank, equations=eqs)
-    return RationalCone(rays, a.rank)
+    return RationalCone(rays, a.rank, canonicalize=False)
 
 
 def faces(c: RationalCone):

@@ -1,5 +1,6 @@
 """CLI golden tests: determinism, exit codes, round trips."""
 
+import hashlib
 import json
 import os
 
@@ -209,6 +210,17 @@ class TestCoreDecompose:
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("usage error: ") and err.count("\n") == 1
+
+    def test_perfect_rank_four_core_digest(self, tmp_path):
+        # light_cone(3) with H = 3: no golden covers a rank-4 core
+        gram = write(tmp_path, "g.json", {"gram": [
+            ["1", "0", "0", "0"], ["0", "-1", "0", "0"],
+            ["0", "0", "-1", "0"], ["0", "0", "0", "-1"]]})
+        code, blob = run_to_file(tmp_path, ["core-decompose", "--gram", gram,
+                                            "--variant", "perfect", "--height", "3"])
+        assert code == 0
+        assert hashlib.sha256(blob).hexdigest() == \
+            "30a8645bab48e2854caa8087cf0c52efad73edbf52b1eef2fb5fed678e403d36"
 
 
 class TestBoundaryRefusals:

@@ -7,6 +7,13 @@ from fractions import Fraction as F
 import pytest
 
 from orthocusp import _linalg as la
+from orthocusp import fan as fan_module
+from orthocusp.corecone import (
+    _extreme_points_of,
+    boundary_rays,
+    cone_lattice_points,
+    light_cone,
+)
 from orthocusp.errors import ConeNotInFan
 from orthocusp.fan import (
     Fan,
@@ -168,6 +175,38 @@ class TestLineality:
         assert _extreme_rays_of_halfspaces([], 1) == ((-1,), (1,))
         assert _extreme_rays_of_halfspaces([(1, 0, 0)], 3) == ()
         assert _extreme_rays_of_halfspaces([], 2) == ()
+
+
+class TestOnePassPerHull:
+    @pytest.fixture
+    def passes(self, monkeypatch):
+        calls = []
+        kernel = fan_module._double_description
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return kernel(*args, **kwargs)
+
+        monkeypatch.setattr(fan_module, "_double_description", counted)
+        return calls
+
+    def test_pointed_cone_canonicalizes_in_one_pass(self, passes):
+        c = cone((1, 0, 1), (0, 1, 1), (-1, 0, 1), (0, -1, 1), (0, 0, 1))
+        assert c.rays == ((-1, 0, 1), (0, -1, 1), (0, 1, 1), (1, 0, 1))
+        assert len(passes) == 1
+
+    def test_window_extreme_points_in_one_pass(self, passes):
+        lc = light_cone(2)
+        pool = cone_lattice_points(lc, 2, closed=True)
+        recession = boundary_rays(lc, 2)
+        assert _extreme_points_of(pool, recession, lc)
+        assert len(passes) == 1
+
+    def test_dual_of_cached_cone_runs_no_pass(self, passes):
+        c = cone((1, 0, 1), (0, 1, 1), (-1, 0, 1), (0, -1, 1))
+        del passes[:]
+        assert len(dual_cone(c).rays) == 4
+        assert passes == []
 
 
 class TestValidate:

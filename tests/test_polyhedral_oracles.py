@@ -21,7 +21,12 @@ each generator, which canonicalized RationalCone, and the hull vertices
 by incidence rank with the filter over every pool pair, which
 _extreme_points_of ran before the kernel's extreme rays and one graded
 sweep (fan._cone_minima) replaced them; and the all-pairs minima that
-sweep computes.  They are slow and kept only as oracles.
+sweep computes.  Last, the second double description pass that turned
+the facets of a hull back into its extreme rays, which canonicalized
+RationalCone and gave _extreme_points_of its vertices before the zero
+sets of the first pass (fan._facets_of) decided extremality, and the
+dual cone that ran its own pass before it read the cached facets.
+They are slow and kept only as oracles.
 """
 
 import itertools
@@ -53,12 +58,14 @@ from orthocusp.fan import (
     FanReport,
     RationalCone,
     _cone_minima,
+    _double_description,
     _extreme_rays_of_halfspaces,
     _facets_of,
     _parallelepiped,
     _resolution_ray,
     barycentric_subdivide,
     chart_presentation,
+    dual_cone,
     faces,
     fan_from_maximal,
     hilbert_basis,
@@ -479,7 +486,7 @@ def incidence_canonical_rays(rays, rank):
     """The distinct primitive rays; for a pointed cone, those at which the
     tight facets and the span equations have rank rank - 1."""
     rays = tuple(sorted({la.primitive(r) for r in rays if any(r)}))
-    facets, eqs = _facets_of(rays, rank)
+    facets, eqs, _ = _facets_of(rays, rank)
     if not rays or la.rank(facets + eqs) != rank:
         return rays
     return tuple(r for r in rays if incidence_rank(r, facets, eqs) == rank - 1)
@@ -490,7 +497,7 @@ def pairwise_extreme_points_of(pool, recession, cone):
     (pool, 1) and (recession, 0), and which no other pool point reaches
     through the closed cone."""
     gens = [tuple(p) + (1,) for p in pool] + [tuple(r) + (0,) for r in recession]
-    facets, eqs = _facets_of(gens, cone.dim + 1)
+    facets, eqs, _ = _facets_of(gens, cone.dim + 1)
 
     def dominated(v):
         return any(cone.contains(tuple(a - b for a, b in zip(v, s)), closed=True)
@@ -499,6 +506,26 @@ def pairwise_extreme_points_of(pool, recession, cone):
     return tuple(v for v in sorted(pool)
                  if incidence_rank(tuple(v) + (1,), facets, eqs) == cone.dim
                  and not dominated(v))
+
+
+def two_pass_extreme_rays(gens, rank):
+    """Extreme rays of a pointed cone(gens): its facets, then a second
+    double description pass from the facets back to rays."""
+    facets, eqs, _ = _facets_of(gens, rank)
+    return _extreme_rays_of_halfspaces(facets, rank, equations=eqs)
+
+
+def own_pass_dual_cone(c):
+    """The dual cone by its own double description pass over the
+    generators of c, with a Z-basis of span(c)^perp as equations."""
+    gens = list(c.rays) + list(c.lines) + [tuple(-x for x in l) for l in c.lines]
+    if not gens:
+        return RationalCone([], c.rank, canonicalize=False,
+                            lines=[tuple(int(i == j) for j in range(c.rank))
+                                   for i in range(c.rank)])
+    lines = la.kernel_int(gens)
+    rays = _extreme_rays_of_halfspaces(gens, c.rank, equations=lines)
+    return RationalCone(rays, c.rank, lines=lines, canonicalize=False)
 
 
 def all_pairs_minima(points, contains):
@@ -626,7 +653,7 @@ def test_extreme_points_match_lp_reduction(name, closed, data):
 
 # two non-diagonal forms: [[2, 1], [1, -1]] has no rational isotropic line,
 # [[0, 1], [1, 1]] has two
-WINDOW_CONES = dict(CONES, light_cone_3=light_cone(3),
+WINDOW_CONES = dict(CONES, light_cone_3=light_cone(3), light_cone_4=light_cone(4),
                     non_diagonal=SelfAdjointCone([[2, 1], [1, -1]], (1, 0)),
                     non_diagonal_isotropic=SelfAdjointCone([[0, 1], [1, 1]], (1, 1)))
 
@@ -681,6 +708,55 @@ def generator_sets(draw):
 def test_canonical_rays_match_incidence_rank_filter(gens_rank):
     gens, rank = gens_rank
     assert RationalCone(gens, rank).rays == incidence_canonical_rays(gens, rank)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(generator_sets(), st.randoms(use_true_random=False))
+@example(([(1, 0), (1, 1), (0, 1)], 2), None)
+@example(([(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)], 3), None)
+def test_extreme_generators_match_two_pass_hull(gens_rank, rnd):
+    # the input order labels the zero-set bits, so it is shuffled
+    gens, rank = gens_rank
+    gens = sorted({la.primitive(g) for g in gens if any(g)})
+    if rnd is not None:
+        rnd.shuffle(gens)
+    facets, eqs, extreme = _facets_of(gens, rank)
+    assume(la.rank(facets + eqs) == rank)
+    want = two_pass_extreme_rays(gens, rank)
+    assert extreme == tuple(g for g in gens if g in want)
+    assert sorted(extreme) == list(want)
+
+
+@PROPERTY
+@given(pointed_systems())
+def test_zero_sets_match_direct_products(system):
+    normals, dim, equations = system
+    basis = la.kernel_int(equations or [(0,) * dim])
+    live = [any(la.dot(n, b) for b in basis) for n in normals]
+    hull = _double_description(normals, dim, equations)
+    assert tuple(r for r, _ in hull) == _extreme_rays_of_halfspaces(normals, dim, equations)
+    for ray, z in hull:
+        assert z == sum(1 << i for i, n in enumerate(normals)
+                        if live[i] and la.dot(n, ray) == 0)
+
+
+@st.composite
+def cones_with_lines(draw):
+    """Random cones, pointed or not, lower-dimensional or not, some with
+    explicit lines, and the zero cone."""
+    gens, rank = draw(generator_sets())
+    lines = draw(st.lists(st.tuples(*[coord] * rank).filter(any), max_size=2))
+    return RationalCone(gens if draw(st.booleans()) else [], rank, lines=lines)
+
+
+@PROPERTY
+@given(cones_with_lines())
+@example(RationalCone([], 3))
+@example(RationalCone([(1, 0, 0), (0, 1, 0)], 3))
+@example(RationalCone([(1, 0, 0)], 3, lines=[(0, 1, 0)]))
+def test_dual_cone_matches_its_own_pass(c):
+    got, want = dual_cone(c), own_pass_dual_cone(c)
+    assert (got.rays, got.lines) == (want.rays, want.lines)
 
 
 @PROPERTY

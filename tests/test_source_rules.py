@@ -55,3 +55,17 @@ def test_no_floats_outside_the_float_front_ends():
                     and node.func.id in ("float", "complex"):
                 found.append(f"{path.name}:{node.lineno}")
     assert found == []
+
+
+def test_only_fan_runs_the_double_description():
+    # one owner of a hull: every other module asks fan._facets_of
+    kernel = {"_double_description", "_extreme_rays_of_halfspaces"}
+    found = []
+    for path in SOURCES:
+        if path.stem == "fan":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            # a Name, an attribute, an imported alias or a definition
+            names = {getattr(node, key, None) for key in ("id", "attr", "name")}
+            found += [f"{path.name}:{node.lineno}:{n}" for n in sorted(names & kernel)]
+    assert found == []
