@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import os
 import sys
 
@@ -192,6 +193,7 @@ def _parse_point(blob, mode, src):
 
 def cmd_map_point(args):
     from .domains import (
+        BoundedFrame,
         BoundedPoint,
         ProjPoint,
         TubePoint,
@@ -201,6 +203,8 @@ def cmd_map_point(args):
         upsilon_inv,
     )
 
+    if not 0 <= args.tol < math.inf:
+        raise UsageError(f"--tol must be a finite number >= 0, got {args.tol}")
     point, frame = _parse_point(_read_json(args.point), args.mode, args.src)
 
     def to_tube(p):
@@ -221,8 +225,6 @@ def cmd_map_point(args):
     conventions = []
     if args.mode == "float":
         conventions.append(f"float-mode tolerance {args.tol}")
-    from .domains import BoundedFrame
-
     if isinstance(frame, BoundedFrame):
         payload = io.point_to_json(args.dst, out.coords, frame.lattice)
     else:

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import _linalg as la
-from .errors import NotConePreserving, UnstableTruncation
+from .errors import NotConePreserving, UnstableTruncation, WrongSignature
 from .fan import (
     Fan,
     RationalCone,
@@ -55,7 +55,7 @@ class SelfAdjointCone:
         diag, T = diagonalize(self.lattice)
         pos = [i for i, d in enumerate(diag) if d > 0]
         if len(pos) != 1:
-            raise ValueError("self-adjoint cone needs signature (1, k)")
+            raise WrongSignature("self-adjoint cone needs signature (1, k)")
         self.rho = la.vec(positivity_ray)
         self.dim = self.lattice.rank
         w = la.primitive([row[pos[0]] for row in T])

@@ -3,7 +3,10 @@
 Models: projective (class [v] on the zero quadric with b(v, conj v) > 0),
 tube (y in U(C) with q(Im y) > 0), bounded (z subject to the two displayed
 inequalities).  Two numeric backends: exact Gaussian rationals and complex
-doubles; every float-mode predicate takes a tolerance.
+doubles.  Both offer .real, .imag, .conjugate() and arithmetic with int and
+Fraction, so each conversion below is one formula for both; the backend of
+a point is the type of its coordinates, and every float-mode predicate
+takes a tolerance.
 
 Conventions pinned by the exact test suite:
   * kappa^+ is the component with Im(first tube coordinate) > 0.
@@ -27,7 +30,7 @@ from .errors import (
     SingularDenominator,
     UnsupportedShape,
 )
-from .gaussian import GaussianRational, abs2, conj, im_part, re_part, unit_i
+from .gaussian import I, GaussianRational, abs2
 from .qform import QuadraticLattice, diagonalize, is_atilde_shape
 
 
@@ -37,12 +40,21 @@ class KappaClass(Enum):
     MINUS = "minus_component"
 
 
-def _sparse_form(G, x, y, skip_exact_zero=False):
+HALF = Fraction(1, 2)
+QUARTER = Fraction(1, 4)
+
+
+def _i(x):
+    """The imaginary unit on the backend of the coordinate x."""
+    return I if isinstance(x, GaussianRational) else 1j
+
+
+def _sparse_form(G, x, y):
     """sum_i x_i sum_j G[i][j] y_j over complex coordinates, skipping the
-    zero entries of G and, with skip_exact_zero, the exact-zero x_i."""
+    zero entries of G and the exact-zero x_i."""
     out = 0
     for i, xi in enumerate(x):
-        if skip_exact_zero and isinstance(xi, (int, Fraction)) and xi == 0:
+        if isinstance(xi, (int, Fraction)) and xi == 0:
             continue
         row = G[i]
         acc = 0
@@ -80,7 +92,7 @@ class Frame:
 
     def bilinear_c(self, x, y):
         """C-bilinear extension of b to complex coordinate vectors."""
-        return _sparse_form(self.lattice.gram, x, y, skip_exact_zero=True)
+        return _sparse_form(self.lattice.gram, x, y)
 
     def quadratic_c(self, x):
         return self.bilinear_c(x, x)
@@ -104,10 +116,7 @@ class Frame:
     def tube_coords_of(self, v):
         """U-coordinates of the U-component of an ambient complex vector."""
         pairings = [la.form(self.lattice.gram, u, v) for u in self.u_basis]
-        return tuple(
-            sum(self._u_gram_inv[i][j] * pairings[j] for j in range(self.n))
-            for i in range(self.n)
-        )
+        return la.mat_vec(self._u_gram_inv, pairings)
 
     def e2_coefficient(self, v):
         """Coefficient of e2 in v, i.e. b(v, e1)."""
@@ -115,7 +124,9 @@ class Frame:
 
 
 @dataclass(frozen=True)
-class ProjPoint:
+class _ModelPoint:
+    """Coordinates in one model over a frame; their type is the backend."""
+
     coords: tuple
     frame: Frame
 
@@ -124,24 +135,16 @@ class ProjPoint:
         return "exact" if isinstance(self.coords[0], GaussianRational) else "float"
 
 
-@dataclass(frozen=True)
-class TubePoint:
-    coords: tuple
-    frame: Frame
-
-    @property
-    def mode(self):
-        return "exact" if isinstance(self.coords[0], GaussianRational) else "float"
+class ProjPoint(_ModelPoint):
+    """A representative of a class [v] in the projective model."""
 
 
-@dataclass(frozen=True)
-class BoundedPoint:
-    coords: tuple
-    frame: "BoundedFrame"
+class TubePoint(_ModelPoint):
+    """U-coordinates of a point of the tube domain."""
 
-    @property
-    def mode(self):
-        return "exact" if isinstance(self.coords[0], GaussianRational) else "float"
+
+class BoundedPoint(_ModelPoint):
+    """Coordinates of a point of the bounded model; frame is a BoundedFrame."""
 
 
 class BoundedFrame(Frame):
@@ -156,16 +159,8 @@ class BoundedFrame(Frame):
         if not is_atilde_shape(lattice):
             raise UnsupportedShape("bounded model needs the two-hyperbolic-planes shape")
         m = lattice.rank
-        e1 = [0] * m
-        e1[0] = 1
-        e2 = [0] * m
-        e2[2] = 1
-        basis = []
-        for idx in [1, 3] + list(range(4, m)):
-            u = [0] * m
-            u[idx] = 1
-            basis.append(u)
-        super().__init__(lattice, e1, e2, basis)
+        unit = la.identity(m)
+        super().__init__(lattice, unit[0], unit[2], [unit[k] for k in (1, 3, *range(4, m))])
         n = m - 2
         A_prime = [[Fraction(0)] * n for _ in range(n)]
         A_prime[0][0] = Fraction(-2)
@@ -180,14 +175,7 @@ class BoundedFrame(Frame):
 
     def h_a_prime(self, z):
         """Hermitian-type pairing z A' conj(z)^t (real-valued)."""
-        out = 0
-        zc = [conj(x) for x in z]
-        for i, zi in enumerate(z):
-            row = self.a_prime[i]
-            for j in range(len(z)):
-                if row[j] != 0:
-                    out = out + zi * zc[j] * row[j]
-        return re_part(out)
+        return _sparse_form(self.a_prime, z, [x.conjugate() for x in z]).real
 
 
 def standard_bounded_frame(n: int, block=None) -> BoundedFrame:
@@ -200,6 +188,17 @@ def _near(x, tol) -> bool:
     return abs(x) <= tol
 
 
+def _coerce(v):
+    """(v, exact) for a predicate's input: exact when every entry is an int,
+    Fraction or GaussianRational, or the first is a GaussianRational; the
+    exact v holds only GaussianRational entries."""
+    exact = all(isinstance(x, (int, Fraction, GaussianRational)) for x in v) \
+        or isinstance(v[0], GaussianRational)
+    if exact:
+        v = tuple(x if isinstance(x, GaussianRational) else GaussianRational(x) for x in v)
+    return v, exact
+
+
 def in_kappa(v, frame: Frame, tol: float = 0.0) -> KappaClass:
     """Classify v against kappa and its components.
 
@@ -207,22 +206,17 @@ def in_kappa(v, frame: Frame, tol: float = 0.0) -> KappaClass:
     coordinate and raises NearBoundary when a defining quantity is within
     tol of zero.
     """
-    exact = isinstance(v[0], GaussianRational) or all(
-        isinstance(x, (int, Fraction, GaussianRational)) for x in v)
-    if exact:
-        v = tuple(x if isinstance(x, GaussianRational) else GaussianRational(x) for x in v)
+    v, exact = _coerce(v)
     if not any(abs2(x) != 0 for x in v):
         raise ValueError("v must be nonzero")
     if not exact:
         scale = max(abs(x) for x in v)
         v = tuple(x / scale for x in v)
     q = frame.quadratic_c(v)
-    bvv = frame.bilinear_c(v, tuple(conj(x) for x in v))
-    bvv = re_part(bvv)
-    if exact:
-        if q != 0 * q or bvv <= 0:
-            return KappaClass.OUTSIDE
-    else:
+    bvv = frame.bilinear_c(v, tuple(x.conjugate() for x in v)).real
+    if exact and (q or bvv <= 0):
+        return KappaClass.OUTSIDE
+    if not exact:
         if _near(abs(q), tol) and _near(bvv, tol):
             raise NearBoundary("q(v) and b(v, conj v) both within tolerance of 0")
         if abs(q) > tol:
@@ -232,15 +226,15 @@ def in_kappa(v, frame: Frame, tol: float = 0.0) -> KappaClass:
         if bvv < 0:
             return KappaClass.OUTSIDE
     beta = frame.e2_coefficient(v)
-    if (exact and not beta) or (not exact and _near(abs(beta), tol)):
-        # on kappa the e2 coefficient never vanishes; in float mode treat as
-        # undecidable
-        if exact:
-            return KappaClass.OUTSIDE
+    # on kappa the e2 coefficient never vanishes; in float mode treat a small
+    # one as undecidable
+    if exact and not beta:
+        return KappaClass.OUTSIDE
+    if not exact and _near(abs(beta), tol):
         raise NearBoundary("normalizing coordinate within tolerance of 0")
     w = tuple(x / beta for x in v)
     y = frame.tube_coords_of(w)
-    im1 = im_part(y[0])
+    im1 = y[0].imag
     if not exact and _near(im1, tol):
         raise NearBoundary("component test within tolerance of 0")
     return KappaClass.PLUS if im1 > 0 else KappaClass.MINUS
@@ -248,27 +242,22 @@ def in_kappa(v, frame: Frame, tol: float = 0.0) -> KappaClass:
 
 def in_tube(y, frame: Frame) -> bool:
     """Membership in H_q^+ : q(Im y) > 0 and Im(first coordinate) > 0."""
-    imv = tuple(im_part(c) for c in y)
+    imv = tuple(c.imag for c in y)
     return la.form(frame.u_gram, imv, imv) > 0 and imv[0] > 0
 
 
 def psi(y: TubePoint) -> ProjPoint:
     """Tube -> projective: [ -1/2 (q_U(y) + q(e2)) : 1 : y ]."""
     frame = y.frame
-    qy = frame.q_u(y.coords)
-    half = Fraction(1, 2) if y.mode == "exact" else 0.5
-    a = -(qy + frame.q_e2) * half
-    one = GaussianRational(1) if y.mode == "exact" else complex(1)
-    coords = frame.ambient_from_tube(a, one, y.coords)
-    return ProjPoint(coords, frame)
+    a = -(frame.q_u(y.coords) + frame.q_e2) * HALF
+    return ProjPoint(frame.ambient_from_tube(a, 1, y.coords), frame)
 
 
 def psi_inv(p: ProjPoint, frame: Frame | None = None, tol: float = 0.0) -> TubePoint:
     """Projective -> tube; BoundaryPoint when the e2 coefficient vanishes."""
     frame = frame or p.frame
     beta = frame.e2_coefficient(p.coords)
-    exact = p.mode == "exact"
-    if (exact and not beta) or (not exact and abs(beta) <= tol):
+    if not beta or p.mode == "float" and abs(beta) <= tol:
         raise BoundaryPoint("point lies on the hyperplane b(v, e1) = 0")
     w = tuple(x / beta for x in p.coords)
     return TubePoint(frame.tube_coords_of(w), frame)
@@ -328,24 +317,23 @@ def _rational_sqrt(r: Fraction):
 
 def grass_of(p: ProjPoint) -> GrassPlane:
     """[v] -> span(Re v, Im v); independent of the representative."""
-    X = tuple(re_part(c) for c in p.coords)
-    Y = tuple(im_part(c) for c in p.coords)
+    X = tuple(c.real for c in p.coords)
+    Y = tuple(c.imag for c in p.coords)
     return GrassPlane(la.vec(X), la.vec(Y), p.frame.lattice)
 
 
 def upsilon(z: BoundedPoint) -> TubePoint:
     """Bounded -> tube via the displayed formulas (1/2-normalized Q)."""
     frame = z.frame
-    exact = z.mode == "exact"
-    i = unit_i("exact" if exact else "float")
-    half = Fraction(1, 2) if exact else 0.5
+    z1, z2 = z.coords[0], z.coords[1]
+    i = _i(z1)
     Q = frame.q_a_prime(z.coords)
-    s = 1 - 2 * z.coords[0] - half * Q
-    if (exact and not s) or (not exact and abs(s) == 0.0):
+    s = 1 - 2 * z1 - HALF * Q
+    if not s:
         raise SingularDenominator("s(z) = 0")
-    iQh = i * (Q * half)
-    y1 = (i + 2 * z.coords[1] + iQh) / s
-    y2 = (i - 2 * z.coords[1] + iQh) / s
+    iQh = i * (Q * HALF)
+    y1 = (i + 2 * z2 + iQh) / s
+    y2 = (i - 2 * z2 + iQh) / s
     rest = tuple((2 * zi) / s for zi in z.coords[2:])
     return TubePoint((y1, y2) + rest, frame)
 
@@ -359,17 +347,13 @@ def tube_r(y: TubePoint):
     holds identically, which the acceptance suite asserts.
     """
     frame = y.frame
-    exact = y.mode == "exact"
-    i = unit_i("exact" if exact else "float")
-    quarter = Fraction(1, 4) if exact else 0.25
-    half = Fraction(1, 2) if exact else 0.5
     y1, y2 = y.coords[0], y.coords[1]
     qU = frame.q_u(y.coords)
-    W = i * (y1 + y2) + qU
-    d = (y1 - y2) * quarter
-    yprime = (W * quarter, d, -(W * quarter), -d) + tuple(yi * half for yi in y.coords[2:])
+    W = _i(y1) * (y1 + y2) + qU
+    d = (y1 - y2) * QUARTER
+    yprime = (W * QUARTER, d, -(W * QUARTER), -d) + tuple(yi * HALF for yi in y.coords[2:])
     denom = frame.quadratic_c(yprime)
-    if (exact and not denom) or (not exact and abs(denom) == 0.0):
+    if not denom:
         raise SingularDenominator("(y') Atilde (y')^t = 0")
     return qU / denom
 
@@ -378,48 +362,38 @@ def upsilon_inv(y: TubePoint) -> BoundedPoint:
     """Tube -> bounded; dependent formulas pinned by the round trip."""
     if not isinstance(y.frame, BoundedFrame):
         raise UnsupportedShape("upsilon_inv needs a bounded (Atilde-shaped) frame")
-    exact = y.mode == "exact"
-    i = unit_i("exact" if exact else "float")
-    quarter = Fraction(1, 4) if exact else 0.25
-    half = Fraction(1, 2) if exact else 0.5
     r = tube_r(y)
     y1, y2 = y.coords[0], y.coords[1]
-    z1 = r * (i * (y1 + y2) - 2) * quarter + 1
-    z2 = r * (y1 - y2) * quarter
-    rest = tuple(r * yi * half for yi in y.coords[2:])
+    z1 = r * (_i(y1) * (y1 + y2) - 2) * QUARTER + 1
+    z2 = r * (y1 - y2) * QUARTER
+    rest = tuple(r * yi * HALF for yi in y.coords[2:])
     return BoundedPoint((z1, z2) + rest, y.frame)
 
 
 def psi_bounded(z: BoundedPoint) -> ProjPoint:
     """Psi: bounded -> projective, landing on the zero quadric."""
     frame = z.frame
-    exact = z.mode == "exact"
-    i = unit_i("exact" if exact else "float")
-    half = Fraction(1, 2) if exact else 0.5
-    one = GaussianRational(1) if exact else complex(1)
-    zero = GaussianRational(0) if exact else complex(0)
-    Qh = frame.q_a_prime(z.coords) * half
     z1, z2 = z.coords[0], z.coords[1]
-    base = [one, i, one, i] + [zero] * (frame.lattice.rank - 4)
+    i = _i(z1)
+    Qh = frame.q_a_prime(z.coords) * HALF
+    pad = [0] * (frame.lattice.rank - 4)
+    base = [1, i, 1, i] + pad
     shift = [2 * z1, 2 * z2, -2 * z1, -2 * z2] + [2 * zi for zi in z.coords[2:]]
-    corr = [Qh, -(i * Qh), Qh, -(i * Qh)] + [zero] * (frame.lattice.rank - 4)
+    corr = [Qh, -(i * Qh), Qh, -(i * Qh)] + pad
     coords = tuple(b + s - c for b, s, c in zip(base, shift, corr))
     return ProjPoint(coords, frame)
 
 
 def in_bounded(z, frame: BoundedFrame, tol: float = 0.0) -> bool:
     """Evaluate the two displayed inequalities for the bounded model."""
-    exact = all(isinstance(x, (int, Fraction, GaussianRational)) for x in z)
-    if exact:
-        z = tuple(x if isinstance(x, GaussianRational) else GaussianRational(x) for x in z)
+    z, exact = _coerce(z)
     Q = frame.q_a_prime(z)
     h = frame.h_a_prime(z)
     q2 = abs2(Q)
     c1 = 4 + 4 * h + q2
     c2 = 4 - q2
-    if not exact:
-        if _near(c1, tol) or _near(c2, tol):
-            raise NearBoundary("bounded-domain inequality within tolerance of 0")
+    if not exact and (_near(c1, tol) or _near(c2, tol)):
+        raise NearBoundary("bounded-domain inequality within tolerance of 0")
     return c1 > 0 and c2 > 0
 
 

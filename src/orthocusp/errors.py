@@ -70,7 +70,8 @@ class DeskScopeError(OrthocuspError):
 
 
 class WrongSignature(OrthocuspError):
-    """Lattice signature is not (2, n)."""
+    """Form has the wrong signature for the construction: (2, n) for the
+    volume and dimension formulas, (1, k) for a self-adjoint cone."""
 
 
 class NoPositiveEigenplane(OrthocuspError):

@@ -1,9 +1,9 @@
 """Gaussian-rational complex numbers and the dual numeric backends.
 
 GaussianRational is the exact backend (pairs of Fraction); the float
-backend is the built-in complex.  Model-conversion code is written
-generically against the small helper functions below so the same formulas
-run bit-exactly or in doubles.
+backend is the built-in complex.  GaussianRational shares complex's
+interface (real, imag, conjugate(), arithmetic with int and Fraction), so
+each model conversion is one formula that runs bit-exactly or in doubles.
 """
 
 from __future__ import annotations
@@ -72,12 +72,16 @@ class GaussianRational:
     def __bool__(self):
         return self.re != 0 or self.im != 0
 
+    @property
+    def real(self) -> Fraction:
+        return self.re
+
+    @property
+    def imag(self) -> Fraction:
+        return self.im
+
     def conjugate(self):
         return GaussianRational(self.re, -self.im)
-
-    def norm2(self) -> Fraction:
-        """|z|^2, exactly."""
-        return self.re * self.re + self.im * self.im
 
     def __repr__(self):
         return f"GaussianRational({self.re!r}, {self.im!r})"
@@ -94,21 +98,6 @@ def as_gaussian(x) -> GaussianRational:
     raise TypeError(f"cannot coerce {type(x).__name__} to GaussianRational")
 
 
-def re_part(z):
-    return z.re if isinstance(z, GaussianRational) else z.real
-
-
-def im_part(z):
-    return z.im if isinstance(z, GaussianRational) else z.imag
-
-
-def conj(z):
-    return z.conjugate() if isinstance(z, GaussianRational) else z.conjugate()
-
-
-def unit_i(mode: str):
-    return I if mode == "exact" else 1j
-
-
 def abs2(z):
-    return z.norm2() if isinstance(z, GaussianRational) else (z.real * z.real + z.imag * z.imag)
+    """|z|^2 on either backend, exactly for a GaussianRational."""
+    return z.real * z.real + z.imag * z.imag

@@ -21,7 +21,6 @@ from fractions import Fraction
 from . import _linalg as la
 from ._linalg import frac
 from .errors import NotInParabolic, UnsupportedShape, WrongFlagKind
-from .gaussian import im_part
 from .qform import QuadraticLattice, atilde_block, is_atilde_shape
 
 RANK1 = "rank1"
@@ -217,7 +216,7 @@ def phi_alpha(p, flag: CuspFlag):
     = componentwise imaginary parts; rank-2 output: the single coordinate
     (2 Im(y1) Im(y3) + Im(y4)^t A Im(y4),).
     """
-    im = tuple(im_part(c) for c in p)
+    im = tuple(c.imag for c in p)
     if flag.kind == RANK1:
         return (im[0], im[1], tuple(im[2:]))
     A = flag.block

@@ -171,9 +171,7 @@ def normalize_value(v):
         return v
     if isinstance(v, float):
         return _float_str(v)
-    if isinstance(v, GaussianRational):
-        return complex_to_json(v)
-    if isinstance(v, complex):
+    if isinstance(v, (GaussianRational, complex)):
         return complex_to_json(v)
     if isinstance(v, dict):
         return {str(k): normalize_value(x) for k, x in v.items()}

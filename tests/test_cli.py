@@ -130,6 +130,36 @@ class TestMapPoint:
         assert out["coords"] == [["1/2", "0"], ["1", "0"], ["0", "1"], ["0", "0"]]
 
 
+class TestMapPointFloat:
+    # one point per model in the two-hyperbolic-planes frame; the projective
+    # one is (2 - i) times the psi image of the tube one, so b(v, e1) != 1
+    POINTS = {
+        "bounded": [["1/8", "1/9"], ["-1/7", "0"]],
+        "tube": [["1/3", "2"], ["-1/5", "1"]],
+        "projective": [["21/5", "-29/15"], ["8/3", "11/3"], ["2", "-1"], ["3/5", "11/5"]],
+    }
+    DIGESTS = {
+        ("bounded", "projective"): "46fc8bfbe89ac7909b6073715acabd25beca99f353d99d117da34d398902c041",
+        ("bounded", "tube"): "23afd79e26cf9b8c3b9584b71f758e16f84dab33a0866b3123b9acead8f44034",
+        ("bounded", "bounded"): "aab1995784e0a61748ceb56714ddbc78c45268236f3701891f13f6a1fada085a",
+        ("tube", "projective"): "849901b3f3fe75e060c91c4c16b72f66ae6f6963ce1f144576bd88ae2b70169c",
+        ("tube", "tube"): "b6c284c482fa08c6b8072f243232c145d27bef98f1c666eca68ef10c0b39e745",
+        ("tube", "bounded"): "fd28495f365e4dee3f7149825d7c0225064daecee998229b1ca95dfeb1837d4c",
+        ("projective", "projective"): "52947386d5b6c416fec921926242292793fee80a41f501d7812406450f9c6707",
+        ("projective", "tube"): "a9cd4281e123a5ecff441711e8ccf7d3c43bbf2b662b03e7c91766c727e29a60",
+        ("projective", "bounded"): "96f5b3ed6a54a1dc9dfe1ed11b572332c3142498720736ab95de745818d44c99",
+    }
+
+    @pytest.mark.parametrize("src, dst", list(DIGESTS))
+    def test_float_report_digest(self, tmp_path, src, dst):
+        pf = write(tmp_path, "p.json",
+                   {"model": src, "coords": self.POINTS[src], "frame": ATILDE4})
+        code, blob = run_to_file(tmp_path, ["map-point", "--point", pf, "--from", src,
+                                            "--to", dst, "--mode", "float"])
+        assert code == 0
+        assert hashlib.sha256(blob).hexdigest() == self.DIGESTS[src, dst]
+
+
 class TestCusp:
     def test_rank1_report(self, tmp_path):
         gram = write(tmp_path, "g.json", ATILDE4)
@@ -189,17 +219,26 @@ class TestCoreDecompose:
         assert len(blobs) == 1
         assert json.loads(blobs.pop())["results"]["extreme_points"] == [["1", "1"]]
 
-    @pytest.mark.parametrize("gram, rho", [
-        ({"gram": [["1", "0"], ["0", "1"]]}, "1,0"),
-        (HYP, "1,-1"),
-    ])
-    def test_refused_cone_is_usage_error(self, tmp_path, capsys, gram, rho):
-        path = write(tmp_path, "g.json", gram)
-        argv = ["core-decompose", "--gram", path, "--positivity", rho,
+    def test_vanishing_covector_is_usage_error(self, tmp_path, capsys):
+        # rho = (1, -1) vanishes at the interior point (1, 1): no component
+        path = write(tmp_path, "g.json", HYP)
+        argv = ["core-decompose", "--gram", path, "--positivity", "1,-1",
                 "--variant", "perfect", "--height", "2"]
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("usage error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("gram", [[["1", "0"], ["0", "1"]], [["-1", "0"], ["0", "-2"]]])
+    def test_wrong_signature_is_domain_error(self, tmp_path, capsys, gram):
+        # a well-formed definite Gram is a domain fact, reported like hm-volume's
+        path = write(tmp_path, "g.json", {"gram": gram})
+        argv = ["core-decompose", "--gram", path, "--positivity", "1,0",
+                "--variant", "perfect", "--height", "2"]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert json.loads(captured.out)["results"] == {
+            "error": "WrongSignature", "detail": "self-adjoint cone needs signature (1, k)"}
 
 
     @pytest.mark.parametrize("rho", ["a,1", "1/0,1", "1", "1,1,1"])

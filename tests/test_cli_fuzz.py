@@ -2,8 +2,9 @@
 
 Derandomized hypothesis writes --gram, --fan, --gens, --densities and
 --point files with missing keys, wrong types, ragged rows, non-rational
-strings and wrong ray or coordinate lengths, and runs each through `main`.  Every run must return 0, 1 or
-2 without raising, and print either nothing or one canonical JSON report.
+strings and wrong ray or coordinate lengths, draws --tol values, and runs
+each through `main`.  Every run must return 0, 1 or 2 without raising, and
+print either nothing or one canonical JSON report.
 Ranks stay <= 3 and heights and bounds at 1, so the whole file runs in
 seconds.
 """
@@ -11,6 +12,7 @@ seconds.
 import contextlib
 import io
 import json
+import math
 import os
 import tempfile
 
@@ -197,3 +199,33 @@ def test_malformed_point_files(blob, src, dst, mode):
 def test_fan_cone_with_a_line_is_refused(argv):
     blob = {"rank": 2, "cones": [{"rays": [[1, 0], [-1, 0]]}, {"rays": [[0, 1]]}]}
     assert run(argv, {"f": blob}) == 2
+
+
+# on the zero quadric with b(v, e1) = 0: the tube chart refuses it
+BOUNDARY_POINT = {"model": "projective", "frame": ATILDE4,
+                  "coords": [["1", "0"], ["0", "1"], ["0", "0"], ["0", "0"]]}
+
+
+@pytest.mark.parametrize("mode", ["float", "exact"])
+@pytest.mark.parametrize("tol", ["-1", "-0.5", "nan", "inf"])
+def test_bad_tolerance_is_refused(tol, mode):
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "p.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(BOUNDARY_POINT, fh)
+        with contextlib.redirect_stderr(err):
+            code = main(["map-point", "--point", path, "--from", "projective",
+                         "--to", "tube", "--mode", mode, "--tol", tol])
+    assert code == 2
+    assert err.getvalue().startswith("usage error: --tol") and err.getvalue().count("\n") == 1
+
+
+@FUZZ
+@given(st.one_of(st.floats(), st.sampled_from(["", "x", "1e999", "-0.0"])),
+       st.sampled_from(MODELS), st.sampled_from(["exact", "float"]))
+def test_tolerance_argv(tol, dst, mode):
+    code = run(["map-point", "--point", "@f", "--from", "projective", "--to", dst,
+                "--mode", mode, f"--tol={tol}"], {"f": BOUNDARY_POINT})
+    if isinstance(tol, float) and not 0 <= tol < math.inf:
+        assert code == 2

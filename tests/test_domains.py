@@ -351,6 +351,41 @@ class TestFloatBackend:
             done += 1
 
 
+def as_complex(x):
+    """The complex double nearest the exact value x (GaussianRational or rational)."""
+    return complex(float(x.real), float(x.imag))
+
+
+class TestOneFormulaBothBackends:
+    FRAMES = [(2, None), (3, None), (4, [[-2, -1], [-1, -4]])]
+
+    @staticmethod
+    def assert_close(exact, approx):
+        exact = exact.coords if hasattr(exact, "coords") else (exact,)
+        approx = approx.coords if hasattr(approx, "coords") else (approx,)
+        assert len(exact) == len(approx)
+        scale = max(abs(as_complex(c)) for c in exact) or 1.0
+        assert max(abs(as_complex(a) - b) for a, b in zip(exact, approx)) <= 1e-9 * scale
+
+    @pytest.mark.parametrize("n,block", FRAMES)
+    def test_float_run_matches_exact_run(self, n, block):
+        # each conversion on the complex image of an exact point: the same
+        # formula, in doubles, lands within 1e-9 of the exact answer
+        rng = random.Random(43 + n)
+        frame = standard_bounded_frame(n, block)
+        for _ in range(25):
+            z = random_bounded_point(rng, frame)
+            y = random_tube_point_atilde(rng, frame)
+            c = random_gr(rng) or GR(1)
+            p = ProjPoint(tuple(c * x for x in psi(y).coords), frame)
+            for f, pt in ((upsilon, z), (psi_bounded, z), (upsilon_inv, y), (tube_r, y),
+                          (psi, y), (psi_inv, p)):
+                approx = f(type(pt)(tuple(as_complex(x) for x in pt.coords), frame))
+                assert all(isinstance(x, complex)
+                           for x in getattr(approx, "coords", (approx,))), f.__name__
+                self.assert_close(f(pt), approx)
+
+
 class TestCircleAction:
     def test_identity_at_theta_zero(self):
         frame = standard_bounded_frame(2)

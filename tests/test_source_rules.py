@@ -39,7 +39,7 @@ def test_imports_are_stdlib_or_package():
 
 
 # the modules that read, compute or write float-mode coordinates
-FLOAT_FRONT_ENDS = {"cli", "dimform", "domains", "gaussian", "reportio"}
+FLOAT_FRONT_ENDS = {"cli", "dimform", "domains", "reportio"}
 
 
 def test_no_floats_outside_the_float_front_ends():
