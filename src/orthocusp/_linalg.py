@@ -12,7 +12,13 @@ fundamental parallelepipeds; extended Euclid on two integers (ext_gcd)
 sits beside it, with the package's integer arithmetic: factor is its one
 trial division and is_prime its one primality test.  The products
 (mat_mul, mat_vec, dot) and the form evaluator (form) keep the type of
-their input: int in, int out, so integer data never meets a Fraction.
+their input: int in, int out, so integer data never meets a Fraction;
+scaled_int hands a matrix of plain ints back as it is.  gram_preservers
+is the package's one isometry search, a column backtracking with forward
+checking: fixing a column filters the candidates of every later column
+by its pairing with it, which is the test the later column must pass
+anyway, so the search yields the same matrices in the same order and
+only stops sooner in dead branches.
 """
 
 from fractions import Fraction
@@ -120,7 +126,10 @@ def echelon(A):
 
 
 def determinant(A):
-    """Exact determinant of a square matrix, as a Fraction."""
+    """Exact determinant of a square matrix, as a Fraction.
+
+    A is scaled here; echelon takes the scaled int matrix as it is.
+    """
     B, s = scaled_int(A)
     _, pivots, d, sign = echelon(B)
     return Fraction(sign * d, s ** len(B)) if len(pivots) == len(B) else Fraction(0)
@@ -182,8 +191,11 @@ def scaled_int(A):
     """(B, d) with d the least positive integer making B = d*A integral.
 
     Entries are read through frac, so int, Fraction, float and rational
-    strings are all taken exactly.
+    strings are all taken exactly; a matrix of plain ints is returned as
+    it is, with d = 1.
     """
+    if all(type(x) is int for row in A for x in row):
+        return tuple(map(tuple, A)), 1
     A = [[x if isinstance(x, int) else frac(x) for x in row] for row in A]
     d = lcm(*(x.denominator for row in A for x in row))
     return tuple(tuple(x.numerator * (d // x.denominator) for x in row) for row in A), d
@@ -308,35 +320,46 @@ def gram_preservers(A, domain, mod=None):
     A is a symmetric integer matrix; with mod the equality is a congruence
     mod `mod`.  Column-wise backtracking over per-norm candidate lists
     (Plesken & Souvignier 1997): A v and q(v) = v^t A v are computed once
-    per candidate, column j is drawn from the candidates of norm A[j][j],
-    and it is tested only against the earlier columns.
+    per candidate, and column k starts from the candidates of norm A[k][k].
+    Forward checking (Haralick & Elliott 1980): when column j is fixed with
+    image A v, every later column k keeps only the candidates w with
+    (A v) . w = A[j][k], and the search backtracks as soon as a list is
+    empty.  That is the test the plain search makes on column k against
+    column j, made earlier; the filters keep each list's order, so the X
+    come in the same order as from the plain search.
     """
+    if mod:
+        A = [[x % mod for x in row] for row in A]
     by_norm = {}
     for v in domain:
         Av = tuple(sum(map(mul, row, v)) for row in A)
         q = sum(map(mul, Av, v))
         by_norm.setdefault(q % mod if mod else q, []).append((v, Av))
-    yield from _extend_columns(A, mod, by_norm, [], [])
+    yield from _forward_columns(A, mod, [by_norm.get(row[k], []) for k, row in enumerate(A)], [])
 
 
-def _extend_columns(A, mod, by_norm, cols, images):
-    """gram_preservers' backtracking step: every completion of cols."""
+def _forward_columns(A, mod, lists, cols):
+    """gram_preservers' step: every completion of cols, where lists holds the
+    candidates of column len(cols) and of every later column."""
     j = len(cols)
     if j == len(A):
         yield tuple(cols)
         return
-    *targets, norm = [A[i][j] % mod if mod else A[i][j] for i in range(j + 1)]
-    for v, Av in by_norm.get(norm, ()):
-        if mod:
-            ok = all(sum(map(mul, img, v)) % mod == t for img, t in zip(images, targets))
+    targets = A[j][j + 1:]
+    for v, Av in lists[0]:
+        later = []
+        for t, cands in zip(targets, lists[1:]):
+            if mod:
+                kept = [c for c in cands if sum(map(mul, Av, c[0])) % mod == t]
+            else:
+                kept = [c for c in cands if sum(map(mul, Av, c[0])) == t]
+            if not kept:
+                break
+            later.append(kept)
         else:
-            ok = all(sum(map(mul, img, v)) == t for img, t in zip(images, targets))
-        if ok:
             cols.append(v)
-            images.append(Av)
-            yield from _extend_columns(A, mod, by_norm, cols, images)
+            yield from _forward_columns(A, mod, later, cols)
             cols.pop()
-            images.pop()
 
 
 def in_span(v, vectors):

@@ -44,14 +44,22 @@ def thread_cap() -> int:
     return cap
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose errors are UsageErrors: main prints each as
+    one `usage error:` line with exit code 2."""
+
+    def error(self, message):
+        raise UsageError(message)
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process: parsing leaves it as it
     was, so every main call shares it."""
-    p = argparse.ArgumentParser(prog="orthocusp", description=__doc__)
+    p = _Parser(prog="orthocusp", description=__doc__)
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--out", default=None, help="output path (default stdout)")
-    sub = p.add_subparsers(dest="command", required=True, parser_class=argparse.ArgumentParser)
+    sub = p.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     def add(name, **kw):
         return sub.add_parser(name, parents=[common], **kw)
@@ -561,7 +569,7 @@ def main(argv=None) -> int:
         print(f"usage error: {e}", file=sys.stderr)
         return 2
     except SystemExit as e:
-        # argparse errors funnel here; normalize to the usage exit code
+        # --help exits through here; argparse errors are UsageErrors
         return 2 if e.code not in (0, None) else 0
     except OrthocuspError as e:
         err = io.make_report("error", {"error": type(e).__name__, "detail": str(e)})

@@ -74,14 +74,22 @@ def matrix_order(m):
     """Order of a square matrix, or None when it is not of finite order.
 
     Powers stop at max_finite_order(rank); int matrices are multiplied
-    over int.
+    over int.  Each power p is also tested by its trace: a rational matrix
+    of finite order is diagonalisable over C with roots of unity as
+    eigenvalues, so every power of it has |tr p| <= n, with tr p = n only
+    when p = I.  A power with tr p >= n that is not I, or with tr p < -n,
+    proves the order infinite, and the loop stops there.
     """
     m = tuple(map(tuple, m))
-    ident = _int_identity(len(m))
+    n = len(m)
+    ident = _int_identity(n)
     p = m
-    for k in range(1, max_finite_order(len(m)) + 1):
+    for k in range(1, max_finite_order(n) + 1):
         if p == ident:
             return k
+        tr = sum(p[i][i] for i in range(n))
+        if tr >= n or tr < -n:
+            return None
         p = la.mat_mul(p, m)
     return None
 

@@ -207,7 +207,7 @@ def in_kappa(v, frame: Frame, tol: float = 0.0) -> KappaClass:
     tol of zero.
     """
     v, exact = _coerce(v)
-    if not any(abs2(x) != 0 for x in v):
+    if not any(v):
         raise ValueError("v must be nonzero")
     if not exact:
         scale = max(abs(x) for x in v)

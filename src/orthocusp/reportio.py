@@ -163,6 +163,8 @@ def _float_str(x: float) -> str:
 
 def normalize_value(v):
     """Recursively convert a result payload into canonical JSON scalars."""
+    if type(v) is str:
+        return v
     if isinstance(v, Fraction):
         return rat_to_str(v)
     if isinstance(v, bool) or v is None:

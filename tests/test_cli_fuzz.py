@@ -4,7 +4,8 @@ Derandomized hypothesis writes --gram, --fan, --gens, --densities and
 --point files with missing keys, wrong types, ragged rows, non-rational
 strings and wrong ray or coordinate lengths, draws --tol values, and runs
 each through `main`.  Every run must return 0, 1 or 2 without raising, and
-print either nothing or one canonical JSON report.
+print either nothing or one canonical JSON report; exit code 2 prints
+exactly one `usage error:` line, argparse's own errors included.
 Ranks stay <= 3 and heights and bounds at 1, so the whole file runs in
 seconds.
 """
@@ -133,7 +134,8 @@ def run(argv, files):
     if text:
         assert dumps_canonical(json.loads(text)) == text, (argv, files)
     if code == 2:
-        assert err.getvalue().startswith("usage error: ") or "usage:" in err.getvalue()
+        err = err.getvalue()
+        assert err.startswith("usage error: ") and err.count("\n") == 1, (argv, files, err)
     return code
 
 
@@ -229,3 +231,24 @@ def test_tolerance_argv(tol, dst, mode):
                 "--mode", mode, f"--tol={tol}"], {"f": BOUNDARY_POINT})
     if isinstance(tol, float) and not 0 <= tol < math.inf:
         assert code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["map-point", "--point", "@f", "--from", "projective", "--to", "tube", "--tol", "-1e-5"],
+    ["map-point", "--point", "@f", "--from", "projective", "--to", "tube", "--tol", "-inf"],
+    ["map-point", "--point", "@f", "--from", "projective", "--to", "cone"],
+    ["ramify", "--gram", "@f"],
+    ["ramify", "--gram", "@f", "--bound", "x"],
+    ["chern", "td"],
+    ["no-such-command"],
+    [],
+])
+def test_argparse_errors_are_one_usage_line(argv):
+    # run asserts the one `usage error:` line
+    assert run(argv, {"f": BOUNDARY_POINT}) == 2
+
+
+def test_help_still_exits_zero():
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        assert main(["map-point", "--help"]) == 0
+    assert out.getvalue().startswith("usage: orthocusp map-point")

@@ -171,6 +171,14 @@ class TestInKappa:
         v = (complex(1), 1j, complex(1), 1j)
         assert in_kappa(v, frame, tol=1e-9) == KappaClass.PLUS
 
+    def test_float_tiny_point_is_not_zero(self):
+        # |x|^2 underflows to 0 here; the nonzero test must not square
+        frame = standard_bounded_frame(2)
+        v = (1e-200, 1e-200j, 1e-200, 1e-200j)
+        assert in_kappa(v, frame, tol=1e-9) == KappaClass.PLUS
+        with pytest.raises(ValueError, match="nonzero"):
+            in_kappa((0.0, 0j, 0.0, 0j), frame, tol=1e-9)
+
 
 class TestGrass:
     def test_orthonormal_pair(self):

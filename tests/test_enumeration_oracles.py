@@ -3,13 +3,15 @@
 The reference functions below are the paths the integer column
 backtracking replaced: a Fraction scan of the whole box at every depth of
 the isometry search, matrix powers up to a fixed cap of 120, and a scan of
-all mod^(m^2) matrices for congruence counts, and the column search as
-the self-recursive closure it was before it became a module-level
-generator.  Beside them, the Fraction forms that bilinear, pair and
-contains, which evaluate a scaled integer matrix, must agree with on
-integral and rational forms alike, and the Fraction cyclotomic
-certificate (on the rational Gram of S and the rational kernel bases)
-that the integer one replaced.  They are slow and
+all mod^(m^2) matrices for congruence counts.  The column search is kept
+twice more: as the self-recursive closure it was before it became a
+module-level generator, and as that generator before forward checking,
+which tests each column only against the earlier ones.  matrix_order is
+checked against its power loop without the trace test.  Beside them, the
+Fraction forms that bilinear, pair and contains, which evaluate a scaled
+integer matrix, must agree with on integral and rational forms alike, and
+the Fraction cyclotomic certificate (on the rational Gram of S and the
+rational kernel bases) that the integer one replaced.  They are slow and
 kept only as oracles.
 """
 
@@ -19,18 +21,20 @@ from fractions import Fraction
 from operator import mul
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from orthocusp import _linalg as la
 from orthocusp.corecone import SelfAdjointCone, light_cone
 from orthocusp.cycles import (
     CyclotomicCertificate,
+    _cyclotomic_coeffs,
     cyclotomic_decomposition,
     enumerate_isometries,
     euler_phi,
     fixed_sublattice,
     matrix_order,
+    max_finite_order,
     restriction_matrix,
 )
 from orthocusp.dimform import _count_gram_preservers
@@ -137,6 +141,48 @@ def closure_gram_preservers(A, domain, mod=None):
                 images.pop()
 
     yield from extend(0)
+
+
+def plain_gram_preservers(A, domain, mod=None):
+    """gram_preservers without forward checking: column j is drawn from the
+    norm-A[j][j] candidates and tested only against the earlier columns."""
+    by_norm = {}
+    for v in domain:
+        Av = tuple(sum(map(mul, row, v)) for row in A)
+        q = sum(map(mul, Av, v))
+        by_norm.setdefault(q % mod if mod else q, []).append((v, Av))
+    yield from _extend_columns(A, mod, by_norm, [], [])
+
+
+def _extend_columns(A, mod, by_norm, cols, images):
+    j = len(cols)
+    if j == len(A):
+        yield tuple(cols)
+        return
+    *targets, norm = [A[i][j] % mod if mod else A[i][j] for i in range(j + 1)]
+    for v, Av in by_norm.get(norm, ()):
+        if mod:
+            ok = all(sum(map(mul, img, v)) % mod == t for img, t in zip(images, targets))
+        else:
+            ok = all(sum(map(mul, img, v)) == t for img, t in zip(images, targets))
+        if ok:
+            cols.append(v)
+            images.append(Av)
+            yield from _extend_columns(A, mod, by_norm, cols, images)
+            cols.pop()
+            images.pop()
+
+
+def power_loop_order(m):
+    """matrix_order without the trace test: every power up to the bound."""
+    m = tuple(map(tuple, m))
+    ident = la.identity(len(m))
+    p = m
+    for k in range(1, max_finite_order(len(m)) + 1):
+        if p == ident:
+            return k
+        p = la.mat_mul(p, m)
+    return None
 
 
 def restricted_gram(L, basis):
@@ -258,12 +304,69 @@ def test_isometries_match_box_scan(G, bound):
         assert g.order == capped_order(g.mat)
 
 
+# at rank 4 mod 9 a group has hundreds of thousands of elements, so the
+# sequences are compared on their first PREFIX terms (all of them when
+# there are fewer)
+PREFIX = 200
+
+
 @PROPERTY
-@given(integral_grams(ranks=(2, 3)), st.sampled_from([None, 2, 3, 4]))
+@given(integral_grams(ranks=(2, 3, 4)), st.sampled_from([None, 2, 3, 4, 9]))
 def test_gram_preservers_match_closure_in_order(A, mod):
     domain = list(itertools.product(range(mod) if mod else range(-1, 2), repeat=len(A)))
-    assert list(la.gram_preservers(A, domain, mod)) == \
-        list(closure_gram_preservers(A, domain, mod))
+    got = list(itertools.islice(la.gram_preservers(A, domain, mod), PREFIX))
+    assert got == list(itertools.islice(closure_gram_preservers(A, domain, mod), PREFIX))
+    assert got == list(itertools.islice(plain_gram_preservers(A, domain, mod), PREFIX))
+
+
+@st.composite
+def cyclotomic_conjugates(draw):
+    """P C P^-1 over Fraction, with C block diagonal in cyclotomic
+    companions: finite-order matrices of rank 2 to 4 with Fraction entries."""
+    blocks, n = [], 0
+    while n < 2 or draw(st.booleans()) and n < 4:
+        order = draw(st.sampled_from([k for k in range(1, 13) if euler_phi(k) <= 4 - n]))
+        coeffs = _cyclotomic_coeffs(order)
+        d = len(coeffs) - 1
+        blocks.append([[int(i == j + 1) for j in range(d - 1)] + [-coeffs[i]]
+                       for i in range(d)])
+        n += d
+    C = [[0] * n for _ in range(n)]
+    at = 0
+    for block in blocks:
+        for i, row in enumerate(block):
+            C[at + i][at:at + len(row)] = row
+        at += len(block)
+    P = draw(st.lists(st.lists(st.integers(-2, 2), min_size=n, max_size=n),
+                      min_size=n, max_size=n))
+    assume(la.determinant(P) not in (0, 1, -1))
+    return la.mat_mul(la.mat_mul(P, C), la.inverse(P))
+
+
+@st.composite
+def unipotents(draw):
+    """I + N with N strictly upper triangular, conjugated by a signed
+    permutation: infinite order unless N = 0, and trace n throughout."""
+    n = draw(st.integers(1, 4))
+    U = [[1 if i == j else draw(st.integers(-2, 2)) if j > i else 0 for j in range(n)]
+         for i in range(n)]
+    perm = draw(st.permutations(range(n)))
+    signs = draw(st.lists(st.sampled_from([1, -1]), min_size=n, max_size=n))
+    return tuple(tuple(signs[i] * signs[j] * U[perm[i]][perm[j]] for j in range(n))
+                 for i in range(n))
+
+
+SMALL_INT_MATRICES = st.integers(1, 4).flatmap(lambda n: st.lists(
+    st.lists(st.integers(-2, 2), min_size=n, max_size=n).map(tuple),
+    min_size=n, max_size=n).map(tuple))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.one_of(SMALL_INT_MATRICES, unipotents(), cyclotomic_conjugates()))
+@example(((-1, 0), (0, -1)))  # order 2 at trace -n
+@example(((1, 0, 0), (0, 0, -1), (0, 1, 1)))  # order 6 at trace n - 1
+def test_matrix_order_matches_power_loop(g):
+    assert matrix_order(g) == power_loop_order(g)
 
 
 def test_gram_preservers_leave_no_reference_cycles():
@@ -380,6 +483,17 @@ def test_g4_bound_1_group():
 def test_diag_11m1_count_at_3():
     A = [[1, 0, 0], [0, 1, 0], [0, 0, -1]]
     assert _count_gram_preservers(A, 3, 3) == 48 == scan_count(A, 3, 3)
+
+
+def test_diag_11m1_count_at_27():
+    # about a second with forward checking; the plain search took 15-18 s
+    assert _count_gram_preservers([[1, 0, 0], [0, 1, 0], [0, 0, -1]], 3, 27) == 34992
+
+
+def test_uu_minus_2_bound_1_group():
+    G = [[0, 1, 0, 0, 0], [1, 0, 0, 0, 0], [0, 0, 0, 1, 0], [0, 0, 1, 0, 0],
+         [0, 0, 0, 0, -2]]
+    assert len(enumerate_isometries(QuadraticLattice(G), 1)) == 1600
 
 
 def certificate_outcome(fn, *args):

@@ -69,3 +69,17 @@ def test_only_fan_runs_the_double_description():
             names = {getattr(node, key, None) for key in ("id", "attr", "name")}
             found += [f"{path.name}:{node.lineno}:{n}" for n in sorted(names & kernel)]
     assert found == []
+
+
+def test_only_linalg_runs_the_isometry_backtracking():
+    # one column search for isometries and congruence counts: every other
+    # module asks _linalg.gram_preservers
+    kernel = {"_forward_columns", "_extend_columns"}
+    found = []
+    for path in SOURCES:
+        if path.stem == "_linalg":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            names = {getattr(node, key, None) for key in ("id", "attr", "name")}
+            found += [f"{path.name}:{node.lineno}:{n}" for n in sorted(names & kernel)]
+    assert found == []
