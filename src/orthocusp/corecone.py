@@ -14,7 +14,11 @@ off the one double description pass of fan._facets_of; the second
 condition keeps the minima of one graded sweep over the pool
 (fan._cone_minima, which also serves Hilbert bases).  The
 support-hyperplane candidates are facet normals of the windowed hull of
-the extreme set.
+the extreme set.  Pairings on window data run over int: a kernel tests
+<x, t> >= 1 against its covectors inner * t, scaled once to integer rows
+over one denominator; the recession test is the scaled integer Gram's
+form; and a candidate's contact test compares the integer facet normal
+with inner's scaled Gram, so no Fraction is built per window point.
 """
 
 from __future__ import annotations
@@ -111,7 +115,8 @@ def _open_points(points, cone: SelfAdjointCone):
 
 
 def _recession_rays(points, cone: SelfAdjointCone):
-    return tuple(sorted({la.primitive(v) for v in points if cone.lattice.quadratic(v) == 0}))
+    B = cone.lattice.scaled_gram
+    return tuple(sorted({la.primitive(v) for v in points if la.form(B, v, v) == 0}))
 
 
 def cone_lattice_points(cone: SelfAdjointCone, height: int, closed: bool = False):
@@ -137,15 +142,25 @@ class KernelSpec:
     The comparison is closed (>= 1); semi-duality and hull computations
     need the closed version (the strict variant differs only on the
     boundary), and reports carry the flag.
+
+    member tests <x, t> >= 1 as dot(c_t, x) >= d, where the integer rows
+    c_t over one positive d are the covectors inner * t (scaled_int); they
+    are computed once per cone and kept beside the points, outside
+    equality, hashing and repr.
     """
 
     points: tuple
     comparison: str = "closed"
+    _covectors: tuple = field(default=(None, (), 1), init=False, compare=False, repr=False)
 
     def member(self, x, cone: SelfAdjointCone) -> bool:
         if not cone.contains(x, closed=True):
             return False
-        return all(cone.pair(x, t) >= 1 for t in self.points)
+        owner, C, d = self._covectors
+        if owner is not cone:
+            C, d = la.scaled_int([la.mat_vec(cone.inner, t) for t in self.points])
+            object.__setattr__(self, "_covectors", (cone, C, d))
+        return all(la.dot(c, x) >= d for c in C)
 
 
 def semi_dual(points, cone: SelfAdjointCone) -> KernelSpec:
@@ -256,16 +271,21 @@ def support_fan(K: KernelSpec, E: ExtremeSet, cone: SelfAdjointCone,
     gens = [la.mat_vec(cone.inner, e) + (1,) for e in pts] \
         + [la.mat_vec(cone.inner, r) + (0,) for r in recession]
     facets, eqs, _ = _facets_of(gens, dim + 1)
+    # <e, y> = 1 with y = a / -a0 is dot(inner e, a) = -a0 * den over int
+    S, den = cone._inner.scaled_gram, cone._inner.den
+    covectors = [(e, la.mat_vec(S, e)) for e in pts]
     functionals = []
     for a in facets + eqs + tuple(tuple(-x for x in e) for e in eqs):
         if a[-1] >= 0:
             continue
-        y = tuple(Fraction(x, -a[-1]) for x in a[:-1])
-        if not cone.contains(y, closed=True):
+        # y is a positive multiple of a[:-1], so the cone holds both or neither
+        if not cone.contains(a[:-1], closed=True):
             continue
-        contact = [e for e in pts if cone.pair(e, y) == 1]
+        level = -a[-1] * den
+        contact = [e for e, c in covectors if la.dot(c, a[:-1]) == level]
         if la.rank(contact) < dim:
             continue
+        y = tuple(Fraction(x, -a[-1]) for x in a[:-1])
         functionals.append((y, tuple(tuple(e) for e in contact)))
     functionals = sorted(set(functionals))
     cones = [RationalCone([la.primitive(e) for e in contact], dim)

@@ -6,13 +6,17 @@ of the cyclotomic value Phi_m(g) for the unique m whose isotypic subspace
 carries positive index 2.  The classification depends only on the order
 r_tau of the character image, never on a choice of primitive root.
 
-The classification runs over int from start to finish: matrix powers,
-the restricted Grams (blocks of the lattice's scaled integer Gram, whose
-positive scale changes no signature and no zero test) and the cyclotomic
-certificate's candidate vectors, which are one integer multiple of the
-rational kernel basis.  Only the certificate's factor bases are divided
-back to that rational basis.  Factorization and primality (euler_phi,
-max_finite_order) are _linalg's factor and is_prime.
+The classification computes over int: matrix powers, the kernels of
+the cyclotomic values, the restricted Grams (blocks of the lattice's
+scaled integer Gram, whose positive scale changes no signature and no
+zero test) with their signatures (qform.int_signature, one fraction-free
+congruence on the int block), the restriction of g to S (one echelon)
+and the cyclotomic certificate's candidate vectors, which are one
+integer multiple of the rational kernel basis.  Fractions appear only in
+what is reported: the defining equations, read off the rational Gram,
+and the certificate's factor bases, divided back to that rational basis.
+Factorization and primality (euler_phi, max_finite_order) are _linalg's
+factor and is_prime.
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ from .errors import (
     NoPositiveEigenplane,
     NotRootOfUnity,
 )
-from .qform import QuadraticLattice, orthogonal_complement_basis, signature
+from .qform import QuadraticLattice, int_signature, orthogonal_complement_basis
 
 INTERIOR_UNRAMIFIED = "interior_unramified"
 HEEGNER_REFLECTION = "heegner_reflection_type"
@@ -135,12 +139,11 @@ def euler_phi(n: int) -> int:
 
 
 def _matrix_poly(coeffs, powers):
-    """sum_i coeffs[i] g^i from the powers g^0, g^1, ... of g."""
-    out = la.mat_scale(0, powers[0])
-    for c, p in zip(coeffs, powers):
-        if c:
-            out = la.mat_add(out, la.mat_scale(c, p))
-    return out
+    """sum_i coeffs[i] g^i from the powers g^0, g^1, ... of g, entry by entry."""
+    terms = [(c, p) for c, p in zip(coeffs, powers) if c]
+    n = len(powers[0])
+    return tuple(tuple(sum([c * p[i][j] for c, p in terms]) for j in range(n))
+                 for i in range(n))
 
 
 def _divisors(n):
@@ -150,10 +153,6 @@ def _divisors(n):
 def _scaled_gram_on(L: QuadraticLattice, basis):
     """Integer Gram of the span of basis: den times its rational Gram."""
     return [[la.form(L.scaled_gram, a, b) for b in basis] for a in basis]
-
-
-def _signature_of_block(B):
-    return signature(QuadraticLattice(B)) if B else (0, 0)
 
 
 @dataclass(frozen=True)
@@ -176,24 +175,31 @@ def fixed_sublattice(g: IsometryElement, L: QuadraticLattice) -> FixedLocusRepor
 
     Selects the unique cyclotomic factor Phi_m of g whose rational isotypic
     subspace has positive index 2; S is the saturation of ker Phi_m(g) in L
-    and S^perp its orthogonal complement.
+    and S^perp its orthogonal complement.  g has finite order, so x^ord - 1
+    is squarefree and Q^n is the direct sum of the ker Phi_m(g) over the
+    divisors m of ord: once the kernel ranks found sum to n, every later
+    kernel is zero and the scan stops.
     """
     if g.order is None:
         raise NotRootOfUnity("isometry must have finite order")
-    coeffs = {m: _cyclotomic_coeffs(m) for m in _divisors(g.order)}
-    powers = [_int_identity(len(g.mat))]
-    while len(powers) < max(map(len, coeffs.values())):
-        powers.append(la.mat_mul(powers[-1], g.mat))
-    chosen = None
-    for m, cs in coeffs.items():
+    n = len(g.mat)
+    powers = [_int_identity(n)]
+    chosen, found = None, 0
+    for m in _divisors(g.order):
+        cs = _cyclotomic_coeffs(m)
+        while len(powers) < len(cs):
+            powers.append(la.mat_mul(powers[-1], g.mat))
         ker = la.kernel_int(_matrix_poly(cs, powers))
         if not ker:
             continue
-        r, s = _signature_of_block(_scaled_gram_on(L, ker))
+        found += len(ker)
+        r, _ = int_signature(_scaled_gram_on(L, ker))
         if r == 2:
             if chosen is not None:
                 raise NoPositiveEigenplane("positive plane is not unique")
             chosen = (m, ker)
+        if found == n:
+            break
     if chosen is None:
         raise NoPositiveEigenplane(
             "no cyclotomic factor carries a signature-(2,*) subspace"
@@ -223,19 +229,25 @@ def double_perp(L: QuadraticLattice, vectors):
 
 
 def restriction_matrix(g_mat, basis):
-    """Matrix of g on the saturated sublattice spanned by basis, as int rows."""
+    """Matrix of g on the saturated sublattice spanned by basis, as int rows.
+
+    One echelon of the augmented matrix [basis^t | images^t] solves for
+    every image at once: the reduced form is M / d, and a pivot right of
+    the basis columns means some image leaves the span.
+    """
+    k = len(basis)
+    if not k:
+        return ()
     images = [la.mat_vec(g_mat, v) for v in basis]
-    cols = []
-    B = la.transpose(basis)
-    for img in images:
-        sol = la.solve(B, img)
-        if sol is None:
-            raise ValueError("sublattice is not stable under g")
-        cols.append(sol)
-    R = la.transpose(cols)
-    if any(x.denominator != 1 for row in R for x in row):
+    M, pivots, d, _ = la.echelon([list(col) for col in zip(*basis, *images)])
+    if pivots and pivots[-1] >= k:
+        raise ValueError("sublattice is not stable under g")
+    R = [[0] * k for _ in range(k)]
+    for row, c in zip(M, pivots):
+        R[c] = row[k:]
+    if any(x % d for row in R for x in row):
         raise ValueError("restriction is not integral; basis not saturated?")
-    return tuple(tuple(int(x) for x in row) for row in R)
+    return tuple(tuple(x // d for x in row) for row in R)
 
 
 def chi_order_at(g: IsometryElement, L: QuadraticLattice):

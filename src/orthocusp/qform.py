@@ -15,7 +15,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, prod
+from math import gcd, lcm, prod
 
 from . import _linalg as la
 from ._linalg import frac
@@ -56,8 +56,17 @@ class QuadraticLattice:
         self.scaled_gram, self.den = la.scaled_int(G)
 
     def bilinear(self, x, y) -> Fraction:
-        """b(x, y) for int or Fraction coordinates (la.vec converts others)."""
-        return Fraction(la.form(self.scaled_gram, x, y), self.den)
+        """b(x, y), one Fraction over den * dx * dy.
+
+        When every coordinate is int or Fraction, x and y are cleared of
+        their denominators once (x = x' / dx, y = y' / dy) and the form is
+        evaluated over int; other coordinates go to form as they are.
+        """
+        cx, cy = _cleared(x), _cleared(y)
+        if cx is None or cy is None:
+            return Fraction(la.form(self.scaled_gram, x, y), self.den)
+        (x, dx), (y, dy) = cx, cy
+        return Fraction(la.form(self.scaled_gram, x, y), self.den * dx * dy)
 
     def quadratic(self, x) -> Fraction:
         return self.bilinear(x, x)
@@ -74,6 +83,20 @@ class QuadraticLattice:
 
     def __repr__(self):
         return f"QuadraticLattice({[list(map(str, r)) for r in self.gram]})"
+
+
+def _cleared(v):
+    """(w, d): the integer vector w = d * v with d the lcm of the
+    denominators, or None when an entry is neither int nor Fraction."""
+    if all(type(t) is int for t in v):
+        return v, 1
+    d = 1
+    for t in v:
+        if type(t) is Fraction:
+            d = lcm(d, t.denominator)
+        elif type(t) is not int:
+            return None
+    return [t.numerator * (d // t.denominator) for t in v], d
 
 
 def discriminant(L: QuadraticLattice) -> Fraction:
@@ -140,10 +163,48 @@ def diagonalize(L: QuadraticLattice):
 
 
 def signature(L: QuadraticLattice):
-    """(r, s) = counts of positive and negative diagonal entries."""
-    diag, _ = diagonalize(L)
-    r = sum(1 for d in diag if d > 0)
-    return (r, len(diag) - r)
+    """(r, s) = counts of positive and negative diagonal entries, read
+    from the integer Gram (its positive scale den changes no sign)."""
+    return int_signature(L.scaled_gram)
+
+
+def int_signature(B):
+    """(r, s) of a symmetric integer matrix B by one fraction-free congruence.
+
+    Pivot p = G[k][k] clears row and column j > k by j := p*j - c_j*k with
+    c_j = G[k][j], a congruence of nonzero determinant that leaves the
+    block p * (p G[i][j] - c_i c_j) on the later indices.  That block is
+    divided by |p| times the |p| of the previous pivot, a positive scale
+    and an exact division as in Bareiss's elimination (Math. Comp. 1968),
+    so by Sylvester's law of inertia the signs of the pivots count the
+    signature.  A zero pivot is handled as in diagonalize: a later nonzero
+    diagonal entry is swapped in, or else a column j with G[k][j] != 0 is
+    added to column k.  The empty matrix has signature (0, 0); a singular
+    B raises DegenerateForm.
+    """
+    G = [list(row) for row in B]
+    n, r, e = len(G), 0, 1
+    while G:
+        if not G[0][0]:
+            j = next((j for j in range(1, len(G)) if G[j][j]), None)
+            if j is not None:
+                G[0], G[j] = G[j], G[0]
+                for row in G:
+                    row[0], row[j] = row[j], row[0]
+            else:
+                j = next((j for j, x in enumerate(G[0]) if x), None)
+                if j is None:
+                    raise DegenerateForm("det(gram) = 0")
+                G[0] = [x + y for x, y in zip(G[0], G[j])]
+                for row in G:
+                    row[0] += row[j]
+        top = G[0]
+        p = top[0]
+        q = e if p > 0 else -e
+        G = [[(p * x - row[0] * y) // q for x, y in zip(row[1:], top[1:])]
+             for row in G[1:]]
+        r, e = r + (p > 0), abs(p)
+    return (r, n - r)
 
 
 def _padic_split(n: int, p: int):
@@ -287,10 +348,10 @@ def is_atilde_shape(L: QuadraticLattice) -> bool:
                 return False
     block = [row[4:] for row in G[4:]]
     if block:
-        Lb = QuadraticLattice(block)
-        if not Lb.is_regular():
+        try:
+            r, _ = int_signature(la.scaled_int(block)[0])
+        except DegenerateForm:
             return False
-        r, s = signature(Lb)
         if r != 0:
             return False
     return True

@@ -26,7 +26,10 @@ the facets of a hull back into its extreme rays, which canonicalized
 RationalCone and gave _extreme_points_of its vertices before the zero
 sets of the first pass (fan._facets_of) decided extremality, and the
 dual cone that ran its own pass before it read the cached facets.
-They are slow and kept only as oracles.
+Kernel membership is checked against the Fraction pairing loop it ran
+before it compared integer covectors, also for inner forms other than
+the identity, and the window kernel points of the references use that
+loop.  They are slow and kept only as oracles.
 """
 
 import itertools
@@ -296,10 +299,17 @@ def window_boundary_rays(cone, height):
                          and cone.contains(v, closed=True)}))
 
 
+def fraction_member(K, x, cone):
+    """K.member as a Fraction pairing loop: <x, t> >= 1 for every t."""
+    x = la.vec(x)
+    return cone.contains(x, closed=True) and all(
+        la.form(cone.inner, x, la.vec(t)) >= 1 for t in K.points)
+
+
 def window_kernel_points(K, cone, height):
     rng = range(-height, height + 1)
     return tuple(sorted(v for v in itertools.product(rng, repeat=cone.dim)
-                        if any(v) and K.member(v, cone)))
+                        if any(v) and fraction_member(K, v, cone)))
 
 
 def window_extremes(cone, variant, height):
@@ -787,7 +797,52 @@ def test_cone_minima_match_all_pairs_in_closed_cones(name, data):
     assert sorted(got) == all_pairs_minima(points, contains)
 
 
-SUPPORT_CONES = dict(CONES, anisotropic=SelfAdjointCone([[1, 0], [0, -3]], (1, 0)))
+# positive-definite inner forms other than the identity, one of them rational
+SKEWED_INNER = {
+    "light_cone_2_skewed": SelfAdjointCone(
+        [[1, 0, 0], [0, -1, 0], [0, 0, -1]], (1, 0, 0),
+        inner=[[2, 1, 0], [1, 2, 0], [0, 0, Fraction(1, 2)]]),
+    "first_quadrant_skewed": SelfAdjointCone(
+        [[0, 1], [1, 0]], (1, 1),
+        inner=[[Fraction(1, 2), Fraction(1, 3)], [Fraction(1, 3), 1]]),
+}
+SUPPORT_CONES = dict(CONES, anisotropic=SelfAdjointCone([[1, 0], [0, -3]], (1, 0)),
+                     **SKEWED_INNER)
+small_rational = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
+positive_scale = st.builds(Fraction, st.integers(1, 4), st.integers(1, 3))
+
+
+@PROPERTY
+@given(st.sampled_from(sorted(SUPPORT_CONES)), st.data())
+def test_integer_kernel_membership_matches_fraction_pairing(name, data):
+    cone = SUPPORT_CONES[name]
+    window = cone_lattice_points(cone, 2, closed=True)
+    T = data.draw(st.lists(st.sampled_from(window), max_size=4, unique=True))
+    K = KernelSpec(points=tuple(la.vec_scale(data.draw(positive_scale), t) for t in T))
+    xs = list(window) + [la.vec_scale(data.draw(positive_scale), v) for v in window]
+    xs += data.draw(st.lists(st.tuples(*[small_rational] * cone.dim), max_size=20))
+    for x in xs:
+        assert K.member(x, cone) == fraction_member(K, x, cone), x
+
+
+def test_kernel_covectors_follow_the_cone_and_stay_out_of_equality():
+    T = ((1, 0), (0, 1))
+    K = KernelSpec(points=T)
+    plain, skewed = first_quadrant_cone(), SKEWED_INNER["first_quadrant_skewed"]
+    window = cone_lattice_points(plain, 3, closed=True)
+    answers = {}
+    for cone in (plain, skewed, plain, skewed):
+        got = [K.member(x, cone) for x in window]
+        assert got == [fraction_member(K, x, cone) for x in window]
+        answers.setdefault(id(cone), got)
+    assert answers[id(plain)] != answers[id(skewed)]
+    assert K == KernelSpec(points=T) and hash(K) == hash(KernelSpec(points=T))
+    assert repr(K) == repr(KernelSpec(points=T)) == \
+        "KernelSpec(points=((1, 0), (0, 1)), comparison='closed')"
+    empty = KernelSpec(points=())
+    for cone in (plain, skewed):
+        assert all(empty.member(x, cone) == cone.contains(x, closed=True)
+                   for x in window + ((Fraction(1, 3), Fraction(-1, 2)),))
 
 
 @PROPERTY

@@ -1,6 +1,7 @@
 """Rules the package source keeps."""
 
 import ast
+import re
 import sys
 from pathlib import Path
 
@@ -82,4 +83,20 @@ def test_only_linalg_runs_the_isometry_backtracking():
         for node in ast.walk(ast.parse(path.read_text(), str(path))):
             names = {getattr(node, key, None) for key in ("id", "attr", "name")}
             found += [f"{path.name}:{node.lineno}:{n}" for n in sorted(names & kernel)]
+    assert found == []
+
+
+def test_only_qform_computes_a_signature_by_congruence():
+    # one congruence for signatures and diagonal forms: every other module
+    # asks qform (signature, int_signature, diagonalize) and defines no
+    # elimination of its own
+    congruence = re.compile(r"signature|diagonali[sz]|inertia|congruen")
+    found = []
+    for path in SOURCES:
+        if path.stem == "qform":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) \
+                    and congruence.search(node.name.lower()):
+                found.append(f"{path.name}:{node.lineno}:{node.name}")
     assert found == []
