@@ -14,11 +14,11 @@ off the one double description pass of fan._facets_of; the second
 condition keeps the minima of one graded sweep over the pool
 (fan._cone_minima, which also serves Hilbert bases).  The
 support-hyperplane candidates are facet normals of the windowed hull of
-the extreme set.  Pairings on window data run over int: a kernel tests
-<x, t> >= 1 against its covectors inner * t, scaled once to integer rows
-over one denominator; the recession test is the scaled integer Gram's
-form; and a candidate's contact test compares the integer facet normal
-with inner's scaled Gram, so no Fraction is built per window point.
+the extreme set.  Pairings on window data run over int: the covectors
+inner * t of a point list are scaled once to integer rows over one
+denominator, and both a kernel's test <x, t> >= 1 and a candidate's
+contact test compare them with integer vectors; the recession test is
+the scaled integer Gram's form.  No Fraction is built per window point.
 """
 
 from __future__ import annotations
@@ -143,24 +143,27 @@ class KernelSpec:
     need the closed version (the strict variant differs only on the
     boundary), and reports carry the flag.
 
-    member tests <x, t> >= 1 as dot(c_t, x) >= d, where the integer rows
-    c_t over one positive d are the covectors inner * t (scaled_int); they
-    are computed once per cone and kept beside the points, outside
-    equality, hashing and repr.
+    member tests <x, t> >= 1 as dot(c, x) >= d over the integer
+    covectors (C, d) of T under the cone's inner form; members filters a
+    whole point list against one computation of them.
     """
 
     points: tuple
     comparison: str = "closed"
-    _covectors: tuple = field(default=(None, (), 1), init=False, compare=False, repr=False)
+
+    def members(self, xs, cone: SelfAdjointCone) -> tuple:
+        C, d = _covectors(self.points, cone)
+        return tuple(x for x in xs if cone.contains(x, closed=True)
+                     and all(la.dot(c, x) >= d for c in C))
 
     def member(self, x, cone: SelfAdjointCone) -> bool:
-        if not cone.contains(x, closed=True):
-            return False
-        owner, C, d = self._covectors
-        if owner is not cone:
-            C, d = la.scaled_int([la.mat_vec(cone.inner, t) for t in self.points])
-            object.__setattr__(self, "_covectors", (cone, C, d))
-        return all(la.dot(c, x) >= d for c in C)
+        return bool(self.members((x,), cone))
+
+
+def _covectors(points, cone: SelfAdjointCone):
+    """(C, d): integer rows over one positive d with C[i] / d = inner * points[i],
+    so <x, points[i]> = dot(C[i], x) / d."""
+    return la.scaled_int([la.mat_vec(cone.inner, t) for t in points])
 
 
 def semi_dual(points, cone: SelfAdjointCone) -> KernelSpec:
@@ -235,8 +238,7 @@ def _core_extremes_window(cone: SelfAdjointCone, variant: str, points):
     extremes = _extreme_points_of(pool, recession, cone)
     if variant == "central":
         return extremes
-    K = KernelSpec(points=extremes)
-    return _extreme_points_of(tuple(v for v in points if K.member(v, cone)), recession, cone)
+    return _extreme_points_of(KernelSpec(points=extremes).members(points, cone), recession, cone)
 
 
 @dataclass
@@ -271,9 +273,8 @@ def support_fan(K: KernelSpec, E: ExtremeSet, cone: SelfAdjointCone,
     gens = [la.mat_vec(cone.inner, e) + (1,) for e in pts] \
         + [la.mat_vec(cone.inner, r) + (0,) for r in recession]
     facets, eqs, _ = _facets_of(gens, dim + 1)
-    # <e, y> = 1 with y = a / -a0 is dot(inner e, a) = -a0 * den over int
-    S, den = cone._inner.scaled_gram, cone._inner.den
-    covectors = [(e, la.mat_vec(S, e)) for e in pts]
+    # <e, y> = 1 with y = a / -a0 is dot(c_e, a) = -a0 * d over int
+    C, d = _covectors(pts, cone)
     functionals = []
     for a in facets + eqs + tuple(tuple(-x for x in e) for e in eqs):
         if a[-1] >= 0:
@@ -281,8 +282,8 @@ def support_fan(K: KernelSpec, E: ExtremeSet, cone: SelfAdjointCone,
         # y is a positive multiple of a[:-1], so the cone holds both or neither
         if not cone.contains(a[:-1], closed=True):
             continue
-        level = -a[-1] * den
-        contact = [e for e, c in covectors if la.dot(c, a[:-1]) == level]
+        level = -a[-1] * d
+        contact = [e for e, c in zip(pts, C) if la.dot(c, a[:-1]) == level]
         if la.rank(contact) < dim:
             continue
         y = tuple(Fraction(x, -a[-1]) for x in a[:-1])

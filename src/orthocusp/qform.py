@@ -58,14 +58,11 @@ class QuadraticLattice:
     def bilinear(self, x, y) -> Fraction:
         """b(x, y), one Fraction over den * dx * dy.
 
-        When every coordinate is int or Fraction, x and y are cleared of
-        their denominators once (x = x' / dx, y = y' / dy) and the form is
-        evaluated over int; other coordinates go to form as they are.
+        Coordinates are rational (int, bool or Fraction): x and y are
+        cleared of their denominators once (x = x' / dx, y = y' / dy) and
+        the form is evaluated over int.
         """
-        cx, cy = _cleared(x), _cleared(y)
-        if cx is None or cy is None:
-            return Fraction(la.form(self.scaled_gram, x, y), self.den)
-        (x, dx), (y, dy) = cx, cy
+        (x, dx), (y, dy) = _cleared(x), _cleared(y)
         return Fraction(la.form(self.scaled_gram, x, y), self.den * dx * dy)
 
     def quadratic(self, x) -> Fraction:
@@ -87,15 +84,10 @@ class QuadraticLattice:
 
 def _cleared(v):
     """(w, d): the integer vector w = d * v with d the lcm of the
-    denominators, or None when an entry is neither int nor Fraction."""
+    denominators of the rational entries of v."""
     if all(type(t) is int for t in v):
         return v, 1
-    d = 1
-    for t in v:
-        if type(t) is Fraction:
-            d = lcm(d, t.denominator)
-        elif type(t) is not int:
-            return None
+    d = lcm(*(t.denominator for t in v))
     return [t.numerator * (d // t.denominator) for t in v], d
 
 
