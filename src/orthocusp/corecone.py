@@ -9,8 +9,9 @@ points are filters of it.  core_extremes scans once, at 2H, and takes
 the H window as the points of sup-norm <= H.  A pool point is extreme
 when it is a vertex of the hull of the window pool plus the window
 recession rays, and no other pool point reaches it through the closed
-cone.  The vertices are the extreme generators of the lifted hull, read
-off the one double description pass of fan._facets_of; the second
+cone.  A point one recession ray above another pool point is neither,
+so it is dropped before the hull.  The vertices are the extreme
+generators of the lifted hull, read off the one double description pass of fan._facets_of; the second
 condition keeps the minima of one graded sweep over the pool
 (fan._cone_minima, which also serves Hilbert bases).  The
 support-hyperplane candidates are facet normals of the windowed hull of
@@ -26,6 +27,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import sub
 
 from . import _linalg as la
 from .errors import NotConePreserving, UnstableTruncation, WrongSignature
@@ -189,7 +191,14 @@ def _extreme_points_of(pool, recession, cone: SelfAdjointCone):
     """Pool points that are vertices of conv(pool) + cone(recession) and
     are not v = s + c for another pool point s and c in the closed cone.
 
-    The pool is a set of distinct integral points of the closed cone.
+    The pool is a set of distinct integral points of the closed cone, and
+    every recession row must lie in the closed cone.  Shift lemma: when
+    p - r is in the pool for a recession row r, p = (p - r) + r is neither
+    a vertex nor a minimum in the closed cone's order; the side covector
+    is positive on r, so by induction on the grade the other points span
+    the same polyhedron and hold every minimum.  Such points are dropped
+    first, at one set lookup per (point, row) pair, and the answer is
+    unchanged.
     The vertices are the p whose lift (p, 1) is an extreme generator of
     the pointed cone over (recession, 0) and (pool, 1), whose generators
     lie on distinct rays; the recession rows come first, which keeps the
@@ -199,6 +208,9 @@ def _extreme_points_of(pool, recession, cone: SelfAdjointCone):
     which is positive on the closed cone minus 0 (w is timelike, so w^perp
     is negative definite).
     """
+    members = set(map(tuple, pool))
+    pool = [p for p in pool
+            if not any(tuple(map(sub, p, r)) in members for r in recession)]
     gens = [tuple(r) + (0,) for r in recession] + [tuple(p) + (1,) for p in pool]
     vertices = {g[:-1] for g in _facets_of(gens, cone.dim + 1)[2] if g[-1]}
     minima = _cone_minima(pool, lambda v: la.dot(cone._side, v),

@@ -17,7 +17,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import reduce
+from functools import cached_property, reduce
 from operator import and_, mul
 
 from . import _linalg as la
@@ -154,8 +154,9 @@ class RationalCone:
         facets, eqs = self.facet_normals()
         return la.rank(facets + eqs) == self.rank
 
-    @property
+    @cached_property
     def dim(self) -> int:
+        """Dimension of the span, computed once per cone."""
         return la.rank(self.rays + self.lines)
 
     def __eq__(self, other):
@@ -260,15 +261,25 @@ class Fan:
         return tuple(c for c in self.cones if c.dim == dim)
 
 
-def _subcone(a: RationalCone, b: RationalCone) -> bool:
-    return all(b.contains(r) for r in a.rays)
-
-
 def _maximal(cones):
-    """The distinct cones that lie strictly inside no other, in order."""
+    """The distinct cones that lie strictly inside no other, in order.
+
+    One ray-incidence table decides every pair: the distinct rays are
+    numbered once, and each cone gets the bitmask own of its rays and the
+    bitmask inside of the rays it contains (one contains call per cone
+    and ray).  c lies in d when every ray of c lies in d, so c lies
+    strictly inside d exactly when own(c) & ~inside(d) == 0 and
+    own(d) & ~inside(c) != 0.  No fan property is used.
+    """
     cones = tuple(dict.fromkeys(cones))
-    return tuple(c for c in cones
-                 if not any(d != c and _subcone(c, d) and not _subcone(d, c) for d in cones))
+    bits = {}
+    for c in cones:
+        for r in c.rays:
+            bits.setdefault(r, 1 << len(bits))
+    own = [sum(bits[r] for r in c.rays) for c in cones]
+    inside = [sum(b for r, b in bits.items() if c.contains(r)) for c in cones]
+    return tuple(c for c, oc, ic in zip(cones, own, inside)
+                 if not any(od & ~ic and not oc & ~id_ for od, id_ in zip(own, inside)))
 
 
 def fan_from_maximal(cones, rank: int) -> Fan:

@@ -162,13 +162,20 @@ def _float_str(x: float) -> str:
 
 
 def normalize_value(v):
-    """Recursively convert a result payload into canonical JSON scalars."""
-    if type(v) is str:
+    """Recursively convert a result payload into canonical JSON scalars.
+
+    str, int, bool, None, list, tuple and dict are told apart by their
+    exact type; anything else, subclasses included, takes the isinstance
+    chain."""
+    t = type(v)
+    if t is str or t is int or t is bool or v is None:
         return v
+    if t is list or t is tuple:
+        return [normalize_value(x) for x in v]
+    if t is dict:
+        return {str(k): normalize_value(x) for k, x in v.items()}
     if isinstance(v, Fraction):
         return rat_to_str(v)
-    if isinstance(v, bool) or v is None:
-        return v
     if isinstance(v, int):
         return v
     if isinstance(v, float):

@@ -560,10 +560,12 @@ def criterion_11_cases(tmp_path):
     point = write("pt.json", {"model": "bounded",
                               "coords": [["1/8", "1/9"], ["-1/7", "0"]],
                               "frame": json.loads(open(atilde).read())})
-    # rank-3 polyhedral cases: light_cone(2) with its swap and reflection,
-    # and the face-closed fans of (P^1)^3 and P^3
+    # polyhedral cases: light_cone(2) with its swap and reflection,
+    # light_cone(3), and the face-closed fans of (P^1)^3 and P^3
     lc2 = write("lc2.json", {"gram": [["1", "0", "0"], ["0", "-1", "0"],
                                       ["0", "0", "-1"]]})
+    lc3 = write("lc3.json", {"gram": [["1", "0", "0", "0"], ["0", "-1", "0", "0"],
+                                      ["0", "0", "-1", "0"], ["0", "0", "0", "-1"]]})
     lc2gens = write("lc2gens.json", {"generators": [
         [[1, 0, 0], [0, 0, 1], [0, 1, 0]], [[1, 0, 0], [0, -1, 0], [0, 0, 1]]]})
     p1cubed = write("p1cubed.json", {"rank": 3, "cones": _face_closed(
@@ -600,6 +602,15 @@ def criterion_11_cases(tmp_path):
           "--height", "2", "--gens", lc2gens]),
         ("fan-validate-p1cubed", ["fan", "validate", "--fan", p1cubed]),
         ("fan-complete-p3", ["fan", "complete", "--fan", p3]),
+        # the hull-heavy paths: perfect and central cores of light_cone(2),
+        # the perfect core of light_cone(3), and a subdivision of (P^1)^3
+        ("core-decompose-lc2-perfect", ["core-decompose", "--gram", lc2,
+                                        "--variant", "perfect", "--height", "3"]),
+        ("core-decompose-lc2-central", ["core-decompose", "--gram", lc2,
+                                        "--variant", "central", "--height", "3"]),
+        ("core-decompose-lc3-perfect", ["core-decompose", "--gram", lc3,
+                                        "--variant", "perfect", "--height", "3"]),
+        ("fan-subdivide-p1cubed", ["fan", "subdivide", "--fan", p1cubed]),
     ]
 
 

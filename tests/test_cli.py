@@ -3,11 +3,21 @@
 import hashlib
 import json
 import os
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from orthocusp.cli import main
-from orthocusp.reportio import dumps_canonical
+from orthocusp.gaussian import GaussianRational
+from orthocusp.reportio import (
+    _float_str,
+    complex_to_json,
+    dumps_canonical,
+    normalize_value,
+    rat_to_str,
+)
 
 
 def write(tmp_path, name, obj):
@@ -399,10 +409,63 @@ class TestDeterminism:
         assert isinstance(rep["conventions"], list)
 
 
+def isinstance_normalize_value(v):
+    """normalize_value by the isinstance chain alone, with no exact-type
+    dispatch first."""
+    if type(v) is str:
+        return v
+    if isinstance(v, Fraction):
+        return rat_to_str(v)
+    if isinstance(v, bool) or v is None:
+        return v
+    if isinstance(v, int):
+        return v
+    if isinstance(v, float):
+        return _float_str(v)
+    if isinstance(v, (GaussianRational, complex)):
+        return complex_to_json(v)
+    if isinstance(v, dict):
+        return {str(k): isinstance_normalize_value(x) for k, x in v.items()}
+    if isinstance(v, (list, tuple)):
+        return [isinstance_normalize_value(x) for x in v]
+    return v
+
+
+class Count(int):
+    """An int subclass, which takes the isinstance chain."""
+
+
+def typed(v):
+    """v with the exact type of every node beside it, so True and 1 differ."""
+    if type(v) in (list, tuple):
+        return type(v).__name__, [typed(x) for x in v]
+    if type(v) is dict:
+        return "dict", {k: typed(x) for k, x in v.items()}
+    return type(v).__name__, repr(v)
+
+
+small_fraction = st.fractions(min_value=-50, max_value=50, max_denominator=12)
+payload_scalars = st.one_of(
+    small_fraction, st.integers(-9, 9).map(Fraction), st.integers(), st.booleans(),
+    st.integers(-9, 9).map(Count), st.none(), st.floats(), st.just(-0.0),
+    st.builds(GaussianRational, small_fraction, small_fraction),
+    st.complex_numbers(), st.text(max_size=4))
+payloads = st.recursive(payload_scalars, lambda kids: st.one_of(
+    st.lists(kids, max_size=4), st.lists(kids, max_size=4).map(tuple),
+    st.dictionaries(st.one_of(st.text(max_size=3), st.integers(-5, 5)), kids, max_size=4)),
+    max_leaves=30)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(payloads)
+def test_normalize_value_matches_the_isinstance_chain(v):
+    got, want = normalize_value(v), isinstance_normalize_value(v)
+    assert typed(got) == typed(want)
+    assert dumps_canonical(got) == dumps_canonical(want)
+
+
 class TestReportNormalization:
     def test_minus_zero_normalized(self):
-        from orthocusp.reportio import normalize_value
-
         assert normalize_value(-0.0) == "0.0"
         assert normalize_value(0.0) == "0.0"
         assert normalize_value(complex(-0.0, -0.0)) == ["0.0", "0.0"]

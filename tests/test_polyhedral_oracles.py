@@ -29,7 +29,10 @@ dual cone that ran its own pass before it read the cached facets.
 Kernel membership is checked against the Fraction pairing loop it ran
 before it compared integer covectors, also for inner forms other than
 the identity, and the window kernel points of the references use that
-loop.  They are slow and kept only as oracles.
+loop.  Then _extreme_points_of without the shift filter, which fed every
+pool point to the double description and the sweep, and the pairwise
+containment loop (with its _subcone test) that _maximal ran before one
+ray-incidence table.  They are slow and kept only as oracles.
 """
 
 import itertools
@@ -64,8 +67,10 @@ from orthocusp.fan import (
     _double_description,
     _extreme_rays_of_halfspaces,
     _facets_of,
+    _maximal,
     _parallelepiped,
     _resolution_ray,
+    _star,
     barycentric_subdivide,
     chart_presentation,
     dual_cone,
@@ -545,6 +550,28 @@ def all_pairs_minima(points, contains):
                              for s in points))
 
 
+def unshifted_extreme_points_of(pool, recession, cone):
+    """_extreme_points_of with every pool point in the double description
+    and the sweep: no point is dropped for p - r in the pool first."""
+    gens = [tuple(r) + (0,) for r in recession] + [tuple(p) + (1,) for p in pool]
+    vertices = {g[:-1] for g in _facets_of(gens, cone.dim + 1)[2] if g[-1]}
+    minima = _cone_minima(pool, lambda v: la.dot(cone._side, v),
+                          lambda x: cone.contains(x, closed=True))
+    return tuple(sorted(v for v in minima if tuple(v) in vertices))
+
+
+def _subcone(a, b):
+    return all(b.contains(r) for r in a.rays)
+
+
+def pairwise_maximal(cones):
+    """The distinct cones that lie strictly inside no other, by testing
+    every pair with _subcone."""
+    cones = tuple(dict.fromkeys(cones))
+    return tuple(c for c in cones
+                 if not any(d != c and _subcone(c, d) and not _subcone(d, c) for d in cones))
+
+
 # ---------------------------------------------------------------- properties
 
 # ints, Fractions, floats and rational strings: everything la.frac reads
@@ -688,6 +715,55 @@ def test_extreme_points_of_whole_windows_match_pairwise_filter(name):
             recession = boundary_rays(cone, height)
             assert _extreme_points_of(pool, recession, cone) == \
                 pairwise_extreme_points_of(pool, recession, cone)
+
+
+@PROPERTY
+@given(st.sampled_from(sorted(WINDOW_CONES)), st.sampled_from(["closed", "open", "kernel"]),
+       st.integers(1, 2), st.data())
+def test_extreme_points_match_the_unshifted_pool(name, kind, height, data):
+    # the shift lemma needs only recession rows in the closed cone, so any
+    # subset of the window's rays is a valid recession set
+    cone = WINDOW_CONES[name]
+    window = cone_lattice_points(cone, height, closed=True)
+    if kind == "open":
+        window = cone_lattice_points(cone, height)
+    elif kind == "kernel":
+        T = data.draw(st.lists(st.sampled_from(window), min_size=1, max_size=3, unique=True))
+        window = KernelSpec(points=T).members(window, cone)
+    assume(window)
+    pool = data.draw(st.lists(st.sampled_from(window), min_size=1, max_size=20, unique=True))
+    rays = boundary_rays(cone, height)
+    recession = tuple(r for r in rays if data.draw(st.booleans()))
+    assert _extreme_points_of(pool, recession, cone) == \
+        unshifted_extreme_points_of(pool, recession, cone)
+
+
+@pytest.mark.parametrize("name", sorted(WINDOW_CONES))
+def test_whole_window_extreme_points_match_the_unshifted_pool(name):
+    cone = WINDOW_CONES[name]
+    for height in (1, 2):
+        recession = boundary_rays(cone, height)
+        for closed in (False, True):
+            pool = cone_lattice_points(cone, height, closed=closed)
+            assert _extreme_points_of(pool, recession, cone) == \
+                unshifted_extreme_points_of(pool, recession, cone)
+
+
+def test_shift_that_leaves_the_window_keeps_the_point():
+    # in the H = 2 window of q = 2xy + y^2, (2, 2) - (-1, 2) = (3, 0) lies in
+    # the closed cone but not in the window; in pools without (1, 2) no
+    # shift of (2, 2) lands in the pool, so the hull decides that point,
+    # and on its own it is the one extreme point
+    cone = WINDOW_CONES["non_diagonal_isotropic"]
+    window = cone_lattice_points(cone, 2, closed=True)
+    recession = boundary_rays(cone, 2)
+    assert recession == ((-1, 2), (1, 0))
+    assert cone.contains((3, 0), closed=True) and (3, 0) not in window
+    for pool in ([p for p in window if p != (1, 2)], [(2, 2)]):
+        got = _extreme_points_of(pool, recession, cone)
+        assert got == unshifted_extreme_points_of(pool, recession, cone)
+        assert got == pairwise_extreme_points_of(pool, recession, cone)
+    assert got == ((2, 2),)
 
 
 @st.composite
@@ -908,6 +984,43 @@ def test_subdivisions_match_maximal_cones_of_the_closure(f, data):
         reference_barycentric_subdivide(f, selected).cones
     assert barycentric_subdivide(f, list(f.top_cones())).cones == \
         reference_barycentric_subdivide(f, list(f.top_cones())).cones
+
+
+@st.composite
+def maximal_inputs(draw):
+    """Cone lists for _maximal: face closures, star outputs, and lists that
+    are not fans (nested, overlapping and duplicated cones, the zero cone,
+    cones with lines), in random order, and the empty list."""
+    kind = draw(st.sampled_from(["closure", "star", "raw", "lines", "empty"]))
+    if kind == "empty":
+        return []
+    f = draw(cone_lists())
+    if kind == "closure":
+        cones = [fc for c in f.cones for fc in faces(c)]
+    elif kind == "star":
+        ray = draw(st.tuples(*[st.integers(-2, 2)] * f.rank).filter(any))
+        cones = _star(draw(st.sampled_from([f.cones, f.maximal_cones()])), ray, f.rank)
+    else:
+        cones = list(f.cones)
+        cones += draw(st.lists(st.sampled_from(f.cones), max_size=3))
+        cones += draw(st.lists(st.sampled_from([fc for c in f.cones for fc in faces(c)]),
+                               max_size=4))
+        if draw(st.booleans()):
+            cones.append(RationalCone([], f.rank))
+        if kind == "lines":
+            cones.append(draw(cones_with_lines().filter(lambda c: c.rank == f.rank)))
+    return draw(st.permutations(cones))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(maximal_inputs())
+@example([])
+@example([RationalCone([], 2)])
+@example([RationalCone([(1, 0)], 2), RationalCone([], 2), RationalCone([(1, 0), (0, 1)], 2),
+          RationalCone([(1, 0)], 2), RationalCone([(1, 1), (-1, 1)], 2)])
+def test_maximal_matches_the_pairwise_loop(cones):
+    # a tuple compare: the same cones in the same order
+    assert _maximal(cones) == pairwise_maximal(cones)
 
 
 def test_subdivision_drops_a_cone_nested_by_an_earlier_step():
