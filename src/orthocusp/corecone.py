@@ -187,6 +187,13 @@ class ExtremeSet:
     stable: bool
 
 
+def _drop_shifts(pool, recession):
+    """The pool points p with p - r in the pool for no recession row r."""
+    members = set(map(tuple, pool))
+    return [p for p in pool
+            if not any(tuple(map(sub, p, r)) in members for r in recession)]
+
+
 def _extreme_points_of(pool, recession, cone: SelfAdjointCone):
     """Pool points that are vertices of conv(pool) + cone(recession) and
     are not v = s + c for another pool point s and c in the closed cone.
@@ -198,7 +205,7 @@ def _extreme_points_of(pool, recession, cone: SelfAdjointCone):
     is positive on r, so by induction on the grade the other points span
     the same polyhedron and hold every minimum.  Such points are dropped
     first, at one set lookup per (point, row) pair, and the answer is
-    unchanged.
+    unchanged (_drop_shifts; its set is freed before the hull runs).
     The vertices are the p whose lift (p, 1) is an extreme generator of
     the pointed cone over (recession, 0) and (pool, 1), whose generators
     lie on distinct rays; the recession rows come first, which keeps the
@@ -208,9 +215,7 @@ def _extreme_points_of(pool, recession, cone: SelfAdjointCone):
     which is positive on the closed cone minus 0 (w is timelike, so w^perp
     is negative definite).
     """
-    members = set(map(tuple, pool))
-    pool = [p for p in pool
-            if not any(tuple(map(sub, p, r)) in members for r in recession)]
+    pool = _drop_shifts(pool, recession)
     gens = [tuple(r) + (0,) for r in recession] + [tuple(p) + (1,) for p in pool]
     vertices = {g[:-1] for g in _facets_of(gens, cone.dim + 1)[2] if g[-1]}
     minima = _cone_minima(pool, lambda v: la.dot(cone._side, v),
