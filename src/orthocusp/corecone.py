@@ -11,11 +11,11 @@ when it is a vertex of the hull of the window pool plus the window
 recession rays, and no other pool point reaches it through the closed
 cone.  A point one recession ray above another pool point is neither,
 so it is dropped before the hull.  The vertices are the extreme
-generators of the lifted hull, read off the one double description pass of fan._facets_of; the second
-condition keeps the minima of one graded sweep over the pool
-(fan._cone_minima, which also serves Hilbert bases).  The
-support-hyperplane candidates are facet normals of the windowed hull of
-the extreme set.  Pairings on window data run over int: the covectors
+generators of the lifted hull, read off the one double description
+pass of fan._facets_of; the second condition keeps the minima of one
+graded sweep over the pool (fan._cone_minima, which also serves
+Hilbert bases).  The support-hyperplane candidates are facet normals
+of the windowed hull of the extreme set.  Pairings on window data run over int: the covectors
 inner * t of a point list are scaled once to integer rows over one
 denominator, and both a kernel's test <x, t> >= 1 and a candidate's
 contact test compare them with integer vectors; the recession test is
