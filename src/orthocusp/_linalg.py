@@ -13,7 +13,10 @@ sits beside it, with the package's integer arithmetic: factor is its one
 trial division and is_prime its one primality test.  The products
 (mat_mul, mat_vec, dot) and the form evaluator (form) keep the type of
 their input: int in, int out, so integer data never meets a Fraction;
-scaled_int hands a matrix of plain ints back as it is.  gram_preservers
+scaled_int hands a matrix of plain ints back as it is.  rows_at_least
+tests a vector against every row of an integer matrix at once, on
+packed integer fields, and quadratic_nonneg solves a quadratic
+inequality over the integers of a range with isqrt.  gram_preservers
 is the package's one isometry search, a column backtracking with forward
 checking: fixing a column filters the candidates of every later column
 by its pairing with it, which is the test the later column must pass
@@ -22,7 +25,8 @@ only stops sooner in dead branches.
 """
 
 from fractions import Fraction
-from math import gcd, lcm
+from itertools import chain
+from math import gcd, isqrt, lcm
 from operator import mul
 
 
@@ -204,6 +208,51 @@ def scaled_int(A):
 def form(B, x, y):
     """y^t B x: exact on int and Fraction entries, over int when all are int."""
     return sum(b * sum(map(mul, row, x)) for row, b in zip(B, y))
+
+
+def rows_at_least(C, d, xs):
+    """The integer vectors x of xs with dot(c, x) >= d for every row c of C.
+
+    Each x makes every test at once on packed k-bit fields: with 2^(k-1)
+    above every |dot(c, x) - d|, field i of F + sum_j x[j] * P[j], where
+    P[j] packs column j of C and F packs 2^(k-1) - d, is
+    dot(C[i], x) - d + 2^(k-1), whose top bit is set exactly when
+    dot(C[i], x) >= d.
+    """
+    xs = tuple(xs)
+    if not C or not xs:
+        return xs
+    k = (max(map(abs, chain.from_iterable(xs))) * max(sum(map(abs, c)) for c in C)
+         + abs(d)).bit_length() + 1
+    half, ones = 1 << (k - 1), ((1 << k * len(C)) - 1) // ((1 << k) - 1)
+    P = [sum(x << k * i for i, x in enumerate(col)) for col in zip(*C)]
+    F, top = (half - d) * ones, half * ones
+    return tuple(x for x in xs if (F + dot(P, x)) & top == top)
+
+
+def quadratic_nonneg(a, b, c, lo, hi):
+    """The ranges, at most two and increasing, of the integers t in
+    [lo, hi] with a t^2 + 2 b t + c >= 0.
+
+    a (a t^2 + 2 b t + c) = (a t + b)^2 - D with D = b^2 - a c: for a < 0
+    the test is |a t + b| <= isqrt(D); for a > 0 it is |a t + b| >= R, the
+    least R with R^2 >= D, which leaves two ranges; for a = 0 it is
+    linear.  Every bound is an exact integer division.
+    """
+    D = b * b - a * c
+    if a < 0 and D >= 0:
+        r = isqrt(D)
+        spans = [(-((r - b) // -a), (b + r) // -a)]
+    elif a > 0 and D > 0:
+        R = isqrt(D - 1) + 1
+        spans = [(lo, (-R - b) // a), (-((b - R) // a), hi)]
+    elif a > 0 or a == b == 0 and c >= 0:
+        spans = [(lo, hi)]
+    elif a == 0 and b:
+        spans = [(-(c // (2 * b)), hi) if b > 0 else (lo, c // (-2 * b))]
+    else:
+        spans = []
+    return [range(max(l, lo), min(h, hi) + 1) for l, h in spans]
 
 
 def primitive(v):

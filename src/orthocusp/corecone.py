@@ -3,23 +3,19 @@
 Every computation is windowed by a height bound H with an H-versus-2H
 stability certificate; the module reports window-level evidence only and
 never claims global admissibility.  One scan enumerates the nonzero
-integral vectors of sup-norm <= h in the closed cone; the open-cone
-points, the recession rays (primitive, q = 0) and a kernel's window
-points are filters of it.  core_extremes scans once, at 2H, and takes
-the H window as the points of sup-norm <= H.  A pool point is extreme
-when it is a vertex of the hull of the window pool plus the window
-recession rays, and no other pool point reaches it through the closed
-cone.  A point one recession ray above another pool point is neither,
-so it is dropped before the hull.  The vertices are the extreme
-generators of the lifted hull, read off the one double description
-pass of fan._facets_of; the second condition keeps the minima of one
-graded sweep over the pool (fan._cone_minima, which also serves
-Hilbert bases).  The support-hyperplane candidates are facet normals
-of the windowed hull of the extreme set.  Pairings on window data run over int: the covectors
-inner * t of a point list are scaled once to integer rows over one
-denominator, and both a kernel's test <x, t> >= 1 and a candidate's
-contact test compare them with integer vectors; the recession test is
-the scaled integer Gram's form.  No Fraction is built per window point.
+integral vectors of sup-norm <= h in the closed cone, deriving for each
+prefix the last coordinates as one or two integer intervals.  Open-cone
+points, recession rays (primitive, q = 0) and kernel points are filters
+of it; core_extremes scans once, at 2H, and hands the H window's rays to
+support_fan inside the ExtremeSet.  A pool point is extreme when it is a
+vertex of the hull of the pool plus the recession rays (one double
+description pass of fan._facets_of) and a minimum of the pool in the
+closed cone's order (one graded integer sweep); points one recession ray
+above another pool point are neither and are dropped first.  Support
+candidates are facet normals of the windowed hull of the extreme set.
+Pairings on window data run over int: the covectors inner * t are scaled
+once to integer rows over one denominator, and the cone tests use the
+scaled integer Gram.  No Fraction is built per window point.
 """
 
 from __future__ import annotations
@@ -27,18 +23,10 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from operator import sub
 
 from . import _linalg as la
 from .errors import NotConePreserving, UnstableTruncation, WrongSignature
-from .fan import (
-    Fan,
-    RationalCone,
-    _cone_minima,
-    _facets_of,
-    fan_from_maximal,
-    validate_fan,
-)
+from .fan import Fan, RationalCone, _facets_of, fan_from_maximal, validate_fan
 from .qform import QuadraticLattice, diagonalize
 
 
@@ -84,6 +72,9 @@ class SelfAdjointCone:
         return self._inner.bilinear(x, y)
 
     def contains(self, v, closed: bool = False) -> bool:
+        if type(sum(v)) is not int:
+            # a positive integer multiple of v has the same signs
+            (v,), _ = la.scaled_int([v])
         q, s = la.form(self.lattice.scaled_gram, v, v), la.dot(self._side, v)
         return q >= 0 and s >= 0 if closed else q > 0 and s > 0
 
@@ -104,12 +95,29 @@ def light_cone(k: int) -> SelfAdjointCone:
 
 
 def _closed_window(cone: SelfAdjointCone, height: int):
-    """Sorted nonzero integral vectors of sup-norm <= height in the closed cone."""
+    """Sorted nonzero integral vectors of sup-norm <= height in the closed cone.
+
+    For each prefix x of the first dim - 1 coordinates, in lexicographic
+    order, the last coordinates t are exact integer intervals: over the
+    scaled Gram B, q(x, t) = a t^2 + 2 b t + c with a = B[-1][-1],
+    b = B[-1][:-1] . x and c = q(x) (la.quadratic_nonneg), and the side
+    covector bounds t on one side.
+    """
     if height < 1:
         raise ValueError("height must be >= 1")
-    rng = range(-height, height + 1)
-    return tuple(v for v in itertools.product(rng, repeat=cone.dim)
-                 if any(v) and cone.contains(v, closed=True))
+    B, side = cone.lattice.scaled_gram, cone._side
+    a, row, top = B[-1][-1], B[-1][:-1], [r[:-1] for r in B[:-1]]
+    s, head = side[-1], side[:-1]
+    out = []
+    for x in itertools.product(range(-height, height + 1), repeat=cone.dim - 1):
+        s0 = la.dot(head, x)
+        if s == 0 and s0 < 0:
+            continue
+        lo = max(-height, -(s0 // s)) if s > 0 else -height
+        hi = min(height, s0 // -s) if s < 0 else height
+        for ts in la.quadratic_nonneg(a, la.dot(row, x), la.form(top, x, x), lo, hi):
+            out.extend(x + (t,) for t in ts if t or any(x))
+    return tuple(out)
 
 
 def _open_points(points, cone: SelfAdjointCone):
@@ -164,8 +172,9 @@ class KernelSpec:
 
 def _covectors(points, cone: SelfAdjointCone):
     """(C, d): integer rows over one positive d with C[i] / d = inner * points[i],
-    so <x, points[i]> = dot(C[i], x) / d."""
-    return la.scaled_int([la.mat_vec(cone.inner, t) for t in points])
+    so <x, points[i]> = dot(C[i], x) / d, from the inner form's integer Gram."""
+    C, d = la.scaled_int([la.mat_vec(cone._inner.scaled_gram, t) for t in points])
+    return C, d * cone._inner.den
 
 
 def semi_dual(points, cone: SelfAdjointCone) -> KernelSpec:
@@ -185,13 +194,41 @@ class ExtremeSet:
     truncation: int
     variant: str
     stable: bool
+    # the window's recession rays, when core_extremes made the set
+    recession: tuple | None = field(default=None, compare=False, repr=False)
 
 
 def _drop_shifts(pool, recession):
-    """The pool points p with p - r in the pool for no recession row r."""
-    members = set(map(tuple, pool))
-    return [p for p in pool
-            if not any(tuple(map(sub, p, r)) in members for r in recession)]
+    """The pool points p with p - r in the pool for no recession row r.
+
+    Vectors are keyed by sum v[i] * base^i.  For pool entries in [-h, h]
+    and row entries in [-g, g], entries of p - r - p' lie in
+    [-(2h + g), 2h + g], so with base 2h + g + 1, key(p) - key(r) is
+    key(p') exactly when p - r = p'.
+    """
+    if not pool or not recession:
+        return list(pool)
+    h, g = (max(map(abs, itertools.chain.from_iterable(vs))) for vs in (pool, recession))
+    weights = [(2 * h + g + 1) ** i for i in range(len(pool[0]))]
+    keys = [la.dot(weights, p) for p in pool]
+    members, shifts = set(keys), [la.dot(weights, r) for r in recession]
+    return [p for p, k in zip(pool, keys) if not any(k - s in members for s in shifts)]
+
+
+def _closed_minima(pool, cone: SelfAdjointCone):
+    """fan._cone_minima of the pool in the closed cone's order, graded by
+    side, which is positive on the closed cone minus 0 (w^perp is negative
+    definite).  side(v - h) >= 0 for every h kept before v, so v - h is in
+    the closed cone exactly when q(v) + q(h) >= 2 h^t B v, B the scaled Gram.
+    """
+    B, side = cone.lattice.scaled_gram, cone._side
+    kept = []
+    for v in sorted(pool, key=lambda v: (la.dot(side, v), v)):
+        Bv = la.mat_vec(B, v)
+        qv = la.dot(v, Bv)
+        if not any(qv + qh >= 2 * la.dot(h, Bv) for h, qh in kept):
+            kept.append((v, qv))
+    return [v for v, _ in kept]
 
 
 def _extreme_points_of(pool, recession, cone: SelfAdjointCone):
@@ -204,23 +241,16 @@ def _extreme_points_of(pool, recession, cone: SelfAdjointCone):
     a vertex nor a minimum in the closed cone's order; the side covector
     is positive on r, so by induction on the grade the other points span
     the same polyhedron and hold every minimum.  Such points are dropped
-    first, at one set lookup per (point, row) pair, and the answer is
-    unchanged (_drop_shifts; its set is freed before the hull runs).
-    The vertices are the p whose lift (p, 1) is an extreme generator of
-    the pointed cone over (recession, 0) and (pool, 1), whose generators
-    lie on distinct rays; the recession rows come first, which keeps the
-    double description small.  The closed-cone filter stays, since the
-    window recession rays under-approximate the cone: it keeps the minima
-    of the pool in the closed cone's order, graded by the side covector,
-    which is positive on the closed cone minus 0 (w is timelike, so w^perp
-    is negative definite).
+    first, with a set freed before the hull runs.  The vertices are the p
+    whose lift (p, 1) is an extreme generator of the pointed cone over
+    (recession, 0) and (pool, 1), whose generators lie on distinct rays;
+    recession rows come first to keep the double description small.  The
+    minima filter stays: window recession rays under-approximate the cone.
     """
     pool = _drop_shifts(pool, recession)
     gens = [tuple(r) + (0,) for r in recession] + [tuple(p) + (1,) for p in pool]
     vertices = {g[:-1] for g in _facets_of(gens, cone.dim + 1)[2] if g[-1]}
-    minima = _cone_minima(pool, lambda v: la.dot(cone._side, v),
-                          lambda x: cone.contains(x, closed=True))
-    return tuple(sorted(v for v in minima if tuple(v) in vertices))
+    return tuple(sorted(v for v in _closed_minima(pool, cone) if tuple(v) in vertices))
 
 
 def core_extremes(cone: SelfAdjointCone, variant: str, height: int) -> ExtremeSet:
@@ -231,31 +261,33 @@ def core_extremes(cone: SelfAdjointCone, variant: str, height: int) -> ExtremeSe
     central_dual : the co-core K_cent^vee = K_T with T = E(K_cent)
     Certification: the same computation at height 2H must return the same
     points inside the H window; otherwise UnstableTruncation.  Both windows
-    are filters of one scan at 2H.
+    and the H window's recession rays (the 2H rays of sup-norm <= H) are
+    filters of one scan at 2H; the ExtremeSet carries those rays on.
     """
     if variant not in ("central", "perfect", "central_dual"):
         raise ValueError(f"unknown core variant {variant!r}")
     window = _closed_window(cone, 2 * height)  # raises for height < 1
-    e_h = _core_extremes_window(
-        cone, variant, tuple(v for v in window if max(map(abs, v)) <= height))
-    e_2h = _core_extremes_window(cone, variant, window)
+    rays = _recession_rays(window, cone)
+    window_h, rays_h = (tuple(v for v in vs if max(map(abs, v)) <= height)
+                        for vs in (window, rays))
+    e_h = _core_extremes_window(cone, variant, window_h, rays_h)
+    e_2h = _core_extremes_window(cone, variant, window, rays)
     inside = tuple(p for p in e_2h if max(abs(x) for x in p) <= height)
-    stable = set(e_h) == set(inside)
-    if not stable:
-        raise UnstableTruncation(
-            f"window H={height} returns {e_h}, window 2H keeps {inside}"
-        )
-    return ExtremeSet(points=e_h, truncation=height, variant=variant, stable=True)
+    if set(e_h) != set(inside):
+        raise UnstableTruncation(f"window H={height} returns {e_h}, window 2H keeps {inside}")
+    return ExtremeSet(points=e_h, truncation=height, variant=variant, stable=True,
+                      recession=rays_h)
 
 
-def _core_extremes_window(cone: SelfAdjointCone, variant: str, points):
+def _core_extremes_window(cone: SelfAdjointCone, variant: str, points, recession):
     """Extreme points of the variant's pool, from the closed-cone window points."""
-    recession = _recession_rays(points, cone)
     pool = points if variant == "perfect" else _open_points(points, cone)
     extremes = _extreme_points_of(pool, recession, cone)
     if variant == "central":
         return extremes
-    return _extreme_points_of(KernelSpec(points=extremes).members(points, cone), recession, cone)
+    # the window points lie in the closed cone: only the pairings are tested
+    kernel = la.rows_at_least(*_covectors(extremes, cone), points)
+    return _extreme_points_of(kernel, recession, cone)
 
 
 @dataclass
@@ -263,10 +295,8 @@ class SupportFanReport:
     degenerate: bool
     functionals: tuple
     fan_valid: bool
-    conventions: tuple = (
-        "kernel-comparison-closed",
-        "support-candidates-from-windowed-hull-facets",
-    )
+    conventions: tuple = ("kernel-comparison-closed",
+                          "support-candidates-from-windowed-hull-facets")
     warnings: list = field(default_factory=list)
 
 
@@ -279,14 +309,14 @@ def support_fan(K: KernelSpec, E: ExtremeSet, cone: SelfAdjointCone,
     (inner e, 1) and (inner r, 0), for e in E and window recession rays r,
     gives y = a / -a0.  When that cone lies in a hyperplane, its equation
     is a candidate in both signs.  y enters Y_K when it lies in the closed
-    cone and its contact set with E spans the space.
+    cone and its contact set with E spans the space.  The recession rays
+    are E's when core_extremes made E at this window, else a scan's.
     Returns (fan, report); a degenerate Y_K yields the trivial single-cone
     decomposition of the windowed rational closure with a warning.
     """
-    window = window or E.truncation
-    pts = E.points
-    dim = cone.dim
-    recession = boundary_rays(cone, window)
+    window, pts, dim = window or E.truncation, E.points, cone.dim
+    recession = E.recession if window == E.truncation else None
+    recession = boundary_rays(cone, window) if recession is None else recession
     gens = [la.mat_vec(cone.inner, e) + (1,) for e in pts] \
         + [la.mat_vec(cone.inner, r) + (0,) for r in recession]
     facets, eqs, _ = _facets_of(gens, dim + 1)
@@ -374,12 +404,9 @@ def gamma_check(fan: Fan, gens, cone: SelfAdjointCone, window_bound: int) -> Gam
             if img in index:
                 parent[find(index[c])] = find(index[img])
                 continue
-            if any(max(abs(x) for x in r) > window_bound for r in img_rays):
-                excused.append({"generator": gi, "cone": list(c.rays),
-                                "image": [list(r) for r in img_rays]})
-                continue
-            violations.append({"generator": gi, "cone": list(c.rays),
-                               "image": [list(r) for r in img_rays]})
+            leaves = any(max(abs(x) for x in r) > window_bound for r in img_rays)
+            (excused if leaves else violations).append(
+                {"generator": gi, "cone": list(c.rays), "image": [list(r) for r in img_rays]})
     if violations:
         raise NotConePreserving(f"unexcused image cones: {violations}")
     classes = {}

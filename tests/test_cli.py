@@ -3,6 +3,7 @@
 import hashlib
 import json
 import os
+import pathlib
 from fractions import Fraction
 
 import pytest
@@ -32,6 +33,7 @@ def run_to_file(tmp_path, argv, name="out.json"):
     return code, out.read_bytes() if out.exists() else b""
 
 
+GOLDEN = pathlib.Path(__file__).parent / "golden"
 HYP = {"gram": [["0", "1"], ["1", "0"]]}
 ATILDE4 = {
     "gram": [
@@ -270,6 +272,28 @@ class TestCoreDecompose:
         assert code == 0
         assert hashlib.sha256(blob).hexdigest() == \
             "30a8645bab48e2854caa8087cf0c52efad73edbf52b1eef2fb5fed678e403d36"
+
+
+    # goldens captured before the window scan derived its intervals: a zero
+    # last diagonal with an off-diagonal last row, zero positivity entries,
+    # and an UnstableTruncation refusal, whose error report goes to stdout
+    @pytest.mark.parametrize("name, gram, argv, code", [
+        ("core-decompose-m2u-perfect", [[-2, 0, 0], [0, 0, 1], [0, 1, 0]],
+         ["--positivity", "0,1,1", "--height", "3"], 0),
+        ("core-decompose-um2m2-perfect",
+         [[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, -2, 0], [0, 0, 0, -2]],
+         ["--positivity", "1,1,0,0", "--height", "3"], 0),
+        ("core-decompose-lc3-h4-unstable",
+         [[1, 0, 0, 0], [0, -1, 0, 0], [0, 0, -1, 0], [0, 0, 0, -1]], ["--height", "4"], 1),
+    ])
+    def test_core_decompose_goldens(self, tmp_path, capsys, name, gram, argv, code):
+        path = write(tmp_path, "g.json", {"gram": [[str(x) for x in row] for row in gram]})
+        got, blob = run_to_file(tmp_path, ["core-decompose", "--gram", path,
+                                           "--variant", "perfect"] + argv)
+        assert got == code
+        if code:
+            blob = capsys.readouterr().out.encode("ascii")
+        assert blob == (GOLDEN / f"{name}.json").read_bytes()
 
 
 class TestBoundaryRefusals:

@@ -1,11 +1,14 @@
 """Kernels, cores, windowed extreme points, and support fans."""
 
+import json
 import random
 from fractions import Fraction as F
 
 import pytest
 
 from orthocusp import _linalg as la
+from orthocusp import corecone
+from orthocusp.cli import main
 from orthocusp.corecone import (
     ExtremeSet,
     KernelSpec,
@@ -262,3 +265,40 @@ class TestGammaCheck:
         swap = ((0, 1), (1, 0))
         with pytest.raises(NotConePreserving):
             gamma_check(half, [swap], cone, window_bound=50)
+
+
+class TestOneWindowScan:
+    @pytest.fixture
+    def scans(self, monkeypatch):
+        heights = []
+        scan = corecone._closed_window
+
+        def counted(cone, height):
+            heights.append(height)
+            return scan(cone, height)
+
+        monkeypatch.setattr(corecone, "_closed_window", counted)
+        return heights
+
+    @pytest.mark.parametrize("variant, height", [
+        ("perfect", 3), ("central", 3), ("central_dual", 2)])
+    def test_core_decompose_scans_once_at_twice_the_height(self, tmp_path, scans,
+                                                            variant, height):
+        gram = tmp_path / "g.json"
+        gram.write_text(json.dumps({"gram": [["1", "0", "0"], ["0", "-1", "0"],
+                                             ["0", "0", "-1"]]}))
+        argv = ["core-decompose", "--gram", str(gram), "--variant", variant,
+                "--height", str(height), "--out", str(tmp_path / "out.json")]
+        assert main(argv) == 0
+        assert scans == [2 * height]
+
+    def test_support_fan_scans_only_another_window(self, scans):
+        cone = light_cone(2)
+        E = core_extremes(cone, "perfect", 3)
+        K = KernelSpec(points=E.points)
+        assert E.recession == boundary_rays(cone, 3)
+        del scans[:]
+        assert support_fan(K, E, cone)[1] == support_fan(K, E, cone, window=3)[1]
+        assert scans == []
+        support_fan(K, E, cone, window=4)
+        assert scans == [4]

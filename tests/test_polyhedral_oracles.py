@@ -32,10 +32,17 @@ the identity, and the window kernel points of the references use that
 loop.  Then _extreme_points_of without the shift filter, which fed every
 pool point to the double description and the sweep, and the pairwise
 containment loop (with its _subcone test) that _maximal ran before one
-ray-incidence table.  They are slow and kept only as oracles.
+ray-incidence table.  Last, the window code around the hull as it was
+before integer keys and derived intervals: the box scan of the closed
+window (and a scan of t for la.quadratic_nonneg's ranges), the tuple
+lookup of _drop_shifts, the graded sweep that asked
+SelfAdjointCone.contains for every difference, and the kernel test that
+paired each window point with each covector.  They are slow and kept only
+as oracles.
 """
 
 import itertools
+import random
 from fractions import Fraction
 from math import gcd
 
@@ -50,6 +57,10 @@ from orthocusp.corecone import (
     ExtremeSet,
     KernelSpec,
     SelfAdjointCone,
+    _closed_minima,
+    _closed_window,
+    _covectors,
+    _drop_shifts,
     _extreme_points_of,
     boundary_rays,
     cone_lattice_points,
@@ -572,6 +583,30 @@ def pairwise_maximal(cones):
                  if not any(d != c and _subcone(c, d) and not _subcone(d, c) for d in cones))
 
 
+def box_closed_window(cone, height):
+    """_closed_window as a scan of the whole box, one contains test a point."""
+    rng = range(-height, height + 1)
+    return tuple(v for v in itertools.product(rng, repeat=cone.dim)
+                 if any(v) and cone.contains(v, closed=True))
+
+
+def tuple_drop_shifts(pool, recession):
+    """_drop_shifts with the difference p - r built and looked up as a tuple."""
+    members = set(map(tuple, pool))
+    return [p for p in pool
+            if not any(tuple(a - b for a, b in zip(p, r)) in members for r in recession)]
+
+
+def contains_minima(pool, cone):
+    """_closed_minima as fan._cone_minima with a contains test per difference."""
+    return _cone_minima(pool, lambda v: la.dot(cone._side, v),
+                        lambda x: cone.contains(x, closed=True))
+
+
+def looped_rows_at_least(C, d, xs):
+    return tuple(x for x in xs if all(la.dot(c, x) >= d for c in C))
+
+
 # ---------------------------------------------------------------- properties
 
 # ints, Fractions, floats and rational strings: everything la.frac reads
@@ -937,8 +972,10 @@ def outcome(fn, *args):
        st.sampled_from(["central", "perfect", "central_dual"]), st.integers(1, 3))
 def test_core_extremes_match_separate_window_scans(name, variant, height):
     cone = SUPPORT_CONES[name]
-    assert outcome(core_extremes, cone, variant, height) == \
-        outcome(reference_core_extremes, cone, variant, height)
+    got = outcome(core_extremes, cone, variant, height)
+    assert got == outcome(reference_core_extremes, cone, variant, height)
+    if isinstance(got, ExtremeSet):
+        assert got.recession == window_boundary_rays(cone, height)
 
 
 @pytest.mark.parametrize("height", [0, -1])
@@ -946,6 +983,136 @@ def test_core_extremes_refuses_heights_below_one(height):
     for variant in ("central", "perfect", "central_dual"):
         with pytest.raises(ValueError):
             core_extremes(first_quadrant_cone(), variant, height)
+
+
+@st.composite
+def lorentz_cones(draw):
+    """(cone, h): a signature-(1, k) cone with k = 1..4 and a height h = 1..4
+    (1..3 for k = 4, which keeps the oracle's box at 7^5 points).
+
+    The Gram is diag(p, -n_1, ..., -n_k) with the positive entry anywhere
+    (last gives a positive last diagonal), or a hyperbolic plane a * U in
+    the last two coordinates beside -n_i (a zero last diagonal with an
+    off-diagonal last row); entries are positive rationals, and half the
+    Grams are moved by a lower unitriangular M to M^t G M, which keeps the
+    last diagonal.  The positivity covector often has zero entries.
+    """
+    k = draw(st.integers(1, 4))
+    h = draw(st.integers(1, 4 if k < 4 else 3))
+    n = k + 1
+    positive = st.builds(Fraction, st.integers(1, 3), st.integers(1, 3))
+    G = [[Fraction(0)] * n for _ in range(n)]
+    if draw(st.booleans()):
+        G[-1][-2] = G[-2][-1] = draw(positive)
+        for i in range(n - 2):
+            G[i][i] = -draw(positive)
+    else:
+        p = draw(st.integers(0, k))
+        for i in range(n):
+            G[i][i] = draw(positive) if i == p else -draw(positive)
+    if draw(st.booleans()):
+        M = [[1 if i == j else draw(st.integers(-1, 1)) if i > j else 0 for j in range(n)]
+             for i in range(n)]
+        G = [list(r) for r in la.mat_mul(la.mat_mul(la.transpose(M), G), M)]
+    rho = draw(st.tuples(*[st.sampled_from([0, 0, 1, -1, 2])] * n))
+    try:
+        return SelfAdjointCone(G, rho), h
+    except ValueError:  # rho vanishes at the interior point
+        assume(False)
+
+
+# the three shapes with rational entries and a zero positivity entry
+LORENTZ_EXAMPLES = [
+    (SelfAdjointCone([[-2, 0, 0], [0, 0, 1], [0, 1, 0]], (0, 1, 1)), 3),
+    (SelfAdjointCone([[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, -2, 0], [0, 0, 0, -2]],
+                     (1, 1, 0, 0)), 2),
+    (SelfAdjointCone([[Fraction(-1, 2), 0, 0], [0, 0, Fraction(3, 2)],
+                      [0, Fraction(3, 2), 0]], (0, 1, 2)), 4),
+    (SelfAdjointCone([[-1, 0, 0], [0, Fraction(-1, 2), 0], [0, 0, Fraction(3, 2)]],
+                     (0, 0, 1)), 4),
+    (SelfAdjointCone([[-1, 1, 0, 0, 0], [1, -3, 0, 0, 0], [0, 0, -1, 0, 0],
+                      [0, 0, 0, 0, Fraction(1, 3)], [0, 0, 0, Fraction(1, 3), 0]],
+                     (0, 0, 0, 1, 1)), 2),
+]
+
+
+@PROPERTY
+@given(lorentz_cones(), st.randoms(use_true_random=False))
+@example(LORENTZ_EXAMPLES[0], random.Random(0))
+@example(LORENTZ_EXAMPLES[1], random.Random(1))
+@example(LORENTZ_EXAMPLES[2], random.Random(2))
+@example(LORENTZ_EXAMPLES[3], random.Random(3))
+@example(LORENTZ_EXAMPLES[4], random.Random(4))
+def test_window_code_matches_the_box_scan_and_the_loops(cone_h, rnd):
+    cone, h = cone_h
+    window = _closed_window(cone, h)
+    assert window == box_closed_window(cone, h)
+    rays = boundary_rays(cone, h)
+    pool = rnd.sample(window, min(len(window), 40))
+    assert _closed_minima(pool, cone) == contains_minima(pool, cone)
+    assert _drop_shifts(pool, rays) == tuple_drop_shifts(pool, rays)
+    T = tuple(rnd.sample(window, min(len(window), rnd.randint(0, 4))))
+    assert la.rows_at_least(*_covectors(T, cone), window) == \
+        KernelSpec(points=T).members(window, cone)
+
+
+@PROPERTY
+@given(st.integers(1, 4), st.integers(1, 4), st.data())
+def test_shift_keys_match_the_tuple_lookup_at_the_radix_edge(n, h, data):
+    # pool entries in [-h, h] and rows in [-2h, 2h], extremes drawn often:
+    # entries of p - r - p' reach +-4h, one below the base 4h + 1; rows
+    # p - p' make true shifts
+    entry = st.sampled_from([-h, h]) | st.integers(-h, h)
+    pool = data.draw(st.lists(st.tuples(*[entry] * n), min_size=1, max_size=30, unique=True))
+    row = st.sampled_from([-2 * h, 2 * h]) | st.integers(-2 * h, 2 * h)
+    rows = data.draw(st.lists(st.tuples(*[row] * n), max_size=4))
+    pairs = data.draw(st.lists(st.tuples(st.sampled_from(pool), st.sampled_from(pool)),
+                               max_size=3))
+    rows += [tuple(a - b for a, b in zip(p, q)) for p, q in pairs]
+    assert _drop_shifts(pool, rows) == tuple_drop_shifts(pool, rows)
+
+
+@pytest.mark.parametrize("h", [1, 2, 3, 4])
+def test_shift_key_that_aliases_one_below_the_base_keeps_the_point(h):
+    # p - r - p' = (3h, -1) - (-h, 0) = (4h, -1), whose key would be 0 in
+    # base 4h; the base is 4h + 1, so (h, 0) stays
+    pool, rows = [(h, 0), (-h, 0)], [(-2 * h, 1)]
+    assert _drop_shifts(pool, rows) == tuple_drop_shifts(pool, rows) == pool
+
+
+@PROPERTY
+@given(st.integers(-6, 6), st.integers(-30, 30), st.integers(-60, 60),
+       st.integers(-9, 9), st.integers(-9, 9))
+@example(1, 0, -4, -5, 5)  # roots at +-2 exactly: two ranges
+@example(-1, 0, 4, -5, 5)
+@example(2, 1, 0, -5, 5)
+@example(0, 1, -3, -5, 5)  # linear, both signs, and a constant below 0
+@example(0, -1, 3, -5, 5)
+@example(0, 0, -1, -5, 5)
+def test_quadratic_ranges_match_the_integer_scan(a, b, c, lo, hi):
+    got = [t for ts in la.quadratic_nonneg(a, b, c, lo, hi) for t in ts]
+    assert got == [t for t in range(lo, hi + 1) if a * t * t + 2 * b * t + c >= 0]
+
+
+@PROPERTY
+@given(st.integers(1, 5), st.data())
+def test_packed_row_tests_match_the_loop(n, data):
+    entry = st.integers(-50, 50) | st.sampled_from([-10**9, 10**9, 0])
+    C = data.draw(st.lists(st.tuples(*[entry] * n), max_size=8))
+    xs = data.draw(st.lists(st.tuples(*[entry] * n), max_size=20))
+    # d on the boundary of one test half the time
+    d = la.dot(C[0], xs[0]) if C and xs and data.draw(st.booleans()) else data.draw(entry)
+    assert la.rows_at_least(C, d, xs) == looped_rows_at_least(C, d, xs)
+
+
+@PROPERTY
+@given(lorentz_cones(), st.data())
+def test_contains_on_rational_vectors_matches_the_fraction_form(cone_h, data):
+    cone, _ = cone_h
+    v = data.draw(st.tuples(*[small_rational | st.integers(-3, 3)] * cone.dim))
+    q, s = cone.lattice.quadratic(v), la.dot(cone.side, v)
+    assert cone.contains(v) == (q > 0 and s > 0)
+    assert cone.contains(v, closed=True) == (q >= 0 and s >= 0)
 
 
 @st.composite
