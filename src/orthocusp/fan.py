@@ -2,26 +2,28 @@
 
 All arithmetic is exact (integers and Fractions); every predicate is a
 decision procedure.  Cones are stored by primitive integral ray
-generators; one cached double description pass (_facets_of) gives a
-cone's facets, span equations and extreme generators.  The lattice points
-of a simplicial cone's fundamental parallelepiped (_parallelepiped), and
-with them multiplicity, regularity, resolution rays and Hilbert-basis
-candidates, come from the integer column reduction _linalg.column_reduce.
-
-Scale expectations are desk scale (ambient rank <= 5 or so, coordinates in
-the hundreds); the algorithms favour clarity and exactness over speed.
+generators.  One cached double description pass (_facets_of) gives a
+cone's facets, span equations and extreme generators; independent rays
+need no pass.  Faces come from a pointed cone's facet/ray incidence with
+no pass of their own, so a fan pays one pass per maximal cone and reads
+the faces of its other cones from their lattices (faces, Fan.faces_of).
+The lattice points of a simplicial cone's fundamental parallelepiped
+(_parallelepiped), and with them multiplicity, regularity, resolution
+rays and Hilbert-basis candidates, come from the integer column
+reduction _linalg.column_reduce.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
 from operator import and_, mul
 
 from . import _linalg as la
-from .errors import ConeNotInFan
+from .errors import ConeNotInFan, DeskScopeError
 
 
 def _double_description(normals, dim, equations=()):
@@ -127,21 +129,22 @@ def _cone_minima(points, grade, contains):
 class RationalCone:
     """Cone generated by primitive integral rays (pointed by default).
 
-    lines= holds the explicit line generators of a cone that contains
-    lines; such cones arise only as duals of lower-dimensional cones.
-
-    Canonicalization keeps the extreme rays of a pointed cone, which are
-    the input rays that _facets_of finds extreme.  A cone with a
-    lineality space has no extreme rays, so it keeps its deduplicated
-    input rays, which generate the same cone.
+    lines= holds the line generators of a cone with lines (duals of
+    lower-dimensional cones).  Canonicalization keeps the extreme rays of
+    a pointed cone, the input rays that _facets_of finds extreme (all of
+    them when they are independent).  A cone with a lineality space keeps
+    its deduplicated input rays.  _extreme marks known extreme rays.
     """
+
+    _extreme = False
 
     def __init__(self, rays, rank: int, lines=(), canonicalize: bool = True):
         self.rank = int(rank)
         self.rays = tuple(sorted({la.primitive(r) for r in rays if any(r)}))
         self.lines = tuple(sorted(la.primitive(l) for l in lines))
-        if canonicalize and self.rays and self.is_pointed:
+        if canonicalize and not self.lines and self.is_pointed and not self._extreme:
             self.rays = self._facets[2]  # cached by is_pointed
+            self._extreme = True
 
     @property
     def is_degenerate(self) -> bool:
@@ -149,18 +152,18 @@ class RationalCone:
 
     @property
     def is_pointed(self) -> bool:
-        """Whether the cone contains no line: its facets and span equations
-        have full rank."""
+        """Whether the cone contains no line: its rays are independent (then
+        extreme), or its facets and span equations have full rank."""
+        if self._extreme or not self.lines and self.dim == len(self.rays):
+            self._extreme = True
+            return True
         facets, eqs = self.facet_normals()
         return la.rank(facets + eqs) == self.rank
 
     @property
     def dim(self) -> int:
-        """Dimension of the span, computed once per cone.
-
-        Stored by plain attribute assignment, as _facets and _faces are:
-        functools.cached_property writes the instance __dict__, which
-        costs CPython 3.11 about 60 bytes a cone."""
+        """Dimension of the span, computed once per cone (by plain attribute
+        assignment: functools.cached_property costs about 60 bytes a cone)."""
         if not hasattr(self, "_dim"):
             self._dim = la.rank(self.rays + self.lines)
         return self._dim
@@ -179,8 +182,7 @@ class RationalCone:
         """Primitive inequalities cutting the cone inside its span, plus the
         span equations; the whole _facets_of pass is cached."""
         if not hasattr(self, "_facets"):
-            gens = list(self.rays) + list(self.lines) \
-                + [tuple(-x for x in l) for l in self.lines]
+            gens = list(self.rays + self.lines) + [tuple(-x for x in l) for l in self.lines]
             self._facets = _facets_of(gens, self.rank)
         return self._facets[:2]
 
@@ -189,18 +191,12 @@ class RationalCone:
         return all(la.dot(e, x) == 0 for e in eqs) and all(la.dot(d, x) >= 0 for d in ineqs)
 
     def barycenter(self):
-        if not self.rays:
-            return tuple(0 for _ in range(self.rank))
-        s = [sum(r[k] for r in self.rays) for k in range(self.rank)]
-        return la.primitive(s)
+        return la.primitive([sum(r[k] for r in self.rays) for k in range(self.rank)])
 
 
 def dual_cone(c: RationalCone) -> RationalCone:
     """Dual cone in the dual lattice: the cached facets of c are its rays.
-
-    The dual of a non-full-dimensional cone is degenerate: its lines are
-    the orthogonal complement of span(c).
-    """
+    The dual of a lower-dimensional cone has span(c)^perp as its lines."""
     gens = list(c.rays) + list(c.lines) + [tuple(-x for x in l) for l in c.lines]
     return RationalCone(c.facet_normals()[0], c.rank,
                         lines=la.kernel_int(gens or [(0,) * c.rank]), canonicalize=False)
@@ -208,50 +204,75 @@ def dual_cone(c: RationalCone) -> RationalCone:
 
 def intersect_cones(a: RationalCone, b: RationalCone) -> RationalCone:
     """a cap b; the double description returns its primitive extreme rays."""
-    ia, ea = a.facet_normals()
-    ib, eb = b.facet_normals()
-    normals = list(ia) + list(ib)
-    eqs = list(ea) + list(eb)
-    rays = _extreme_rays_of_halfspaces(normals, a.rank, equations=eqs)
+    (ia, ea), (ib, eb) = a.facet_normals(), b.facet_normals()
+    rays = _extreme_rays_of_halfspaces(ia + ib, a.rank, equations=ea + eb)
     return RationalCone(rays, a.rank, canonicalize=False)
 
 
+class _Face(RationalCone):
+    """A face of a pointed cone: the cone cut by its facets through the face
+    (Cox, Little & Schenck, Toric Varieties, 1.2).  It runs no double
+    description pass unless its own facet_normals() is read, and its faces
+    are the cone's faces inside it (faces of faces are faces)."""
+
+    is_pointed = True
+
+    def __init__(self, cone, rays, dim, through, mask, lattice):
+        self.rank, self.rays, self.lines, self._dim = cone.rank, rays, (), dim
+        self._cone, self._through, self._mask, self._lattice = cone, through, mask, lattice
+        self._extreme = cone._extreme
+
+    def contains(self, x) -> bool:
+        return self._cone.contains(x) and all(la.dot(d, x) == 0 for d in self._through)
+
+
 def faces(c: RationalCone):
-    """All faces of c including the zero cone and c itself (memoized)."""
+    """All faces of c including the zero cone and c itself (memoized).
+
+    A breadth-first search intersects the ray bitmasks of c's facets.  The
+    faces of a pointed cone are _Face objects (c itself for its own rays);
+    dim F is one more than the largest dim (F & t), t a facet not through F.
+    """
     if c.is_degenerate:
         raise ValueError("face enumeration implemented for pointed cones only")
+    if not hasattr(c, "_faces") and isinstance(c, _Face):
+        c._faces = tuple(g for m, g in c._lattice if not m & ~c._mask)
     if hasattr(c, "_faces"):
         return c._faces
-    ineqs, _ = c.facet_normals()
-    rays = list(c.rays)
-    seen = {}
-    frontier = [tuple(rays)]
-    seen[tuple(rays)] = True
-    while frontier:
-        nxt = []
-        for rs in frontier:
-            for d in ineqs:
-                cut = tuple(r for r in rs if la.dot(d, r) == 0)
-                if cut not in seen:
-                    seen[cut] = True
-                    nxt.append(cut)
-        frontier = nxt
-    # always include the zero face
-    seen[()] = True
-    out = tuple(RationalCone(list(rs), c.rank, canonicalize=False) for rs in sorted(seen))
-    c._faces = out
-    return out
+    ineqs, rays = c.facet_normals()[0], c.rays
+    tight = [sum(1 << i for i, r in enumerate(rays) if la.dot(d, r) == 0) for d in ineqs]
+    full = (1 << len(rays)) - 1
+    seen, frontier = {full, 0}, [full]
+    while frontier:  # set.add returns None: a new mask enters the next frontier once
+        frontier = [m & t for m in frontier for t in tight
+                    if not (m & t in seen or seen.add(m & t))]
+    subsets = sorted((tuple(r for i, r in enumerate(rays) if m >> i & 1), m) for m in seen)
+    if not c.is_pointed:
+        c._faces = tuple(RationalCone(rs, c.rank, canonicalize=False) for rs, _ in subsets)
+        return c._faces
+    dims = {0: 0}
+    for m in sorted(seen, key=int.bit_count)[1:]:
+        dims[m] = 1 + max(dims[m & t] for t in tight if m & ~t)
+    lattice = []
+    for rs, m in subsets:
+        lattice.append((m, c if m == full else _Face(
+            c, rs, dims[m], tuple(d for d, t in zip(ineqs, tight) if not m & ~t), m, lattice)))
+    c._faces = tuple(g for _, g in lattice)
+    return c._faces
 
 
 class Fan:
-    """Finite face-closed collection of cones (validity checked on demand)."""
+    """Finite face-closed collection of cones (validity checked on demand),
+    with a hash index from cone to position, and the face lattices of the
+    pointed cones _ray_tops keeps (built on first use) for faces_of."""
 
     def __init__(self, cones, rank: int):
         self.rank = int(rank)
         self.cones = tuple(sorted(dict.fromkeys(cones), key=lambda c: (c.dim, c.rays)))
+        self._index = {c: i for i, c in enumerate(self.cones)}
 
     def __contains__(self, c):
-        return c in self.cones
+        return c in self._index
 
     def __iter__(self):
         return iter(self.cones)
@@ -266,26 +287,48 @@ class Fan:
         dim = self.rank if dim is None else dim
         return tuple(c for c in self.cones if c.dim == dim)
 
+    def _lattice(self):
+        """(the cones _ray_tops keeps, {rays: face} over the pointed ones' faces)."""
+        if not hasattr(self, "_tops"):
+            self._tops = [c for c, _ in _ray_tops(self.cones)[1]]
+            self._by_rays = {fc.rays: fc for c in self._tops if c.is_pointed for fc in faces(c)}
+        return self._tops, self._by_rays
+
+    def faces_of(self, c):
+        """faces(c), read from the fan's lattice when a face there equals c."""
+        fc = self._lattice()[1].get(c.rays)
+        return faces(fc if fc == c else c)
+
+
+def _ray_tops(cones):
+    """(bits, kept): a bit for each distinct ray, and (cone, ray bitmask) of
+    the distinct cones in order, less each cone with no lines whose rays are
+    a proper subset of the extreme rays of another: it lies strictly inside."""
+    cones = tuple(dict.fromkeys(cones))
+    bits = {}
+    own = [sum(bits.setdefault(r, 1 << len(bits)) for r in c.rays) for c in cones]
+    tops = []
+    for o in sorted({o for c, o in zip(cones, own) if c._extreme}, key=int.bit_count,
+                    reverse=True):
+        if all(o & ~t for t in tops):
+            tops.append(o)
+    return bits, [(c, o) for c, o in zip(cones, own)
+                  if c.lines or all(o == t or o & ~t for t in tops)]
+
 
 def _maximal(cones):
     """The distinct cones that lie strictly inside no other, in order.
 
-    One ray-incidence table decides every pair: the distinct rays are
-    numbered once, and each cone gets the bitmask own of its rays and the
-    bitmask inside of the rays it contains (one contains call per cone
-    and ray).  c lies in d when every ray of c lies in d, so c lies
-    strictly inside d exactly when own(c) & ~inside(d) == 0 and
+    _ray_tops drops the cones nested by rays, with no contains call; every
+    ray is a ray of a kept cone.  A ray-incidence table decides the rest:
+    own(c) is the bitmask of c's rays, inside(c) of the rays c contains, so
+    c lies strictly inside d exactly when own(c) & ~inside(d) == 0 and
     own(d) & ~inside(c) != 0.  No fan property is used.
     """
-    cones = tuple(dict.fromkeys(cones))
-    bits = {}
-    for c in cones:
-        for r in c.rays:
-            bits.setdefault(r, 1 << len(bits))
-    own = [sum(bits[r] for r in c.rays) for c in cones]
-    inside = [sum(b for r, b in bits.items() if c.contains(r)) for c in cones]
-    return tuple(c for c, oc, ic in zip(cones, own, inside)
-                 if not any(od & ~ic and not oc & ~id_ for od, id_ in zip(own, inside)))
+    bits, kept = _ray_tops(cones)
+    inside = [sum(b for r, b in bits.items() if c.contains(r)) for c, _ in kept]
+    return tuple(c for (c, oc), ic in zip(kept, inside)
+                 if not any(od & ~ic and not oc & ~id_ for (_, od), id_ in zip(kept, inside)))
 
 
 def fan_from_maximal(cones, rank: int) -> Fan:
@@ -303,7 +346,7 @@ def _meet_in_a_face(f: Fan, a: RationalCone, b: RationalCone):
     """None when a and b meet in a cone of f that is a face of both, else
     their intersection."""
     inter = intersect_cones(a, b)
-    if inter in f and inter in faces(a) and inter in faces(b):
+    if inter in f and inter in f.faces_of(a) and inter in f.faces_of(b):
         return None
     return inter
 
@@ -311,47 +354,35 @@ def _meet_in_a_face(f: Fan, a: RationalCone, b: RationalCone):
 def validate_fan(f: Fan) -> FanReport:
     """Face closure plus the pairwise-intersection condition.
 
-    Once f is closed under faces and its cones are pointed, the pairs of
-    cones that are a face of no other cone decide the intersection
-    condition.  Every cone sigma is a face of such a cone sigma', tau of
-    tau', and if sigma' and tau' meet in a common face rho, then
-    sigma cap rho and rho cap tau are faces of rho, so sigma cap tau is a
-    face of both sigma and tau, and in f (faces of faces are faces: Cox,
-    Little & Schenck, Toric Varieties, 1.2 and 3.1).  A line in a cone
-    breaks the face enumeration this rests on, so a fan with a cone that
-    is not pointed, or whose maximal pairs fail, gets the scan over every
-    pair in order, which also names the first violation.
+    If every cone equals a face in f's lattice and the lattice has no more
+    faces than f has cones (true of a valid fan of canonical pointed
+    cones), f is closed under faces, its cones are pointed, and each is a
+    face of a cone _ray_tops keeps.  The pairs of kept cones then decide
+    the intersection condition: every cone sigma is a face of such a
+    sigma', tau of tau', and if sigma' and tau' meet in a common face rho,
+    then sigma cap rho and rho cap tau are faces of rho, so sigma cap tau
+    is a face of both and in f (faces of faces are faces: Cox, Little &
+    Schenck, Toric Varieties, 1.2 and 3.1).  Any other fan, or a failed
+    pair, gets the scans over every cone's faces and every pair in order,
+    which name the first violation.
     """
-    report = FanReport(valid=True)
     cone_set = list(f.cones)
-    for c in cone_set:
-        for fc in faces(c):
-            if fc not in f:
-                report.valid = False
-                report.violations.append(
-                    {"kind": "missing_face", "cone": list(c.rays), "face": list(fc.rays)}
-                )
-                return report
-    if all(c.is_pointed for c in cone_set):
-        proper = {fc for c in cone_set for fc in faces(c) if fc != c}
-        tops = [c for c in cone_set if c not in proper]
-        if all(_meet_in_a_face(f, a, b) is None
-               for a, b in itertools.combinations(tops, 2)):
-            return report
+    tops, lattice = f._lattice()
+    if len(lattice) == len(cone_set) and all(lattice.get(c.rays) == c for c in cone_set):
+        if all(_meet_in_a_face(f, a, b) is None for a, b in itertools.combinations(tops, 2)):
+            return FanReport(valid=True)
+    else:
+        for c in cone_set:
+            for fc in faces(c):
+                if fc not in f:
+                    return FanReport(False, [{"kind": "missing_face", "cone": list(c.rays),
+                                              "face": list(fc.rays)}])
     for a, b in itertools.combinations(cone_set, 2):
         inter = _meet_in_a_face(f, a, b)
         if inter is not None:
-            report.valid = False
-            report.violations.append(
-                {
-                    "kind": "bad_intersection",
-                    "cone_a": list(a.rays),
-                    "cone_b": list(b.rays),
-                    "intersection": list(inter.rays),
-                }
-            )
-            return report
-    return report
+            return FanReport(False, [{"kind": "bad_intersection", "cone_a": list(a.rays),
+                                      "cone_b": list(b.rays), "intersection": list(inter.rays)}])
+    return FanReport(valid=True)
 
 
 def is_regular(c: RationalCone) -> bool:
@@ -367,19 +398,10 @@ def is_complete(f: Fan) -> bool:
     tops = f.top_cones(n)
     if not tops:
         return False
-    count = {}
-    for c in tops:
-        for fc in faces(c):
-            if fc.dim == n - 1:
-                count[fc] = count.get(fc, 0) + 1
-    if not all(v == 2 for v in count.values()):
-        return False
-    # belt and braces: an interior sample of each chamber plus a global
-    # sample must be covered
+    count = Counter(fc for c in tops for fc in f.faces_of(c) if fc.dim == n - 1)
+    # belt and braces: a global sample point must be covered
     probe = tuple(range(1, n + 1))
-    if not any(c.contains(probe) for c in tops):
-        return False
-    return True
+    return all(v == 2 for v in count.values()) and any(c.contains(probe) for c in tops)
 
 
 def _star(maxcones, ray, rank: int):
@@ -387,12 +409,11 @@ def _star(maxcones, ray, rank: int):
     replaced by the joins of ray with its facets that miss it."""
     out = []
     for c in maxcones:
-        if not c.contains(ray):
+        if c.contains(ray):
+            out += [RationalCone(fc.rays + (ray,), rank) for fc in faces(c)
+                    if fc.dim == c.dim - 1 and not fc.contains(ray)]
+        else:
             out.append(c)
-            continue
-        for fc in faces(c):
-            if fc.dim == c.dim - 1 and not fc.contains(ray):
-                out.append(RationalCone(list(fc.rays) + [ray], rank))
     return out
 
 
@@ -410,10 +431,7 @@ def barycentric_subdivide(f: Fan, selector) -> Fan:
     of the last step's cones: a face added by the closure lies strictly
     inside its cone, so they are the maximal cones of the closed fan.
     """
-    if callable(selector):
-        selected = [c for c in f.cones if selector(c)]
-    else:
-        selected = [c for c in selector]
+    selected = filter(selector, f.cones) if callable(selector) else selector
     selected = [c for c in selected if c.dim >= 2]
     out, maxcones = f, f.maximal_cones()
     for c in sorted(selected, key=lambda c: (-c.dim, c.rays)):
@@ -444,16 +462,19 @@ def make_regular(f: Fan, max_rounds: int = 30) -> Fan:
 
     Works on the maximal cones locally (the inserted ray is interior to the
     processed cone, so only cones containing it are replaced) and closes
-    under faces once at the end.
+    under faces once at the end.  Raises DeskScopeError when non-regular
+    faces are left after max_rounds rounds.
     """
     maxcones = f.maximal_cones()
-    for _ in range(max_rounds):
+    for rounds in range(max_rounds + 1):
         bad = {fc for c in maxcones for fc in faces(c) if fc.dim >= 2 and not is_regular(fc)}
         if not bad:
             return fan_from_maximal(maxcones, f.rank)
+        if rounds == max_rounds:
+            raise DeskScopeError(f"not regular after {max_rounds} rounds allowed: "
+                                 f"{len(bad)} non-regular faces left")
         for b in sorted(bad, key=lambda c: (-c.dim, c.rays)):
             maxcones = _star(maxcones, _resolution_ray(b), f.rank)
-    raise RuntimeError(f"not regular after {max_rounds} rounds")
 
 
 def _parallelepiped(rays):
@@ -480,16 +501,11 @@ def _parallelepiped(rays):
 
 def _triangulate(c: RationalCone):
     """Split a pointed cone into simplicial subcones (lists of rays)."""
-    rays = list(c.rays)
-    if la.rank(rays) == len(rays):
-        return [tuple(rays)]
-    r0 = rays[0]
-    pieces = []
-    for fc in faces(c):
-        if fc.dim == c.dim - 1 and not fc.contains(r0):
-            for sub in _triangulate(fc):
-                pieces.append(tuple(sub) + (r0,))
-    return pieces
+    if c.dim == len(c.rays):
+        return [c.rays]
+    r0 = c.rays[0]
+    return [sub + (r0,) for fc in faces(c) if fc.dim == c.dim - 1 and not fc.contains(r0)
+            for sub in _triangulate(fc)]
 
 
 def hilbert_basis(c: RationalCone):
@@ -503,10 +519,7 @@ def hilbert_basis(c: RationalCone):
     """
     d = dual_cone(c)
     if d.is_degenerate:
-        gens = []
-        for l in d.lines:
-            gens.append(l)
-            gens.append(tuple(-x for x in l))
+        gens = [v for l in d.lines for v in (l, tuple(-x for x in l))]
         pointed = RationalCone(d.rays, d.rank)
         if pointed.rays:
             gens.extend(_hilbert_basis_pointed(pointed, c))
@@ -518,9 +531,8 @@ def _hilbert_basis_pointed(d: RationalCone, primal: RationalCone):
     cand = set(d.rays)
     for tri in _triangulate(d):
         cand.update(p for p, _ in _parallelepiped(tri) if any(p))
-    # grade by a strictly positive functional: the primal barycenter pairs
-    # positively with the dual minus its lines (fall back to the coordinate
-    # sum of dual generators)
+    # grade by the primal barycenter, positive on the dual minus its lines
+    # (or by the coordinate sum when the primal has no rays)
     w = primal.barycenter() if primal.rays else [1] * d.rank
     return sorted(_cone_minima(cand, lambda v: la.dot(w, v), d.contains))
 
@@ -535,15 +547,11 @@ def chart_presentation(c: RationalCone):
     gens = hilbert_basis(c)
     if not gens:
         return (), ()
-    ker = la.kernel_int(la.transpose(gens))
     rels = []
-    for k in ker:
-        lhs = tuple(max(x, 0) for x in k)
-        rhs = tuple(max(-x, 0) for x in k)
+    for k in la.kernel_int(la.transpose(gens)):
+        lhs, rhs = tuple(max(x, 0) for x in k), tuple(max(-x, 0) for x in k)
         if any(lhs) or any(rhs):
-            if (rhs, lhs) < (lhs, rhs):
-                lhs, rhs = rhs, lhs
-            rels.append((lhs, rhs))
+            rels.append(min((lhs, rhs), (rhs, lhs)))
     return tuple(gens), tuple(sorted(rels))
 
 
@@ -560,22 +568,15 @@ def orbit_record(f: Fan, c: RationalCone) -> OrbitRecord:
     cones whose orbits lie in the closure of O(sigma)."""
     if c not in f:
         raise ConeNotInFan(repr(c))
-    closure = tuple(d for d in f.cones if c in faces(d))
-    return OrbitRecord(
-        cone=c,
-        orbit_dim=f.rank - c.dim,
-        closure_list=closure,
-        infinity_image=f"y + infinity*sigma for sigma with rays {list(c.rays)}",
-    )
+    closure = tuple(d for d in f.cones if c in f.faces_of(d))
+    return OrbitRecord(cone=c, orbit_dim=f.rank - c.dim, closure_list=closure,
+                       infinity_image=f"y + infinity*sigma for sigma with rays {list(c.rays)}")
 
 
 @dataclass(frozen=True)
 class PLSupport:
-    """Piecewise-linear support data: a positive value at each ray of a fan.
-
-    The induced function is linear on each simplicial cone; used as the
-    projectivity certificate for decompositions.
-    """
+    """Piecewise-linear support data: a positive value at each ray of a fan,
+    linear on each simplicial cone (the projectivity certificate)."""
 
     fan: Fan
     ray_values: dict
@@ -583,10 +584,8 @@ class PLSupport:
     def value_at(self, x):
         x = la.vec(x)
         for c in self.fan.top_cones():
-            if c.contains(x):
-                sol = la.solve(la.transpose(c.rays), x)
-                if sol is None:
-                    continue
+            sol = la.solve(la.transpose(c.rays), x) if c.contains(x) else None
+            if sol is not None:
                 return sum(s * la.frac(self.ray_values[r]) for s, r in zip(sol, c.rays))
         raise ValueError("point outside the fan support")
 

@@ -285,6 +285,11 @@ class TestCoreDecompose:
          ["--positivity", "1,1,0,0", "--height", "3"], 0),
         ("core-decompose-lc3-h4-unstable",
          [[1, 0, 0, 0], [0, -1, 0, 0], [0, 0, -1, 0], [0, 0, 0, -1]], ["--height", "4"], 1),
+        # captured before the face lattice: light_cone(4), the one rank-5
+        # support fan tier-1 reaches (about 2 s)
+        ("core-decompose-lc4-perfect",
+         [[1, 0, 0, 0, 0], [0, -1, 0, 0, 0], [0, 0, -1, 0, 0], [0, 0, 0, -1, 0],
+          [0, 0, 0, 0, -1]], ["--height", "2"], 0),
     ])
     def test_core_decompose_goldens(self, tmp_path, capsys, name, gram, argv, code):
         path = write(tmp_path, "g.json", {"gram": [[str(x) for x in row] for row in gram]})

@@ -14,7 +14,7 @@ from orthocusp.corecone import (
     cone_lattice_points,
     light_cone,
 )
-from orthocusp.errors import ConeNotInFan
+from orthocusp.errors import ConeNotInFan, DeskScopeError
 from orthocusp.fan import (
     Fan,
     PLSupport,
@@ -307,6 +307,13 @@ class TestSubdivision:
             g = make_regular(f, max_rounds=10)
             assert all(is_regular(c) for c in g.cones)
             assert validate_fan(g).valid
+        # cone((1,0),(7,10)) needs three rounds: below that the cap is a
+        # typed refusal that states the rounds allowed and the faces left
+        rough = fan_from_maximal([cone((1, 0), (7, 10))], 2)
+        with pytest.raises(DeskScopeError,
+                           match="after 2 rounds allowed: 1 non-regular faces left"):
+            make_regular(rough, max_rounds=2)
+        assert all(is_regular(c) for c in make_regular(rough, max_rounds=3).cones)
 
 
 class TestHilbertBasis:

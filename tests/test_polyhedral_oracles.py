@@ -37,8 +37,12 @@ before integer keys and derived intervals: the box scan of the closed
 window (and a scan of t for la.quadratic_nonneg's ranges), the tuple
 lookup of _drop_shifts, the graded sweep that asked
 SelfAdjointCone.contains for every difference, and the kernel test that
-paired each window point with each covector.  They are slow and kept only
-as oracles.
+paired each window point with each covector.  Last, fan.faces before the
+face lattice (reference_faces): a search cutting ray subsets by dot
+products, with one fresh cone and its own double description pass per
+face, which the references above now use; and the double description
+pass that canonicalized independent rays before rank alone decided them.
+They are slow and kept only as oracles.
 """
 
 import itertools
@@ -347,6 +351,28 @@ def reference_core_extremes(cone, variant, height):
     return ExtremeSet(points=e_h, truncation=height, variant=variant, stable=True)
 
 
+def reference_faces(c):
+    """fan.faces before the incidence lattice: a breadth-first search that
+    cuts ray subsets by dot products with the facets, and one fresh
+    RationalCone, with a double description pass of its own, per face."""
+    if c.is_degenerate:
+        raise ValueError("face enumeration implemented for pointed cones only")
+    ineqs, _ = c.facet_normals()
+    seen = {tuple(c.rays): True}
+    frontier = [tuple(c.rays)]
+    while frontier:
+        nxt = []
+        for rs in frontier:
+            for d in ineqs:
+                cut = tuple(r for r in rs if la.dot(d, r) == 0)
+                if cut not in seen:
+                    seen[cut] = True
+                    nxt.append(cut)
+        frontier = nxt
+    seen[()] = True
+    return tuple(RationalCone(list(rs), c.rank, canonicalize=False) for rs in sorted(seen))
+
+
 def reference_contains(c, x):
     ineqs, eqs = c.facet_normals()
     x = la.vec(x)
@@ -364,7 +390,7 @@ def reference_maximal_cones(f):
 def reference_fan_from_maximal(cones, rank):
     closure = []
     for c in cones:
-        for fc in faces(c):
+        for fc in reference_faces(c):
             if fc not in closure:
                 closure.append(fc)
     return Fan(closure, rank)
@@ -377,7 +403,7 @@ def reference_star_subdivide(f, ray):
         if not reference_contains(c, ray):
             new_max.append(c)
             continue
-        for fc in faces(c):
+        for fc in reference_faces(c):
             if fc.dim == c.dim - 1 and not reference_contains(fc, ray):
                 new_max.append(RationalCone(list(fc.rays) + [ray], f.rank))
     return reference_fan_from_maximal(new_max, f.rank)
@@ -396,8 +422,8 @@ def all_pairs_validate_fan(f):
     report = FanReport(valid=True)
     cone_set = list(f.cones)
     for c in cone_set:
-        for fc in faces(c):
-            if fc not in f:
+        for fc in reference_faces(c):
+            if fc not in f.cones:
                 report.valid = False
                 report.violations.append(
                     {"kind": "missing_face", "cone": list(c.rays), "face": list(fc.rays)}
@@ -405,7 +431,8 @@ def all_pairs_validate_fan(f):
                 return report
     for a, b in itertools.combinations(cone_set, 2):
         inter = intersect_cones(a, b)
-        if inter not in f or inter not in faces(a) or inter not in faces(b):
+        if inter not in f.cones or inter not in reference_faces(a) \
+                or inter not in reference_faces(b):
             report.valid = False
             report.violations.append(
                 {
@@ -1175,6 +1202,12 @@ def maximal_inputs(draw):
 @example([RationalCone([], 2)])
 @example([RationalCone([(1, 0)], 2), RationalCone([], 2), RationalCone([(1, 0), (0, 1)], 2),
           RationalCone([(1, 0)], 2), RationalCone([(1, 1), (-1, 1)], 2)])
+# rays that are not all extreme: a cone on a subset of them need not lie
+# strictly inside (here both are the quadrant, and both half-planes)
+@example([RationalCone([(1, 0), (0, 1)], 2),
+          RationalCone([(1, 0), (1, 1), (0, 1)], 2, canonicalize=False)])
+@example([RationalCone([(1, 0), (-1, 0), (0, 1)], 2),
+          RationalCone([(1, 0), (-1, 0), (0, 1), (1, 1)], 2)])
 def test_maximal_matches_the_pairwise_loop(cones):
     # a tuple compare: the same cones in the same order
     assert _maximal(cones) == pairwise_maximal(cones)
@@ -1251,6 +1284,61 @@ def test_maximal_pair_validation_matches_all_pairs_on_random_fans(f):
     assert fan_outcome(validate_fan, f) == fan_outcome(all_pairs_validate_fan, f)
 
 
+def check_lattice_against_fresh_faces(c, rnd):
+    """faces(c) is reference_faces(c) as a tuple, and each face agrees with a
+    fresh cone on its rays: is_pointed, dim, its own faces, and contains on
+    points of every face of c (so on the face, and on c off it), on their
+    negatives (off c) and on random points."""
+    got = faces(c)
+    assert got == reference_faces(c)
+    points = [tuple(sum(rnd.randint(1, 3) * r[k] for r in g.rays) for k in range(c.rank))
+              for g in got]
+    points += [tuple(-x for x in p) for p in points]
+    points += [tuple(rnd.randint(-4, 4) for _ in range(c.rank)) for _ in range(5)]
+    for fc in got:
+        fresh = RationalCone(fc.rays, c.rank, canonicalize=False)
+        assert (fc.is_pointed, fc.dim) == (fresh.is_pointed, fresh.dim)
+        assert faces(fc) == reference_faces(fresh)
+        assert [fc.contains(x) for x in points] == [fresh.contains(x) for x in points]
+
+
+@PROPERTY
+@given(pointed_ray_sets(), st.booleans(), st.randoms(use_true_random=False))
+@example(([(1, 0, 1), (0, 1, 1), (-1, 0, 1), (0, -1, 1), (1, 1, 2)], 3), False, None)
+def test_face_lattice_matches_reference_faces(rays_dim, canonical, rnd):
+    # canonicalize=False keeps rays that are not extreme (the example's
+    # (1, 1, 2) lies on a facet of the cone over the square)
+    rays, dim = rays_dim
+    check_lattice_against_fresh_faces(RationalCone(rays, dim, canonicalize=canonical),
+                                      rnd or random.Random(0))
+
+
+@PROPERTY
+@given(generator_sets())
+def test_faces_of_any_cone_match_reference_faces(gens_rank):
+    # pointed or not, full-dimensional or not: the same ray subsets in order
+    c = RationalCone(*gens_rank)
+    assert faces(c) == reference_faces(c)
+    assert [fc.dim for fc in faces(c)] == [fc.dim for fc in reference_faces(c)]
+
+
+SUPPORT_HEIGHTS = dict.fromkeys(WINDOW_CONES, 2) | {"light_cone_2": 3}
+
+
+@pytest.mark.parametrize("name", sorted(WINDOW_CONES))
+def test_face_lattices_of_support_fans_match_reference_faces(name):
+    cone = WINDOW_CONES[name]
+    E = core_extremes(cone, "perfect", SUPPORT_HEIGHTS[name])
+    f = support_fan(KernelSpec(points=E.points), E, cone)[0]
+    rnd = random.Random(17)
+    for c in f.maximal_cones():
+        check_lattice_against_fresh_faces(c, rnd)
+    # the same fan from cones built one by one: faces_of finds each cone's
+    # face in a lattice of a maximal cone
+    g = Fan([RationalCone(c.rays, c.rank) for c in f.cones], f.rank)
+    assert [g.faces_of(c) for c in g.cones] == [reference_faces(c) for c in g.cones]
+
+
 @PROPERTY
 @given(rational_systems())
 def test_column_reduction_matches_the_kernel_loop(system):
@@ -1272,6 +1360,35 @@ def independent_ray_sets(draw, bound):
     rays = draw(st.lists(st.tuples(*[entry] * n), min_size=k, max_size=k))
     assume(la.rank(rays) == k)
     return rays
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(independent_ray_sets({2: 5, 3: 3, 4: 2}), st.data())
+def test_independent_rays_skip_the_hull(rays, data):
+    # scaled and repeated copies still give independent distinct rays
+    copies = data.draw(st.lists(st.tuples(st.sampled_from(rays), st.integers(1, 3)),
+                                max_size=3))
+    gens = rays + [tuple(k * x for x in r) for r, k in copies]
+    n = len(rays[0])
+    c = RationalCone(data.draw(st.permutations(gens)), n)
+    assert not hasattr(c, "_facets") and c.is_pointed
+    facets, eqs, _ = _facets_of(sorted({la.primitive(r) for r in rays}), n)
+    assert la.rank(facets + eqs) == n
+    assert c.rays == incidence_canonical_rays(gens, n)
+    assert c.facet_normals() == (facets, eqs)
+
+
+@pytest.mark.parametrize("rays", [[(1, 0), (-1, 0)], [(2, 0), (-1, 0), (0, 3)],
+                                  [(1, 0, 0), (-1, 0, 0), (0, 1, 0)]])
+def test_rays_on_one_line_keep_the_hull_answer(rays):
+    # two rays on one line are not independent: the double description
+    # decides, and the cone is not pointed and keeps its input rays
+    n = len(rays[0])
+    c = RationalCone(rays, n)
+    facets, eqs, _ = _facets_of(sorted({la.primitive(r) for r in rays}), n)
+    assert not c.is_pointed and la.rank(facets + eqs) < n
+    assert c.rays == incidence_canonical_rays(rays, n) == tuple(sorted(map(la.primitive, rays)))
+    assert c.facet_normals() == (facets, eqs)
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
