@@ -4,7 +4,11 @@ All computations run on exact eigen-data of finite-order integral
 isometries: the candidate period plane of g lives on the saturated kernel
 of the cyclotomic value Phi_m(g) for the unique m whose isotypic subspace
 carries positive index 2.  The classification depends only on the order
-r_tau of the character image, never on a choice of primitive root.
+r_tau of the character image, never on a choice of primitive root.  The
+eigen-data is one pass per element: matrix_order's power loop keeps the
+traces tr(g^k), which give dim ker Phi_m(g) for every m | order, so a
+kernel is taken only for a factor Phi_m that occurs, and the certificate
+takes r_tau = m from the chosen factor.
 
 The classification computes over int: matrix powers, the kernels of
 the cyclotomic values, the restricted Grams (blocks of the lattice's
@@ -13,17 +17,17 @@ zero test) with their signatures (qform.int_signature, one fraction-free
 congruence on the int block), the restriction of g to S (one echelon)
 and the cyclotomic certificate's candidate vectors, which are one
 integer multiple of the rational kernel basis.  Fractions appear only in
-what is reported: the defining equations, read off the rational Gram,
-and the certificate's factor bases, divided back to that rational basis.
-Factorization and primality (euler_phi, max_finite_order) are _linalg's
-factor and is_prime.
+what is reported: the defining equations, the scaled Gram's integer
+images over den, and the certificate's factor bases, divided back to
+that rational basis.  Factorization and primality (euler_phi,
+max_finite_order) are _linalg's factor and is_prime.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 from . import _linalg as la
@@ -44,13 +48,15 @@ SPECIAL_CYCLE = "special_cycle"
 class IsometryElement:
     mat: tuple
     order: int | None = None
+    # tr(g^k) for k < order, as matrix_order found them (None: derive)
+    traces: tuple | None = field(default=None, compare=False, repr=False)
 
     @staticmethod
     def make(mat, lattice: QuadraticLattice) -> "IsometryElement":
         m = la.mat(mat)
         if not la.preserves_form(m, lattice.gram):
             raise ValueError("matrix does not preserve the Gram matrix")
-        return IsometryElement(mat=m, order=matrix_order(m))
+        return IsometryElement(m, *_order_traces(m))
 
 
 @functools.lru_cache(maxsize=None)
@@ -70,6 +76,7 @@ def max_finite_order(m: int) -> int:
     return max(n for n, c in orders if c - (n % 4 == 2) <= m)
 
 
+@functools.lru_cache(maxsize=None)
 def _int_identity(n):
     return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
 
@@ -82,20 +89,40 @@ def matrix_order(m):
     of finite order is diagonalisable over C with roots of unity as
     eigenvalues, so every power of it has |tr p| <= n, with tr p = n only
     when p = I.  A power with tr p >= n that is not I, or with tr p < -n,
-    proves the order infinite, and the loop stops there.
+    proves the order infinite, and the loop stops there.  Elements keep
+    the traces of g^0 .. g^(order - 1) (_order_traces): they give the
+    dimension of every ker Phi_m(g) (_multiplicities).
     """
-    m = tuple(map(tuple, m))
+    return _order_traces(m)[0]
+
+
+def _order_traces(m):
+    """(order, (tr m^0, .., tr m^(order - 1))), or (None, None)."""
+    p = m = tuple(map(tuple, m))
     n = len(m)
-    ident = _int_identity(n)
-    p = m
-    for k in range(1, max_finite_order(n) + 1):
+    ident, traces = _int_identity(n), [n]
+    for _ in range(max_finite_order(n)):
         if p == ident:
-            return k
-        tr = sum(p[i][i] for i in range(n))
-        if tr >= n or tr < -n:
-            return None
+            return len(traces), tuple(traces)
+        traces.append(sum(p[i][i] for i in range(n)))
+        if traces[-1] >= n or traces[-1] < -n:
+            break
         p = la.mat_mul(p, m)
-    return None
+    return None, None
+
+
+def _multiplicities(traces):
+    """{m: dim ker Phi_m(g)} for m | N from tr(g^k), k < N, where g^N = I.
+
+    By character orthogonality (Serre, Linear Representations, 2.3) the
+    eigenvalues x with x^e = 1 number (e/N) sum_j tr(g^(je)) for e | N; the
+    primitive m-th roots of unity are those of x^m = 1 less those of the
+    proper divisors of m.
+    """
+    N, mults = len(traces), {}
+    for m in _divisors(N):
+        mults[m] = m * sum(traces[::m]) // N - sum(k for d, k in mults.items() if m % d == 0)
+    return mults
 
 
 def enumerate_isometries(L: QuadraticLattice, bound: int):
@@ -108,7 +135,7 @@ def enumerate_isometries(L: QuadraticLattice, bound: int):
     """
     box = itertools.product(range(-bound, bound + 1), repeat=L.rank)
     found = sorted(tuple(zip(*cols)) for cols in la.gram_preservers(L.scaled_gram, box))
-    return [IsometryElement(mat=g, order=matrix_order(g)) for g in found]
+    return [IsometryElement(g, *_order_traces(g)) for g in found]
 
 
 @functools.lru_cache(maxsize=None)
@@ -152,7 +179,8 @@ def _divisors(n):
 
 def _scaled_gram_on(L: QuadraticLattice, basis):
     """Integer Gram of the span of basis: den times its rational Gram."""
-    return [[la.form(L.scaled_gram, a, b) for b in basis] for a in basis]
+    images = [la.mat_vec(L.scaled_gram, a) for a in basis]
+    return [[la.dot(Ba, b) for b in basis] for Ba in images]
 
 
 @dataclass(frozen=True)
@@ -177,36 +205,40 @@ def fixed_sublattice(g: IsometryElement, L: QuadraticLattice) -> FixedLocusRepor
     subspace has positive index 2; S is the saturation of ker Phi_m(g) in L
     and S^perp its orthogonal complement.  g has finite order, so x^ord - 1
     is squarefree and Q^n is the direct sum of the ker Phi_m(g) over the
-    divisors m of ord: once the kernel ranks found sum to n, every later
-    kernel is zero and the scan stops.
+    divisors m of ord.  Their dimensions come from the traces of g's
+    powers (_multiplicities), so a kernel is taken only for a factor that
+    occurs; its rank must equal that dimension, and the dimensions must
+    sum to n, so the kernels left out are zero.
     """
     if g.order is None:
         raise NotRootOfUnity("isometry must have finite order")
-    n = len(g.mat)
+    n, traces = len(g.mat), g.traces
+    if traces is None:  # a caller-given order: g^order = I must hold
+        order, traces = _order_traces(g.mat)
+        if order is None or g.order % order:
+            raise NotRootOfUnity(f"isometry does not have order dividing {g.order}")
+    mults = _multiplicities(traces)
+    if sum(mults.values()) != n:
+        raise NotRootOfUnity("eigenvalue multiplicities do not sum to the rank")
     powers = [_int_identity(n)]
-    chosen, found = None, 0
-    for m in _divisors(g.order):
+    chosen = None
+    for m in (m for m, k in mults.items() if k):
         cs = _cyclotomic_coeffs(m)
         while len(powers) < len(cs):
             powers.append(la.mat_mul(powers[-1], g.mat))
         ker = la.kernel_int(_matrix_poly(cs, powers))
-        if not ker:
-            continue
-        found += len(ker)
+        if len(ker) != mults[m]:
+            raise NotRootOfUnity(f"ker Phi_{m}(g) has rank {len(ker)}, not {mults[m]}")
         r, _ = int_signature(_scaled_gram_on(L, ker))
         if r == 2:
             if chosen is not None:
                 raise NoPositiveEigenplane("positive plane is not unique")
             chosen = (m, ker)
-        if found == n:
-            break
     if chosen is None:
-        raise NoPositiveEigenplane(
-            "no cyclotomic factor carries a signature-(2,*) subspace"
-        )
+        raise NoPositiveEigenplane("no cyclotomic factor carries a signature-(2,*) subspace")
     m, s_basis = chosen
     perp = orthogonal_complement_basis(L, s_basis)
-    eqs = tuple(tuple(la.mat_vec(L.gram, y)) for y in perp)
+    eqs = tuple(tuple(Fraction(x, L.den) for x in la.mat_vec(L.scaled_gram, y)) for y in perp)
     return FixedLocusReport(
         s_basis=tuple(s_basis),
         s_perp_basis=tuple(perp),
@@ -285,7 +317,7 @@ class CyclotomicCertificate:
 
 
 def cyclotomic_decomposition(g: IsometryElement, L: QuadraticLattice,
-                             s_basis=None) -> CyclotomicCertificate:
+                             s_basis=None, *, _r_tau=None) -> CyclotomicCertificate:
     """Certificate that S decomposes into q-nondegenerate cyclic factors.
 
     Requires the mu_{r_tau}-action on S to have no nonzero fixed vectors
@@ -295,18 +327,17 @@ def cyclotomic_decomposition(g: IsometryElement, L: QuadraticLattice,
     Runs over int: the Gram of S is den times the rational one, and each
     round's candidates are the complement's rational basis times one
     integer c, so every cyclic span scales by c and no zero test moves.
-    The factor bases are divided by c again.
+    Pairings are dot products with the images B w, one per cyclic-span
+    vector w.  The factor bases are divided by c again.  On the selected
+    S = ker Phi_m(g) g has minimal polynomial Phi_m, so r_tau = m (passed
+    as _r_tau); only another s_basis has its order found by matrix_order.
     """
     if s_basis is None:
         report = fixed_sublattice(g, L)
-        s_basis = report.s_basis
-        m = report.r_tau
-    else:
-        m = None
+        s_basis, _r_tau = report.s_basis, report.r_tau
     R = restriction_matrix(g.mat, s_basis)
     k = len(s_basis)
-    if m is None:
-        m = matrix_order(R)
+    m = matrix_order(R) if _r_tau is None else _r_tau
     if m is None:
         raise NotRootOfUnity("restriction has infinite order")
     if m > 1:
@@ -316,21 +347,19 @@ def cyclotomic_decomposition(g: IsometryElement, L: QuadraticLattice,
     phi = euler_phi(m)
     gram_S = _scaled_gram_on(L, s_basis)
 
-    def pair(x, y):
-        return la.form(gram_S, x, y)
-
     def cyclic_span(v):
-        vecs = [tuple(v)]
+        """(W, BW): v, Rv, .., R^(phi - 1) v and their images under gram_S."""
+        W = [tuple(v)]
         for _ in range(phi - 1):
-            vecs.append(la.mat_vec(R, vecs[-1]))
-        return vecs
+            W.append(la.mat_vec(R, W[-1]))
+        return W, [la.mat_vec(gram_S, w) for w in W]
 
-    def singular(W):
-        return la.rank([[pair(a, b) for b in W] for a in W]) < len(W)
+    def singular(W, BW):
+        return la.rank([[la.dot(Ba, b) for b in W] for Ba in BW]) < len(W)
 
     factors = []
     repaired = 0
-    space_eqs = []  # rows: pairing functionals of the factors found so far
+    space_eqs = []  # rows: pairing functionals B w of the factors found so far
 
     while True:
         # pick a vector in the orthogonal complement of the found factors
@@ -338,36 +367,28 @@ def cyclotomic_decomposition(g: IsometryElement, L: QuadraticLattice,
         if not cands:
             break
         v = cands[0]
-        W = cyclic_span(v)
-        if singular(W):
-            mate = next((u for u in cands[1:]
-                         if any(pair(w, u) != 0 for w in W)), None)
+        W, BW = cyclic_span(v)
+        if singular(W, BW):
+            mate = next((u for u in cands[1:] if any(la.dot(Bw, u) for Bw in BW)), None)
             if mate is None:
                 raise FixedVectorPresent("cannot repair a q-trivial factor")
-            v = la.vec_add(v, mate)
-            W = cyclic_span(v)
-            if singular(W):
+            W, BW = cyclic_span(la.vec_add(v, mate))
+            if singular(W, BW):
                 raise FixedVectorPresent("repair step failed to fix degeneracy")
             repaired += 1
-        factors.append((W, c))
-        for w in W:
-            space_eqs.append(la.mat_vec(gram_S, w))
+        factors.append((W, BW, c))
+        space_eqs += BW
         if len(factors) * phi >= k:
             break
-    ortho = all(
-        pair(a, b) == 0
-        for (f1, _), (f2, _) in itertools.combinations(factors, 2)
-        for a in f1
-        for b in f2
-    )
-    nondeg = not any(singular(f) for f, _ in factors)
+    ortho = all(la.dot(Ba, b) == 0 for (_, B1, _), (f2, _, _)
+                in itertools.combinations(factors, 2) for Ba in B1 for b in f2)
     return CyclotomicCertificate(
         m=m,
         d=len(factors),
         rank=k,
         factor_bases=tuple(tuple(tuple(Fraction(x, c) for x in w) for w in W)
-                           for W, c in factors),
-        nondegenerate=nondeg,
+                           for W, _, c in factors),
+        nondegenerate=True,  # every factor kept passed singular() above
         orthogonal=ortho,
         repaired_pairs=repaired,
     )
@@ -393,7 +414,7 @@ def classify_ramification(g: IsometryElement, L: QuadraticLattice) -> FixedLocus
     else:
         cls = SPECIAL_CYCLE
         field = f"Q(zeta_{m})"
-        decomposition = cyclotomic_decomposition(g, L, s_basis=report.s_basis)
+        decomposition = cyclotomic_decomposition(g, L, report.s_basis, _r_tau=m)
         notes.append(f"CM field {field}; certificate d*phi(m) = "
                      f"{decomposition.d}*{euler_phi(m)} = {decomposition.rank}")
     return replace(report, classification=cls, field_descriptor=field,

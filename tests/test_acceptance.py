@@ -557,6 +557,9 @@ def criterion_11_cases(tmp_path):
                                        ["0", "0", "-1", "0"], ["0", "0", "0", "-1"]]})
     one = write("one.json", {"gram": [["1"]]})
     a2 = write("a2gram.json", {"gram": [["2", "1"], ["1", "2"]]})
+    uum2 = write("uum2.json", {"gram": [[str(x) for x in row] for row in (
+        (0, 0, 1, 0, 0), (0, 0, 0, 1, 0), (1, 0, 0, 0, 0), (0, 1, 0, 0, 0),
+        (0, 0, 0, 0, -2))]})
     point = write("pt.json", {"model": "bounded",
                               "coords": [["1/8", "1/9"], ["-1/7", "0"]],
                               "frame": json.loads(open(atilde).read())})
@@ -597,6 +600,10 @@ def criterion_11_cases(tmp_path):
         ("ramify", ["ramify", "--gram", a2, "--bound", "1"]),
         # <1,1,-1,-1>: rank-4 cyclotomic certificates at orders 4 and 8
         ("ramify-g4", ["ramify", "--gram", gram4, "--bound", "1"]),
+        # U+U at bound 2 (the certificate's repair path, fixed-vector rows)
+        # and U+U+<-2> at bound 1, captured before the trace multiplicities
+        ("ramify-uu-b2", ["ramify", "--gram", atilde, "--bound", "2"]),
+        ("ramify-uum2", ["ramify", "--gram", uum2, "--bound", "1"]),
         ("core-decompose-lc2-central-dual",
          ["core-decompose", "--gram", lc2, "--variant", "central_dual",
           "--height", "2", "--gens", lc2gens]),

@@ -26,7 +26,7 @@ from orthocusp.cycles import (
     restriction_matrix,
     stabilizer_orders,
 )
-from orthocusp.errors import FixedVectorPresent, NoPositiveEigenplane
+from orthocusp.errors import FixedVectorPresent, NoPositiveEigenplane, NotRootOfUnity
 from orthocusp.qform import QuadraticLattice
 
 DIAG11 = QuadraticLattice([[1, 0], [0, 1]])
@@ -59,6 +59,34 @@ class TestEnumerate:
         for L, n in ((DIAG11, 8), (A2, 12)):
             for g in enumerate_isometries(L, 1):
                 assert g.order is not None and n % g.order == 0
+
+
+class TestCarriedTraces:
+    def test_enumerated_elements_equal_elements_without_traces(self):
+        for g in enumerate_isometries(SIG22, 1):
+            plain = IsometryElement(g.mat, g.order)
+            assert plain.traces is None and (g.traces is None) == (g.order is None)
+            assert g == plain and hash(g) == hash(plain) and repr(g) == repr(plain)
+
+    def test_made_elements_carry_their_traces(self):
+        assert elem(J2, DIAG11).traces == (2, 0, -2, 0)
+        assert elem(la.identity(2), DIAG11).traces == (2,)
+
+    def test_caller_order_must_be_an_order(self):
+        # J2 squares to -I: order 2 is refused before any kernel is taken
+        with pytest.raises(NotRootOfUnity, match="order dividing 2"):
+            fixed_sublattice(IsometryElement(J2, 2), DIAG11)
+        with pytest.raises(NotRootOfUnity):
+            classify_ramification(IsometryElement(la.mat(J2), 2), DIAG11)
+        # a multiple of the order is an order
+        rep = fixed_sublattice(IsometryElement(J2, 8), DIAG11)
+        assert rep == fixed_sublattice(elem(J2, DIAG11), DIAG11)
+
+    def test_traces_that_do_not_fit_g_are_refused(self):
+        with pytest.raises(NotRootOfUnity, match="do not sum to the rank"):
+            fixed_sublattice(IsometryElement(J2, 4, (3, 0, 0, 0)), DIAG11)
+        with pytest.raises(NotRootOfUnity, match="has rank 0, not 1"):
+            fixed_sublattice(IsometryElement(J2, 4, (2, 0, 2, 0)), DIAG11)
 
 
 class TestFixedSublattice:
@@ -199,8 +227,6 @@ class TestClassification:
         assert rep.decomposition.d == 2
 
     def test_conjugation_invariance(self):
-        from orthocusp.errors import NotRootOfUnity
-
         rng = random.Random(313)
         pool = enumerate_isometries(SIG22, 1)
         classifiable = []
@@ -229,8 +255,6 @@ class TestClassification:
 
 class TestInfiniteOrder:
     def test_fixed_sublattice_rejects_infinite_order(self):
-        from orthocusp.errors import NotRootOfUnity
-
         # hyperbolic boost on the even unimodular plane: infinite order
         H = QuadraticLattice([[0, 1], [1, 0]])
         g = IsometryElement.make([[2, 0], [0, F(1, 2)]], H)

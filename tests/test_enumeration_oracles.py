@@ -11,12 +11,17 @@ checked against its power loop without the trace test.  Beside them, the
 Fraction forms that bilinear, pair and contains, which evaluate a scaled
 integer matrix, must agree with on integral and rational forms alike, and
 the Fraction cyclotomic certificate (on the rational Gram of S and the
-rational kernel bases) that the integer one replaced.  They are slow and
+rational kernel bases) that the integer one replaced.  The classification
+is checked against the path before trace multiplicities: a kernel of
+Phi_m(g) for every divisor m of the order, matrix_order of the restriction
+in the certificate, and every pairing a full la.form.  They are slow and
 kept only as oracles.
 """
 
 import gc
 import itertools
+import random
+from dataclasses import replace
 from fractions import Fraction
 from operator import mul
 
@@ -27,8 +32,20 @@ from hypothesis import strategies as st
 from orthocusp import _linalg as la
 from orthocusp.corecone import SelfAdjointCone, light_cone
 from orthocusp.cycles import (
+    HEEGNER_REFLECTION,
+    INTERIOR_UNRAMIFIED,
+    MINUS_IDENTITY,
+    SPECIAL_CYCLE,
     CyclotomicCertificate,
+    FixedLocusReport,
+    IsometryElement,
+    _canonical_exponent,
     _cyclotomic_coeffs,
+    _divisors,
+    _matrix_poly,
+    _multiplicities,
+    _order_traces,
+    classify_ramification,
     cyclotomic_decomposition,
     enumerate_isometries,
     euler_phi,
@@ -44,7 +61,7 @@ from orthocusp.errors import (
     NotRootOfUnity,
     OrthocuspError,
 )
-from orthocusp.qform import QuadraticLattice
+from orthocusp.qform import QuadraticLattice, int_signature, orthogonal_complement_basis
 
 PROPERTY = settings(max_examples=30, deadline=None, derandomize=True)
 
@@ -268,6 +285,118 @@ def fraction_cyclotomic_decomposition(g, L, s_basis=None):
         orthogonal=ortho,
         repaired_pairs=repaired,
     )
+
+
+def form_gram_on(L, basis):
+    return [[la.form(L.scaled_gram, a, b) for b in basis] for a in basis]
+
+
+def divisor_loop_fixed_sublattice(g, L):
+    """fixed_sublattice with a kernel of Phi_m(g) for every divisor m of the order."""
+    if g.order is None:
+        raise NotRootOfUnity("isometry must have finite order")
+    n = len(g.mat)
+    powers = [tuple(tuple(int(i == j) for j in range(n)) for i in range(n))]
+    chosen = None
+    for m in _divisors(g.order):
+        cs = _cyclotomic_coeffs(m)
+        while len(powers) < len(cs):
+            powers.append(la.mat_mul(powers[-1], g.mat))
+        ker = la.kernel_int(_matrix_poly(cs, powers))
+        if ker and int_signature(form_gram_on(L, ker))[0] == 2:
+            if chosen is not None:
+                raise NoPositiveEigenplane("positive plane is not unique")
+            chosen = (m, ker)
+    if chosen is None:
+        raise NoPositiveEigenplane("no cyclotomic factor carries a signature-(2,*) subspace")
+    m, s_basis = chosen
+    perp = orthogonal_complement_basis(L, s_basis)
+    return FixedLocusReport(
+        s_basis=tuple(s_basis),
+        s_perp_basis=tuple(perp),
+        defining_equations=tuple(tuple(la.mat_vec(L.gram, y)) for y in perp),
+        r_tau=m,
+        lambda_exponent=_canonical_exponent(m),
+    )
+
+
+def form_certificate(g, L, s_basis):
+    """The integer certificate with matrix_order(R) and every pairing a la.form."""
+    R = restriction_matrix(g.mat, s_basis)
+    k = len(s_basis)
+    m = matrix_order(R)
+    if m is None:
+        raise NotRootOfUnity("restriction has infinite order")
+    if m > 1 and la.rank(la.mat_add(R, la.mat_scale(-1, la.identity(k)))) < k:
+        raise FixedVectorPresent("action on S has nonzero fixed vectors")
+    phi = euler_phi(m)
+    gram_S = form_gram_on(L, s_basis)
+
+    def pair(x, y):
+        return la.form(gram_S, x, y)
+
+    def cyclic_span(v):
+        vecs = [tuple(v)]
+        for _ in range(phi - 1):
+            vecs.append(la.mat_vec(R, vecs[-1]))
+        return vecs
+
+    def singular(W):
+        return la.rank([[pair(a, b) for b in W] for a in W]) < len(W)
+
+    factors, repaired, space_eqs = [], 0, []
+    while True:
+        cands, c = la.scaled_nullspace(space_eqs or [(0,) * k])
+        if not cands:
+            break
+        v = cands[0]
+        W = cyclic_span(v)
+        if singular(W):
+            mate = next((u for u in cands[1:] if any(pair(w, u) != 0 for w in W)), None)
+            if mate is None:
+                raise FixedVectorPresent("cannot repair a q-trivial factor")
+            W = cyclic_span(la.vec_add(v, mate))
+            if singular(W):
+                raise FixedVectorPresent("repair step failed to fix degeneracy")
+            repaired += 1
+        factors.append((W, c))
+        space_eqs += [la.mat_vec(gram_S, w) for w in W]
+        if len(factors) * phi >= k:
+            break
+    return CyclotomicCertificate(
+        m=m,
+        d=len(factors),
+        rank=k,
+        factor_bases=tuple(tuple(tuple(Fraction(x, c) for x in w) for w in W)
+                           for W, c in factors),
+        nondegenerate=not any(singular(f) for f, _ in factors),
+        orthogonal=all(pair(a, b) == 0
+                       for (f1, _), (f2, _) in itertools.combinations(factors, 2)
+                       for a in f1 for b in f2),
+        repaired_pairs=repaired,
+    )
+
+
+def reference_classify(g, L):
+    """classify_ramification over the divisor loop and the la.form certificate."""
+    report = divisor_loop_fixed_sublattice(g, L)
+    m = report.r_tau
+    notes, decomposition, field = [], None, None
+    if m == 1:
+        cls = INTERIOR_UNRAMIFIED if not report.s_perp_basis else HEEGNER_REFLECTION
+        if cls == HEEGNER_REFLECTION:
+            notes.append(f"codimension-{len(report.s_perp_basis)} cycle driven by the "
+                         "pointwise-fixing group of S-perp")
+    elif m == 2:
+        cls = MINUS_IDENTITY
+        notes.append("acts trivially on the cycle; quotient effect equals -g on S-perp")
+    else:
+        cls, field = SPECIAL_CYCLE, f"Q(zeta_{m})"
+        decomposition = form_certificate(g, L, report.s_basis)
+        notes.append(f"CM field {field}; certificate d*phi(m) = "
+                     f"{decomposition.d}*{euler_phi(m)} = {decomposition.rank}")
+    return replace(report, classification=cls, field_descriptor=field,
+                   decomposition=decomposition, notes=tuple(notes))
 
 
 # ---------------------------------------------------------------- strategies
@@ -540,3 +669,74 @@ def test_integer_certificate_matches_fraction_certificate(G, bound, repairs):
             certificate_outcome(fraction_cyclotomic_decomposition, g, L, s_basis)
     assert certificates
     assert any(c[6] for c in certificates) == repairs  # U+U has q-trivial factors
+
+
+def classification_outcome(g, L, classify=classify_ramification):
+    """The full report (certificate included), or the domain error's type."""
+    try:
+        return classify(g, L)
+    except OrthocuspError as e:
+        return type(e)
+
+
+def kernel_ranks(g):
+    """{m: rank of ker Phi_m(g)} over every divisor m of g's order."""
+    powers = [la.identity(len(g.mat))]
+    while len(powers) <= max(euler_phi(m) for m in _divisors(g.order)):
+        powers.append(la.mat_mul(powers[-1], g.mat))
+    return {m: len(la.kernel_int(_matrix_poly(_cyclotomic_coeffs(m), powers)))
+            for m in _divisors(g.order)}
+
+
+@pytest.mark.parametrize("G, bound", [
+    ([[1, 0], [0, 1]], 1),
+    ([[2, 1], [1, 2]], 1),
+    ([[1, 0, 0], [0, 1, 0], [0, 0, -1]], 1),
+    ([[Fraction(1, 2), 0, 0], [0, Fraction(1, 2), 0], [0, 0, Fraction(-1, 2)]], 1),
+    ([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, -1, 0], [0, 0, 0, -1]], 1),
+    ([[0, 0, 1, 0], [0, 0, 0, 1], [1, 0, 0, 0], [0, 1, 0, 0]], 1),
+    ([[2, 1, 0], [1, 2, 0], [0, 0, -1]], 2),
+    ([[0, 1, 0], [1, 0, 0], [0, 0, -2]], 2),
+], ids=["diag11", "a2", "sig21", "sig21-half", "g4", "u+u", "a2m1-b2", "um2-b2"])
+def test_classification_matches_divisor_loop_and_form_certificate(G, bound):
+    L = QuadraticLattice(G)
+    outcomes = set()
+    for g in enumerate_isometries(L, bound):
+        if g.order is None:
+            continue
+        got = classification_outcome(g, L)
+        assert got == classification_outcome(g, L, reference_classify), g.mat
+        # the carried traces are those of the powers, and each one's
+        # character multiplicity is the rank of its kernel
+        assert _order_traces(g.mat) == (g.order, g.traces)
+        assert _multiplicities(g.traces) == kernel_ranks(g), g.mat
+        if isinstance(got, FixedLocusReport):
+            outcomes.add(got.classification)
+            if got.classification == SPECIAL_CYCLE:
+                R = restriction_matrix(g.mat, got.s_basis)
+                assert matrix_order(R) == got.r_tau == got.decomposition.m
+        else:
+            outcomes.add(got)
+    assert NoPositiveEigenplane in outcomes  # and some reports when the signature is (2, *)
+    assert (INTERIOR_UNRAMIFIED in outcomes) == (int_signature(L.scaled_gram)[0] == 2)
+
+
+def test_fraction_conjugates_classify_as_the_reference():
+    # the conjugates of TestClassification.test_conjugation_invariance:
+    # Fraction entries and a caller-given order, so no carried traces
+    rng = random.Random(313)
+    L = QuadraticLattice([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, -1, 0], [0, 0, 0, -1]])
+    pool = enumerate_isometries(L, 1)
+    classifiable = [g for g in pool if g.order is not None
+                    and not isinstance(classification_outcome(g, L), type)]
+    hs = rng.sample(pool, 10)
+    special = 0
+    for g in rng.sample(classifiable, 10):
+        for h in hs:
+            conj = IsometryElement(la.mat_mul(la.mat_mul(h.mat, g.mat), la.inverse(h.mat)),
+                                   g.order)
+            assert conj.traces is None
+            got = classification_outcome(conj, L)
+            assert got == classification_outcome(conj, L, reference_classify), conj.mat
+            special += getattr(got, "classification", None) == SPECIAL_CYCLE
+    assert special
