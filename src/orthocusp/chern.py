@@ -6,6 +6,11 @@ degree k); all products truncate above the ambient dimension.  The
 splitting principle is used as a formal-root algebra in the tests, never
 as geometry; intersection numbers always come from a caller-supplied
 degree functional.
+
+Every sum, product and power is formed by the ring's own + and *: sums
+start from the ring's zero or unit, exp(x) is the truncated series, and
+the log of a power series with a(0) = 1 follows its recurrence
+k g_k = k f_k - sum_{j<k} j g_j f_{k-j}.
 """
 
 from __future__ import annotations
@@ -13,6 +18,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb, factorial, prod
 
 from ._linalg import frac
 from .errors import MissingIntersectionNumber
@@ -77,16 +83,13 @@ class GradedClass:
     __radd__ = __add__
 
     def __neg__(self):
-        return GradedClass.make({m: -c for m, c in self.terms}, self._deg_map(),
-                                self.truncation)
+        return self * -1
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = GradedClass.make({(): other}, self._deg_map(), self.truncation)
-        return self + (-other)
+        return self + other * -1
 
     def __rsub__(self, other):
-        return (-self) + other
+        return self * -1 + other
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -116,25 +119,13 @@ class GradedClass:
             self._deg_map(), self.truncation,
         )
 
-    def coefficient(self, mono) -> Fraction:
-        mono = tuple(sorted((g, e) for g, e in mono if e))
-        for m, c in self.terms:
-            if m == mono:
-                return c
-        return Fraction(0)
-
     def is_zero(self) -> bool:
         return not self.terms
 
     def substitute(self, values: dict):
         """Numeric evaluation: every generator gets a rational value."""
-        total = Fraction(0)
-        for m, c in self.terms:
-            prod = c
-            for g, e in m:
-                prod *= frac(values[g]) ** e
-            total += prod
-        return total
+        terms = (prod((frac(values[g]) ** e for g, e in m), start=c) for m, c in self.terms)
+        return sum(terms, Fraction(0))
 
 
 def whitney_product(a: GradedClass, b: GradedClass) -> GradedClass:
@@ -144,22 +135,24 @@ def whitney_product(a: GradedClass, b: GradedClass) -> GradedClass:
     return a * b
 
 
+def _degrees(cs) -> dict:
+    """The union of the classes' degree maps."""
+    return {g: d for c in cs for g, d in c.degrees}
+
+
 def _newton_power_sums(cs, kmax: int):
-    """Power sums p_k from elementary symmetric classes via Newton."""
+    """Power sums p_k from elementary symmetric classes via Newton:
+    p_k = sum_{i<k} (-1)^(i-1) c_i p_{k-i} + (-1)^(k-1) k c_k."""
     r = len(cs)
+    # c_1 enters every p_k, so its zero adds no generator; without classes
+    # every p_k is zero
+    zero = cs[0] * 0 if cs else GradedClass.make({}, {}, kmax)
     ps = {}
     for k in range(1, kmax + 1):
-        acc = None
-        for i in range(1, k):
-            if i <= r:
-                term = cs[i - 1] * ps[k - i] * (Fraction(-1) ** (i - 1))
-                acc = term if acc is None else acc + term
-        tail = (Fraction(-1) ** (k - 1)) * k * cs[k - 1] if k <= r else None
-        if tail is not None:
-            acc = tail if acc is None else acc + tail
-        if acc is None:
-            acc = cs[0] * 0
-        ps[k] = acc
+        terms = [cs[i - 1] * ps[k - i] * (-1) ** (i - 1) for i in range(1, min(k, r + 1))]
+        if k <= r:
+            terms.append(cs[k - 1] * (k * (-1) ** (k - 1)))
+        ps[k] = sum(terms, zero)
     return ps
 
 
@@ -169,16 +162,9 @@ def ch_from_chern(cs, truncation: int, rank=None) -> GradedClass:
     if not cs:
         raise ValueError("need at least c_1 (use rank only via unit)")
     rank = len(cs) if rank is None else rank
-    degs = {}
-    for c in cs:
-        degs.update(c._deg_map())
-    out = GradedClass.make({(): rank}, degs, truncation)
     ps = _newton_power_sums(cs, truncation)
-    fact = 1
-    for k in range(1, truncation + 1):
-        fact *= k
-        out = out + ps[k] * Fraction(1, fact)
-    return out
+    terms = (ps[k] * Fraction(1, factorial(k)) for k in range(1, truncation + 1))
+    return sum(terms, GradedClass.make({(): rank}, _degrees(cs), truncation))
 
 
 def _series_inverse(coeffs):
@@ -196,55 +182,39 @@ def _series_inverse(coeffs):
 
 
 def _series_log(coeffs):
-    """log of a power series with a(0) = 1."""
-    n = len(coeffs)
-    # log(f) ' = f'/f; integrate
-    deriv = [(k + 1) * coeffs[k + 1] if k + 1 < n else Fraction(0) for k in range(n)]
-    finv = _series_inverse(coeffs)
-    prod = [Fraction(0)] * n
-    for i in range(n):
-        for j in range(n - i):
-            prod[i + j] += deriv[i] * finv[j]
-    out = [Fraction(0)] * n
-    for k in range(1, n):
-        out[k] = prod[k - 1] / k
+    """log of a power series with a(0) = 1: from f g' = f', the
+    coefficients satisfy k g_k = k f_k - sum_{j<k} j g_j f_{k-j}."""
+    out = [Fraction(0)] * len(coeffs)
+    for k in range(1, len(coeffs)):
+        s = sum((j * out[j] * coeffs[k - j] for j in range(1, k)), Fraction(0))
+        out[k] = (k * coeffs[k] - s) / k
     return out
 
 
 def todd_series_coefficients(n: int):
     """Coefficients of x / (1 - e^{-x}) up to degree n."""
     # 1 - e^{-x} = sum_{k>=1} (-1)^{k+1} x^k / k!; divide by x first
-    denom = []
-    fact = 1
-    for k in range(1, n + 2):
-        fact *= k
-        denom.append(Fraction((-1) ** (k + 1), fact))
-    return _series_inverse(denom[: n + 1])
+    denom = [Fraction((-1) ** (k + 1), factorial(k)) for k in range(1, n + 2)]
+    return _series_inverse(denom)
+
+
+def _exp(x: GradedClass) -> GradedClass:
+    """exp(x) = sum_k x^k / k! below the truncation (x has no constant term)."""
+    power = GradedClass.unit(x._deg_map(), x.truncation)
+    out = power
+    for k in range(1, x.truncation + 1):
+        power = power * x
+        out = out + power * Fraction(1, factorial(k))
+    return out
 
 
 def todd_from_chern(cs, truncation: int) -> GradedClass:
     """Todd class from Chern classes: exp(sum log-series(k) p_k)."""
     cs = list(cs)
-    degs = {}
-    for c in cs:
-        degs.update(c._deg_map())
     lam = _series_log(todd_series_coefficients(truncation))
     ps = _newton_power_sums(cs, truncation)
-    expo = None
-    for k in range(1, truncation + 1):
-        if lam[k]:
-            term = ps[k] * lam[k]
-            expo = term if expo is None else expo + term
-    out = GradedClass.unit(degs, truncation)
-    if expo is None:
-        return out
-    power = GradedClass.unit(degs, truncation)
-    fact = 1
-    for k in range(1, truncation + 1):
-        power = power * expo
-        fact *= k
-        out = out + power * Fraction(1, fact)
-    return out
+    terms = (ps[k] * lam[k] for k in range(1, truncation + 1) if lam[k])
+    return _exp(sum(terms, GradedClass.make({}, _degrees(cs), truncation)))
 
 
 @dataclass(frozen=True)
@@ -278,20 +248,15 @@ def hrr_chi(ch_e: GradedClass, td_t: GradedClass, deg: DegreeFunctional) -> Frac
     return deg.apply(ch_e * td_t)
 
 
-def projective_space_setup(k: int, truncation=None):
+def projective_space_setup(k: int):
     """Chern data of P^k: returns (hyperplane class h, td(T), deg)."""
-    n = k if truncation is None else truncation
     degs = {"h": 1}
-    h = GradedClass.gen("h", 1, degs, n)
-    from math import comb
-
-    cs = []
-    for i in range(1, n + 1):
-        hi = GradedClass.unit(degs, n)
-        for _ in range(i):
-            hi = hi * h
-        cs.append(hi * comb(k + 1, i))
-    td = todd_from_chern(cs, n)
+    h = GradedClass.gen("h", 1, degs, k)
+    powers = [GradedClass.unit(degs, k)]
+    for _ in range(k):
+        powers.append(powers[-1] * h)
+    cs = [powers[i] * comb(k + 1, i) for i in range(1, k + 1)]
+    td = todd_from_chern(cs, k)
     deg = DegreeFunctional.make(k, {(("h", k),): 1})
     return h, td, deg
 
@@ -316,15 +281,10 @@ class UniversalQ:
 
     def evaluate(self, e_values, omega_values) -> Fraction:
         """Numeric substitution c_i(E) -> e_values[i], c_j(Omega) -> ..."""
-        total = Fraction(0)
-        for (beta, alpha), coeff in self.table:
-            prod = coeff
-            for i in beta:
-                prod *= frac(e_values[i])
-            for j in alpha:
-                prod *= frac(omega_values[j])
-            total += prod
-        return total
+        terms = (prod((frac(e_values[i]) for i in beta), start=coeff)
+                 * prod(frac(omega_values[j]) for j in alpha)
+                 for (beta, alpha), coeff in self.table)
+        return sum(terms, Fraction(0))
 
 
 def universal_Q(n: int, r: int) -> UniversalQ:
@@ -341,8 +301,7 @@ def universal_Q(n: int, r: int) -> UniversalQ:
     else:
         cs = [GradedClass.gen(f"cE{i}", i, degs, n) for i in range(1, r + 1)]
         chE = ch_from_chern(cs, n, rank=r)
-    cT = [GradedClass.gen(f"w{j}", j, degs, n) * (Fraction(-1) ** j)
-          for j in range(1, n + 1)]
+    cT = [GradedClass.gen(f"w{j}", j, degs, n) * (-1) ** j for j in range(1, n + 1)]
     td = todd_from_chern(cT, n)
     top = (chE * td).graded_part(n)
     table = {}
@@ -370,17 +329,11 @@ def log_correction(c_log, deltas):
         raise ValueError("need matching truncation for c(log) and Delta")
     if n == 0:
         return []
-    one = GradedClass.unit(c_log[0]._deg_map() if c_log else {}, c_log[0].truncation)
+    one = GradedClass.unit(c_log[0]._deg_map(), c_log[0].truncation)
     cl = [one] + list(c_log)
     dl = [one] + list(deltas)
-    out = []
-    for j in range(1, n + 1):
-        acc = None
-        for i in range(0, j + 1):
-            term = cl[i] * dl[j - i]
-            acc = term if acc is None else acc + term
-        out.append(acc)
-    return out
+    zero = one * 0
+    return [sum((cl[i] * dl[j - i] for i in range(j + 1)), zero) for j in range(1, n + 1)]
 
 
 def error_term_symbolic(n: int, n_prime: int):
@@ -400,21 +353,15 @@ def error_term_symbolic(n: int, n_prime: int):
     dl = [GradedClass.gen(f"D{k}", k, degs, n) for k in range(1, n + 1)]
     c_omega = log_correction(lg, dl)
     q1 = universal_Q(n, 1)
-    # b_alpha at ell-power i: entries with beta = (1,)*i
-    out = {}
     one = GradedClass.unit(degs, n)
-    for i in range(0, n_prime + 1):
-        acc = GradedClass.make({}, degs, n)
-        for (beta, alpha), coeff in q1.table:
-            if beta != tuple([1] * i):
-                continue
-            prod_omega = one
-            prod_log = one
-            for a in alpha:
-                prod_omega = prod_omega * c_omega[a - 1]
-                prod_log = prod_log * lg[a - 1]
-            acc = acc + (prod_omega - prod_log) * coeff
-        out[i] = acc
+    zero = GradedClass.make({}, degs, n)
+    out = {}
+    for i in range(n_prime + 1):
+        # b_alpha at ell-power i: entries with beta = (1,)*i
+        terms = ((prod((c_omega[a - 1] for a in alpha), start=one)
+                  - prod((lg[a - 1] for a in alpha), start=one)) * coeff
+                 for (beta, alpha), coeff in q1.table if beta == (1,) * i)
+        out[i] = sum(terms, zero)
     return out
 
 

@@ -45,14 +45,6 @@ class UnstableTruncation(OrthocuspError):
     """Window H and 2H disagree on the returned extreme points."""
 
 
-class DegenerateSupport(OrthocuspError):
-    """No support hyperplane has a spanning contact set in the window.
-
-    Raised only when the caller refuses the trivial fallback; support_fan
-    itself returns the trivial decomposition with a warning instead.
-    """
-
-
 class NotConePreserving(OrthocuspError):
     """A generator fails to preserve the cone or the decomposition."""
 

@@ -422,16 +422,15 @@ def star_subdivide(f: Fan, ray) -> Fan:
     return fan_from_maximal(_star(f.maximal_cones(), la.primitive(ray), f.rank), f.rank)
 
 
-def barycentric_subdivide(f: Fan, selector) -> Fan:
+def barycentric_subdivide(f: Fan, selected) -> Fan:
     """Star subdivision at the primitive barycenter of each selected cone.
 
-    selector is a predicate on cones or an explicit iterable of cones;
-    selected cones of dimension <= 1 are ignored (their barycenter is a
-    ray of the fan already).  Each step starts from the maximal elements
-    of the last step's cones: a face added by the closure lies strictly
-    inside its cone, so they are the maximal cones of the closed fan.
+    selected is an iterable of cones; those of dimension <= 1 are ignored
+    (their barycenter is a ray of the fan already).  Each step starts from
+    the maximal elements of the last step's cones: a face added by the
+    closure lies strictly inside its cone, so they are the maximal cones of
+    the closed fan.
     """
-    selected = filter(selector, f.cones) if callable(selector) else selector
     selected = [c for c in selected if c.dim >= 2]
     out, maxcones = f, f.maximal_cones()
     for c in sorted(selected, key=lambda c: (-c.dim, c.rays)):

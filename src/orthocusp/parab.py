@@ -51,11 +51,6 @@ class CuspFlag:
     def block(self):
         return atilde_block(self.lattice)
 
-    def generators(self):
-        m = self.lattice.rank
-        e = lambda i: tuple(1 if k == i else 0 for k in range(m))
-        return (e(0),) if self.kind == RANK1 else (e(0), e(1))
-
 
 @dataclass(frozen=True)
 class BoundaryData:

@@ -8,10 +8,16 @@ trial-division euler_phi, square_class and relevant_places.  Beside them
 are the Fraction paths that integer ones replaced: the signature counted
 from qform.diagonalize's Fraction congruence, the form evaluated on
 Fraction coordinates, fixed_sublattice scanning every divisor of the
-order, and restriction_matrix solving for one image at a time.  They are
-kept only as oracles.
+order, and restriction_matrix solving for one image at a time.  Last are
+chern's hand-rolled accumulators: Newton's power sums, the Chern
+character and the Todd class with their own exponential, the series log
+through a full series inverse, log_correction and error_term_symbolic,
+which the graded ring's own sums and products replaced.  They are kept
+only as oracles.
 """
 
+import itertools
+import random
 from fractions import Fraction
 from math import prod
 
@@ -20,6 +26,18 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from orthocusp import _linalg as la
+from orthocusp.chern import (
+    GradedClass,
+    _newton_power_sums,
+    _series_inverse,
+    _series_log,
+    ch_from_chern,
+    error_term_symbolic,
+    log_correction,
+    todd_from_chern,
+    todd_series_coefficients,
+    universal_Q,
+)
 from orthocusp.cycles import (
     FixedLocusReport,
     _canonical_exponent,
@@ -229,6 +247,143 @@ def outcome(fn, *args):
         return type(e).__name__, str(e)
 
 
+def reference_newton_power_sums(cs, kmax: int):
+    """Power sums p_k from elementary symmetric classes via Newton."""
+    r = len(cs)
+    ps = {}
+    for k in range(1, kmax + 1):
+        acc = None
+        for i in range(1, k):
+            if i <= r:
+                term = cs[i - 1] * ps[k - i] * (Fraction(-1) ** (i - 1))
+                acc = term if acc is None else acc + term
+        tail = (Fraction(-1) ** (k - 1)) * k * cs[k - 1] if k <= r else None
+        if tail is not None:
+            acc = tail if acc is None else acc + tail
+        if acc is None:
+            acc = cs[0] * 0
+        ps[k] = acc
+    return ps
+
+
+def reference_ch_from_chern(cs, truncation: int, rank=None) -> GradedClass:
+    """Chern character from c_1..c_r: rank + sum p_k / k!."""
+    cs = list(cs)
+    if not cs:
+        raise ValueError("need at least c_1 (use rank only via unit)")
+    rank = len(cs) if rank is None else rank
+    degs = {}
+    for c in cs:
+        degs.update(c._deg_map())
+    out = GradedClass.make({(): rank}, degs, truncation)
+    ps = reference_newton_power_sums(cs, truncation)
+    fact = 1
+    for k in range(1, truncation + 1):
+        fact *= k
+        out = out + ps[k] * Fraction(1, fact)
+    return out
+
+
+def reference_series_log(coeffs):
+    """log of a power series with a(0) = 1."""
+    n = len(coeffs)
+    # log(f) ' = f'/f; integrate
+    deriv = [(k + 1) * coeffs[k + 1] if k + 1 < n else Fraction(0) for k in range(n)]
+    finv = _series_inverse(coeffs)
+    prod = [Fraction(0)] * n
+    for i in range(n):
+        for j in range(n - i):
+            prod[i + j] += deriv[i] * finv[j]
+    out = [Fraction(0)] * n
+    for k in range(1, n):
+        out[k] = prod[k - 1] / k
+    return out
+
+
+def reference_todd_from_chern(cs, truncation: int) -> GradedClass:
+    """Todd class from Chern classes: exp(sum log-series(k) p_k)."""
+    cs = list(cs)
+    degs = {}
+    for c in cs:
+        degs.update(c._deg_map())
+    lam = reference_series_log(todd_series_coefficients(truncation))
+    ps = reference_newton_power_sums(cs, truncation)
+    expo = None
+    for k in range(1, truncation + 1):
+        if lam[k]:
+            term = ps[k] * lam[k]
+            expo = term if expo is None else expo + term
+    out = GradedClass.unit(degs, truncation)
+    if expo is None:
+        return out
+    power = GradedClass.unit(degs, truncation)
+    fact = 1
+    for k in range(1, truncation + 1):
+        power = power * expo
+        fact *= k
+        out = out + power * Fraction(1, fact)
+    return out
+
+
+def reference_log_correction(c_log, deltas):
+    """c_j(Omega^1) = sum_{i<=j} c_i(Omega^1(log)) Delta_{j-i}.
+
+    Inputs are lists of GradedClass indexed 1..n (c_0 = Delta_0 = 1
+    implicitly); returns the list of c_j(Omega^1), j = 1..n.
+    """
+    n = len(c_log)
+    if len(deltas) != n:
+        raise ValueError("need matching truncation for c(log) and Delta")
+    if n == 0:
+        return []
+    one = GradedClass.unit(c_log[0]._deg_map() if c_log else {}, c_log[0].truncation)
+    cl = [one] + list(c_log)
+    dl = [one] + list(deltas)
+    out = []
+    for j in range(1, n + 1):
+        acc = None
+        for i in range(0, j + 1):
+            term = cl[i] * dl[j - i]
+            acc = term if acc is None else acc + term
+        out.append(acc)
+    return out
+
+
+def reference_error_term_symbolic(n: int, n_prime: int):
+    """The boundary error term as a polynomial in the weight.
+
+    Returns {i: GradedClass} for i = 0..n_prime, the coefficient of ell^i:
+        sum_{|alpha| = n-i} b_alpha (c^alpha(Omega^1) - c^alpha(Omega^1(log)))
+    with c^alpha(Omega^1) expanded through the log-boundary correction, so
+    every surviving monomial carries a positive Delta-degree.  Generators:
+    lg_j = c_j(Omega^1(log)), D_k = Delta_k.
+    """
+    if n_prime > n:
+        raise ValueError("boundary dimension bound exceeds the dimension")
+    degs = {f"lg{j}": j for j in range(1, n + 1)}
+    degs.update({f"D{k}": k for k in range(1, n + 1)})
+    lg = [GradedClass.gen(f"lg{j}", j, degs, n) for j in range(1, n + 1)]
+    dl = [GradedClass.gen(f"D{k}", k, degs, n) for k in range(1, n + 1)]
+    c_omega = reference_log_correction(lg, dl)
+    q1 = universal_Q(n, 1)
+    # b_alpha at ell-power i: entries with beta = (1,)*i
+    out = {}
+    one = GradedClass.unit(degs, n)
+    for i in range(0, n_prime + 1):
+        acc = GradedClass.make({}, degs, n)
+        for (beta, alpha), coeff in q1.table:
+            if beta != tuple([1] * i):
+                continue
+            prod_omega = one
+            prod_log = one
+            for a in alpha:
+                prod_omega = prod_omega * c_omega[a - 1]
+                prod_log = prod_log * lg[a - 1]
+            acc = acc + (prod_omega - prod_log) * coeff
+        out[i] = acc
+    return out
+
+
 # ---------------------------------------------------------------- properties
 
 
@@ -396,3 +551,75 @@ def test_restriction_matrix_matches_one_solve_per_image(g_basis):
     basis = [tuple(v) for v in basis]  # dependent and zero vectors included
     assert outcome(restriction_matrix, g, basis) == \
         outcome(solve_each_restriction_matrix, g, basis)
+
+
+# the generators random Chern classes are drawn over, with their degrees
+CHERN_POOL = {"a": 1, "b": 1, "y": 2, "z": 3}
+
+
+def random_classes(rnd, r, n):
+    """c_1..c_r with random rational coefficients, c_i homogeneous of degree
+    i; each carries the degree map of its own generators (plus one at
+    random) and a truncation of n or n + 1."""
+    out = []
+    for i in range(1, r + 1):
+        terms = {}
+        for _ in range(rnd.randint(1, 3)):
+            mono, d = {}, i
+            while d:
+                g = rnd.choice([g for g, k in CHERN_POOL.items() if k <= d])
+                mono[g] = mono.get(g, 0) + 1
+                d -= CHERN_POOL[g]
+            terms[tuple(mono.items())] = Fraction(rnd.randint(-4, 4), rnd.randint(1, 3))
+        names = {g for mono in terms for g, _ in mono} | {rnd.choice(list(CHERN_POOL))}
+        degs = {g: CHERN_POOL[g] for g in names}
+        out.append(GradedClass.make(terms, degs, n + rnd.randint(0, 1)))
+    return out
+
+
+def formal_root_classes(r, n):
+    """The elementary symmetric classes of formal roots a_1..a_r of degree 1."""
+    degs = {f"a{i}": 1 for i in range(1, r + 1)}
+    roots = [GradedClass.gen(f"a{i}", 1, degs, n) for i in range(1, r + 1)]
+    one = GradedClass.unit(degs, n)
+    return [sum((prod(combo, start=one) for combo in itertools.combinations(roots, k)),
+                one * 0)
+            for k in range(1, r + 1)]
+
+
+def chern_systems(n):
+    """Chern classes at truncation n: three random draws and the formal roots."""
+    rnd = random.Random(4001 + n)
+    systems = [random_classes(rnd, rnd.randint(1, max(n, 1)), n) for _ in range(3)]
+    return systems + [formal_root_classes(min(max(n, 1), 3), n)]
+
+
+@pytest.mark.parametrize("n", range(9))
+def test_power_sums_ch_and_todd_match_the_accumulators(n):
+    for cs in chern_systems(n):
+        assert _newton_power_sums(cs, n) == reference_newton_power_sums(cs, n)
+        assert ch_from_chern(cs, n) == reference_ch_from_chern(cs, n)
+        assert todd_from_chern(cs, n) == reference_todd_from_chern(cs, n)
+
+
+@pytest.mark.parametrize("n", range(9))
+def test_log_correction_and_error_term_match_the_accumulators(n):
+    rnd = random.Random(5003 + n)
+    for _ in range(3):
+        c_log, deltas = random_classes(rnd, n, n), random_classes(rnd, n, n)
+        assert log_correction(c_log, deltas) == reference_log_correction(c_log, deltas)
+    for n_prime in range(n + 1):
+        assert error_term_symbolic(n, n_prime) == reference_error_term_symbolic(n, n_prime)
+
+
+@pytest.mark.parametrize("n", range(13))
+def test_series_log_recurrence_matches_integrated_quotient(n):
+    got = _series_log(todd_series_coefficients(n))
+    assert got == reference_series_log(todd_series_coefficients(n))
+    assert all(type(x) is Fraction for x in got)
+    rnd = random.Random(6007 + n)
+    series = [Fraction(1)] + [Fraction(rnd.randint(-5, 5), rnd.randint(1, 4)) for _ in range(n)]
+    assert _series_log(series) == reference_series_log(series)
+    # the Fraction(0) seed keeps integer coefficients exact
+    ints = [1] + [rnd.randint(-5, 5) for _ in range(n)]
+    assert all(type(x) is Fraction for x in _series_log(ints))

@@ -157,6 +157,11 @@ class TestTodd:
                  + c1 * c3 - c4) * F(1, 720)
         assert td.graded_part(4) == want4
 
+    @pytest.mark.parametrize("n", [0, 1, 2, 4])
+    def test_no_chern_classes_is_the_unit(self, n):
+        # every Chern class zero: td = 1
+        assert todd_from_chern([], n) == GradedClass.unit({}, n)
+
     def test_against_root_oracle_degree_four(self):
         n = 4
         roots = root_algebra(4, n)

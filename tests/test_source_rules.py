@@ -100,3 +100,32 @@ def test_only_qform_computes_a_signature_by_congruence():
                     and congruence.search(node.name.lower()):
                 found.append(f"{path.name}:{node.lineno}:{node.name}")
     assert found == []
+
+
+def test_every_definition_is_used():
+    # no dead helpers: every non-dunder function or class defined in the
+    # package is named somewhere in src/, tests/ or demos/ outside its own
+    # definition, as a Name, an attribute or an imported alias.  argparse
+    # calls _Parser.error itself.
+    allowed = {("cli.py", "error")}
+    tests = Path(__file__).resolve().parent
+    files = SOURCES + sorted(tests.glob("*.py")) + sorted((tests.parent / "demos").glob("*.py"))
+    definitions = []
+    references = {}
+    for path in files:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                if path in SOURCES and not re.fullmatch(r"__\w+__", node.name):
+                    definitions.append((path, node.name, node.lineno, node.end_lineno))
+                continue
+            name = getattr(node, "id", None) or getattr(node, "attr", None)
+            if isinstance(node, ast.alias):
+                name = node.name
+            if name is not None:
+                references.setdefault(name, []).append((path, node.lineno))
+    found = [f"{path.name}:{first}:{name}"
+             for path, name, first, last in definitions
+             if (path.name, name) not in allowed
+             and all(ref == path and first <= line <= last
+                     for ref, line in references.get(name, []))]
+    assert found == []
