@@ -1,30 +1,33 @@
 """Exact linear algebra over Fraction and the integers.
 
 Vectors are tuples of Fraction (or int), matrices are tuples of row tuples.
-Everything here is a decision procedure; no floats.  A rational matrix is
-stored once as an integer matrix over a positive denominator (scaled_int).
-One fraction-free integer elimination, echelon, serves every rank, kernel,
-solve, inverse and determinant; scaled_nullspace hands out the rational
-kernel basis as integer rows over one common multiple.  One unimodular
-integer column reduction, column_reduce, owns the integer kernel lattice
-(kernel_int) and the lattice block behind fan's multiplicities and
-fundamental parallelepipeds; extended Euclid on two integers (ext_gcd)
-sits beside it, with the package's integer arithmetic: factor is its one
-trial division and is_prime its one primality test.  The products
-(mat_mul, mat_vec, dot) and the form evaluator (form) keep the type of
-their input: int in, int out, so integer data never meets a Fraction;
-scaled_int hands a matrix of plain ints back as it is.  rows_at_least
-tests a vector against every row of an integer matrix at once, on
-packed integer fields, and quadratic_nonneg solves a quadratic
-inequality over the integers of a range with isqrt.  gram_preservers
-is the package's one isometry search, a column backtracking with forward
-checking: fixing a column filters the candidates of every later column
-by its pairing with it, which is the test the later column must pass
-anyway, so the search yields the same matrices in the same order and
-only stops sooner in dead branches.
+Everything here is a decision procedure; no floats.  identity(n) is the one
+(cached) int identity.  A rational matrix is stored once as an integer
+matrix over a positive denominator (scaled_int, the one clearing of
+denominators).  One fraction-free integer elimination, echelon, serves
+every rank, kernel, solve, inverse and determinant; scaled_nullspace hands
+out the rational kernel basis as integer rows over one common multiple.
+One unimodular integer column reduction, column_reduce, owns the integer
+kernel lattice (kernel_int) and the lattice block behind fan's
+multiplicities and fundamental parallelepipeds; extended Euclid on two
+integers (ext_gcd) sits beside it, with the package's integer arithmetic:
+factor is its one trial division and is_prime its one primality test.  The
+products (mat_mul, mat_vec, dot) and the form evaluator (form) keep the
+type of their input: int in, int out, so integer data never meets a
+Fraction, and form and mat_vec take the domain models' complex coordinates
+as they are; scaled_int hands a matrix of plain ints back as it is.
+rows_at_least tests a vector against every row of an integer matrix at
+once, on packed integer fields, and quadratic_nonneg solves a quadratic
+inequality over the integers of a range with isqrt.  gram_preservers is
+the package's one isometry search, a column backtracking with forward
+checking: fixing a column filters the candidates of every later column by
+its pairing with it, which is the test the later column must pass anyway,
+so the search yields the same matrices in the same order and only stops
+sooner in dead branches.
 """
 
 from fractions import Fraction
+from functools import lru_cache
 from itertools import chain
 from math import gcd, isqrt, lcm
 from operator import mul
@@ -42,8 +45,9 @@ def mat(rows):
     return tuple(tuple(frac(x) for x in row) for row in rows)
 
 
+@lru_cache(maxsize=None)
 def identity(n):
-    return tuple(tuple(Fraction(1 if i == j else 0) for j in range(n)) for i in range(n))
+    return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
 
 
 def transpose(A):

@@ -171,12 +171,9 @@ def _series_inverse(coeffs):
     """Multiplicative inverse of a rational power series with a(0) != 0."""
     n = len(coeffs)
     inv = [Fraction(0)] * n
-    inv[0] = 1 / coeffs[0]
+    inv[0] = Fraction(1) / coeffs[0]
     for k in range(1, n):
-        s = Fraction(0)
-        for j in range(1, k + 1):
-            if j < len(coeffs):
-                s += coeffs[j] * inv[k - j]
+        s = sum((coeffs[j] * inv[k - j] for j in range(1, k + 1)), Fraction(0))
         inv[k] = -s / coeffs[0]
     return inv
 

@@ -338,10 +338,10 @@ def cmd_core_decompose(args):
     results = {
         "variant": args.variant,
         "height": args.height,
-        "extreme_points": [list(map(io.rat_to_str, p)) for p in E.points],
+        "extreme_points": [io.vector_to_json(p) for p in E.points],
         "fan": io.fan_to_json(fan),
         "degenerate_support": rep.degenerate,
-        "support_functionals": [list(map(io.rat_to_str, y)) for y in rep.functionals],
+        "support_functionals": [io.vector_to_json(y) for y in rep.functionals],
         "warnings": rep.warnings,
     }
     certificates = {

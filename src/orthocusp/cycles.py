@@ -76,11 +76,6 @@ def max_finite_order(m: int) -> int:
     return max(n for n, c in orders if c - (n % 4 == 2) <= m)
 
 
-@functools.lru_cache(maxsize=None)
-def _int_identity(n):
-    return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
-
-
 def matrix_order(m):
     """Order of a square matrix, or None when it is not of finite order.
 
@@ -100,7 +95,7 @@ def _order_traces(m):
     """(order, (tr m^0, .., tr m^(order - 1))), or (None, None)."""
     p = m = tuple(map(tuple, m))
     n = len(m)
-    ident, traces = _int_identity(n), [n]
+    ident, traces = la.identity(n), [n]
     for _ in range(max_finite_order(n)):
         if p == ident:
             return len(traces), tuple(traces)
@@ -220,7 +215,7 @@ def fixed_sublattice(g: IsometryElement, L: QuadraticLattice) -> FixedLocusRepor
     mults = _multiplicities(traces)
     if sum(mults.values()) != n:
         raise NotRootOfUnity("eigenvalue multiplicities do not sum to the rank")
-    powers = [_int_identity(n)]
+    powers = [la.identity(n)]
     chosen = None
     for m in (m for m, k in mults.items() if k):
         cs = _cyclotomic_coeffs(m)
@@ -255,7 +250,7 @@ def _canonical_exponent(m: int) -> int:
 
 def double_perp(L: QuadraticLattice, vectors):
     """((span)^perp)^perp cap L as a saturated basis."""
-    ident = _int_identity(L.rank)
+    ident = la.identity(L.rank)
     perp = orthogonal_complement_basis(L, vectors) if vectors else ident
     return orthogonal_complement_basis(L, perp) if perp else ident
 

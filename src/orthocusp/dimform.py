@@ -28,11 +28,7 @@ CONVENTION_WEIGHT = "geometric-weight: outputs use the geometric weight normaliz
 
 def chi_projective_line_bundle(N: int, k) -> Fraction:
     """chi(P^N, O(k)) = binomial(N+k, N) as a polynomial in k (all integers)."""
-    k = frac(k)
-    num = Fraction(1)
-    for j in range(1, N + 1):
-        num *= k + j
-    return num / math.factorial(N)
+    return _chi_poly_in_ell(N, 0, k)[0]
 
 
 def _poly_mul(p, q):

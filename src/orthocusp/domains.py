@@ -6,7 +6,11 @@ inequalities).  Two numeric backends: exact Gaussian rationals and complex
 doubles.  Both offer .real, .imag, .conjugate() and arithmetic with int and
 Fraction, so each conversion below is one formula for both; the backend of
 a point is the type of its coordinates, and every float-mode predicate
-takes a tolerance.
+takes a tolerance.  The linear algebra is _linalg's (form, mat_vec,
+identity) and qform.atilde_block's.  Of the 11 bare ValueErrors here the
+CLI reaches only Frame.__init__'s 3, through cli._parse_point, which
+reports them as usage errors; the 8 in in_kappa, grass_plane_from_vectors,
+circle_action_matrix and oplus_sign are library-only.
 
 Conventions pinned by the exact test suite:
   * kappa^+ is the component with Im(first tube coordinate) > 0.
@@ -31,7 +35,7 @@ from .errors import (
     UnsupportedShape,
 )
 from .gaussian import I, GaussianRational, abs2
-from .qform import QuadraticLattice, diagonalize, is_atilde_shape
+from .qform import QuadraticLattice, atilde_block, diagonalize, is_atilde_shape
 
 
 class KappaClass(Enum):
@@ -47,22 +51,6 @@ QUARTER = Fraction(1, 4)
 def _i(x):
     """The imaginary unit on the backend of the coordinate x."""
     return I if isinstance(x, GaussianRational) else 1j
-
-
-def _sparse_form(G, x, y):
-    """sum_i x_i sum_j G[i][j] y_j over complex coordinates, skipping the
-    zero entries of G and the exact-zero x_i."""
-    out = 0
-    for i, xi in enumerate(x):
-        if isinstance(xi, (int, Fraction)) and xi == 0:
-            continue
-        row = G[i]
-        acc = 0
-        for j, yj in enumerate(y):
-            if row[j] != 0:
-                acc = acc + yj * row[j]
-        out = out + xi * acc
-    return out
 
 
 class Frame:
@@ -85,6 +73,7 @@ class Frame:
             [[lattice.bilinear(a, b) for b in self.u_basis] for a in self.u_basis]
         )
         self._u_gram_inv = la.inverse(self.u_gram)
+        self._to_ambient = la.transpose((self.e1, self.e2, *self.u_basis))
 
     @property
     def n(self) -> int:
@@ -92,26 +81,18 @@ class Frame:
 
     def bilinear_c(self, x, y):
         """C-bilinear extension of b to complex coordinate vectors."""
-        return _sparse_form(self.lattice.gram, x, y)
+        return la.form(self.lattice.gram, y, x)
 
     def quadratic_c(self, x):
         return self.bilinear_c(x, x)
 
     def q_u(self, y):
         """Tube quadratic form on U-coordinates (C-bilinear)."""
-        return _sparse_form(self.u_gram, y, y)
+        return la.form(self.u_gram, y, y)
 
     def ambient_from_tube(self, a, b, y):
         """Coordinates of a*e1 + b*e2 + sum y_i u_i in the lattice basis."""
-        m = self.lattice.rank
-        out = [0] * m
-        for k in range(m):
-            acc = a * self.e1[k] + b * self.e2[k]
-            for yi, u in zip(y, self.u_basis):
-                if u[k] != 0:
-                    acc = acc + yi * u[k]
-            out[k] = acc
-        return tuple(out)
+        return la.mat_vec(self._to_ambient, (a, b, *y))
 
     def tube_coords_of(self, v):
         """U-coordinates of the U-component of an ambient complex vector."""
@@ -161,21 +142,16 @@ class BoundedFrame(Frame):
         m = lattice.rank
         unit = la.identity(m)
         super().__init__(lattice, unit[0], unit[2], [unit[k] for k in (1, 3, *range(4, m))])
-        n = m - 2
-        A_prime = [[Fraction(0)] * n for _ in range(n)]
-        A_prime[0][0] = Fraction(-2)
-        A_prime[1][1] = Fraction(-2)
-        for i in range(4, m):
-            for j in range(4, m):
-                A_prime[i - 2][j - 2] = lattice.gram[i][j]
-        self.a_prime = la.mat(A_prime)
+        A = atilde_block(lattice)
+        pad = [0] * len(A)
+        self.a_prime = la.mat([[-2, 0, *pad], [0, -2, *pad]] + [[0, 0, *row] for row in A])
 
     def q_a_prime(self, z):
-        return _sparse_form(self.a_prime, z, z)
+        return la.form(self.a_prime, z, z)
 
     def h_a_prime(self, z):
         """Hermitian-type pairing z A' conj(z)^t (real-valued)."""
-        return _sparse_form(self.a_prime, z, [x.conjugate() for x in z]).real
+        return la.form(self.a_prime, [x.conjugate() for x in z], z).real
 
 
 def standard_bounded_frame(n: int, block=None) -> BoundedFrame:
@@ -421,19 +397,13 @@ def circle_action_matrix(plane: GrassPlane, r=1, cos_sin_2theta=None, theta=None
     L = plane.lattice
     X, Y = plane.x, plane.y
     qn = L.quadratic(X)
-    m = L.rank
-    MX = tuple(r2 * (c * X[k] + s * Y[k]) for k in range(m))
-    MY = tuple(r2 * (-s * X[k] + c * Y[k]) for k in range(m))
-    cols = []
-    for j in range(m):
-        e = tuple(1 if i == j else 0 for i in range(m))
-        lam = L.bilinear(e, X) / qn
-        mu = L.bilinear(e, Y) / qn
-        col = tuple(
-            e[k] + lam * (MX[k] - X[k]) + mu * (MY[k] - Y[k]) for k in range(m)
-        )
-        cols.append(col)
-    return la.transpose(la.mat(cols))
+    # I + dX lam^t + dY mu^t with lam = G X / q(X), mu = G Y / q(X)
+    lam = [t / qn for t in la.mat_vec(L.gram, X)]
+    mu = [t / qn for t in la.mat_vec(L.gram, Y)]
+    dX = [r2 * (c * x + s * y) - x for x, y in zip(X, Y)]
+    dY = [r2 * (-s * x + c * y) - y for x, y in zip(X, Y)]
+    return la.mat([[e + l * a + u * b for e, l, u in zip(row, lam, mu)]
+                   for row, a, b in zip(la.identity(L.rank), dX, dY)])
 
 
 def is_isometry(g, lattice: QuadraticLattice) -> bool:

@@ -15,7 +15,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm, prod
+from math import gcd, prod
 
 from . import _linalg as la
 from ._linalg import frac
@@ -58,11 +58,11 @@ class QuadraticLattice:
     def bilinear(self, x, y) -> Fraction:
         """b(x, y), one Fraction over den * dx * dy.
 
-        Coordinates are rational (int, bool or Fraction): x and y are
-        cleared of their denominators once (x = x' / dx, y = y' / dy) and
-        the form is evaluated over int.
+        Coordinates are any entries la.scaled_int reads exactly: x and y
+        are cleared of their denominators once (x = x' / dx, y = y' / dy)
+        and the form is evaluated over int.
         """
-        (x, dx), (y, dy) = _cleared(x), _cleared(y)
+        ((x,), dx), ((y,), dy) = la.scaled_int([x]), la.scaled_int([y])
         return Fraction(la.form(self.scaled_gram, x, y), self.den * dx * dy)
 
     def quadratic(self, x) -> Fraction:
@@ -80,15 +80,6 @@ class QuadraticLattice:
 
     def __repr__(self):
         return f"QuadraticLattice({[list(map(str, r)) for r in self.gram]})"
-
-
-def _cleared(v):
-    """(w, d): the integer vector w = d * v with d the lcm of the
-    denominators of the rational entries of v."""
-    if all(type(t) is int for t in v):
-        return v, 1
-    d = lcm(*(t.denominator for t in v))
-    return [t.numerator * (d // t.denominator) for t in v], d
 
 
 def discriminant(L: QuadraticLattice) -> Fraction:
@@ -263,14 +254,6 @@ def relevant_places(a, b):
     return [REAL_PLACE] + [Place(p) for p in sorted(la.factor(n))]
 
 
-def _integer_vectors(dim: int, height: int):
-    """All nonzero integer vectors with sup-norm <= height, canonical order."""
-    rng = range(-height, height + 1)
-    for v in itertools.product(rng, repeat=dim):
-        if any(v):
-            yield v
-
-
 def find_isotropic_split(L: QuadraticLattice, height: int):
     """Search for integral (e1, e2) with q(e1)=0, b(e1,e2)=1.
 
@@ -279,7 +262,8 @@ def find_isotropic_split(L: QuadraticLattice, height: int):
     """
     if height < 1:
         raise ValueError("height must be >= 1")
-    for cand in _integer_vectors(L.rank, height):
+    # gcd(0, .., 0) = 0, so the zero vector is skipped with the imprimitive
+    for cand in itertools.product(range(-height, height + 1), repeat=L.rank):
         if gcd(*cand) != 1:
             continue
         if L.quadratic(cand) != 0:

@@ -12,17 +12,20 @@ order, and restriction_matrix solving for one image at a time.  Last are
 chern's hand-rolled accumulators: Newton's power sums, the Chern
 character and the Todd class with their own exponential, the series log
 through a full series inverse, log_correction and error_term_symbolic,
-which the graded ring's own sums and products replaced.  They are kept
-only as oracles.
+which the graded ring's own sums and products replaced.  Then the
+private matrix kernels that grew beside _linalg: qform's denominator
+clearing, and domains' sparse form evaluator, its loop from tube data to
+lattice coordinates, its column-by-column circle action and its
+hand-filled bounded-model Gram A'.  They are kept only as oracles.
 """
 
 import itertools
 import random
 from fractions import Fraction
-from math import prod
+from math import lcm, prod
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from orthocusp import _linalg as la
@@ -43,13 +46,21 @@ from orthocusp.cycles import (
     _canonical_exponent,
     _cyclotomic_coeffs,
     _divisors,
-    _int_identity,
     enumerate_isometries,
     euler_phi,
     fixed_sublattice,
     restriction_matrix,
 )
+from orthocusp.domains import (
+    BoundedFrame,
+    TubePoint,
+    circle_action_matrix,
+    grass_of,
+    in_tube,
+    psi,
+)
 from orthocusp.errors import DegenerateForm, NoPositiveEigenplane, NotRootOfUnity
+from orthocusp.gaussian import GaussianRational
 from orthocusp.qform import (
     REAL_PLACE,
     Place,
@@ -60,6 +71,7 @@ from orthocusp.qform import (
     relevant_places,
     signature,
     square_class,
+    standard_atilde,
 )
 
 PROPERTY = settings(max_examples=200, deadline=None, derandomize=True)
@@ -196,7 +208,7 @@ def full_scan_fixed_sublattice(g, L):
     if g.order is None:
         raise NotRootOfUnity("isometry must have finite order")
     coeffs = {m: _cyclotomic_coeffs(m) for m in _divisors(g.order)}
-    powers = [_int_identity(len(g.mat))]
+    powers = [la.identity(len(g.mat))]
     while len(powers) < max(map(len, coeffs.values())):
         powers.append(la.mat_mul(powers[-1], g.mat))
     chosen = None
@@ -245,6 +257,96 @@ def outcome(fn, *args):
         return fn(*args)
     except (NoPositiveEigenplane, NotRootOfUnity, ValueError) as e:
         return type(e).__name__, str(e)
+
+
+def reference_cleared(v):
+    """(w, d): the integer vector w = d * v with d the lcm of the
+    denominators of the rational entries of v."""
+    if all(type(t) is int for t in v):
+        return v, 1
+    d = lcm(*(t.denominator for t in v))
+    return [t.numerator * (d // t.denominator) for t in v], d
+
+
+def reference_bilinear(L, x, y):
+    """QuadraticLattice.bilinear over reference_cleared."""
+    (x, dx), (y, dy) = reference_cleared(x), reference_cleared(y)
+    return Fraction(la.form(L.scaled_gram, x, y), L.den * dx * dy)
+
+
+def reference_sparse_form(G, x, y):
+    """sum_i x_i sum_j G[i][j] y_j over complex coordinates, skipping the
+    zero entries of G and the exact-zero x_i."""
+    out = 0
+    for i, xi in enumerate(x):
+        if isinstance(xi, (int, Fraction)) and xi == 0:
+            continue
+        row = G[i]
+        acc = 0
+        for j, yj in enumerate(y):
+            if row[j] != 0:
+                acc = acc + yj * row[j]
+        out = out + xi * acc
+    return out
+
+
+def reference_ambient_from_tube(frame, a, b, y):
+    """Coordinates of a*e1 + b*e2 + sum y_i u_i in the lattice basis."""
+    m = frame.lattice.rank
+    out = [0] * m
+    for k in range(m):
+        acc = a * frame.e1[k] + b * frame.e2[k]
+        for yi, u in zip(y, frame.u_basis):
+            if u[k] != 0:
+                acc = acc + yi * u[k]
+        out[k] = acc
+    return tuple(out)
+
+
+def reference_a_prime(lattice):
+    """The bounded-model Gram A' = diag(-2, -2) + A, filled by hand."""
+    m = lattice.rank
+    n = m - 2
+    A_prime = [[Fraction(0)] * n for _ in range(n)]
+    A_prime[0][0] = Fraction(-2)
+    A_prime[1][1] = Fraction(-2)
+    for i in range(4, m):
+        for j in range(4, m):
+            A_prime[i - 2][j - 2] = lattice.gram[i][j]
+    return la.mat(A_prime)
+
+
+def reference_circle_action_matrix(plane, r=1, cos_sin_2theta=None, theta=None):
+    """circle_action_matrix with one pair of bilinear calls per unit vector."""
+    if not plane.is_normalized:
+        raise ValueError("plane must be normalized (equal norms, orthogonal)")
+    if cos_sin_2theta is None:
+        if theta is None:
+            raise ValueError("supply cos_sin_2theta or theta")
+        import math
+
+        c, s = math.cos(2 * theta), math.sin(2 * theta)
+    else:
+        c, s = la.frac(cos_sin_2theta[0]), la.frac(cos_sin_2theta[1])
+        if c * c + s * s != 1:
+            raise ValueError("cos^2 + sin^2 must equal 1 exactly")
+    r2 = la.frac(r) * la.frac(r) if cos_sin_2theta is not None else float(r) ** 2
+    L = plane.lattice
+    X, Y = plane.x, plane.y
+    qn = L.quadratic(X)
+    m = L.rank
+    MX = tuple(r2 * (c * X[k] + s * Y[k]) for k in range(m))
+    MY = tuple(r2 * (-s * X[k] + c * Y[k]) for k in range(m))
+    cols = []
+    for j in range(m):
+        e = tuple(1 if i == j else 0 for i in range(m))
+        lam = L.bilinear(e, X) / qn
+        mu = L.bilinear(e, Y) / qn
+        col = tuple(
+            e[k] + lam * (MX[k] - X[k]) + mu * (MY[k] - Y[k]) for k in range(m)
+        )
+        cols.append(col)
+    return la.transpose(la.mat(cols))
 
 
 def reference_newton_power_sums(cs, kmax: int):
@@ -511,6 +613,9 @@ def test_scaled_bilinear_matches_fraction_form(system):
     assert type(got) is Fraction
     assert got == la.form(L.gram, la.vec(x), la.vec(y))
     assert L.quadratic(x) == la.form(L.gram, la.vec(x), la.vec(x))
+    assert got == reference_bilinear(L, x, y)
+    w, d = reference_cleared(x)
+    assert la.scaled_int([x]) == ((tuple(w),), d)
 
 
 RAMIFY_POOLS = {
@@ -623,3 +728,73 @@ def test_series_log_recurrence_matches_integrated_quotient(n):
     # the Fraction(0) seed keeps integer coefficients exact
     ints = [1] + [rnd.randint(-5, 5) for _ in range(n)]
     assert all(type(x) is Fraction for x in _series_log(ints))
+
+
+def test_series_inverse_is_exact_on_int_coefficients():
+    got = _series_inverse([1, 1, 0])
+    assert got == [1, -1, 1]
+    assert all(type(x) is Fraction for x in got)
+
+
+small_fractions = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 6))
+BACKENDS = {
+    "exact": st.builds(GaussianRational, small_fractions, small_fractions),
+    "float": st.builds(complex, *[st.floats(-1e3, 1e3, allow_nan=False)] * 2),
+}
+
+
+@st.composite
+def atilde_frames(draw):
+    """A BoundedFrame of rank 4..8: two hyperbolic planes plus the
+    negative-definite block -(M M^t + I) / d for a random integer M."""
+    k = draw(st.integers(0, 4))
+    M = draw(st.lists(st.lists(st.integers(-2, 2), min_size=k, max_size=k),
+                      min_size=k, max_size=k))
+    d = draw(st.integers(1, 3))
+    block = [[Fraction(-la.dot(r, s) - (i == j), d) for j, s in enumerate(M)]
+             for i, r in enumerate(M)]
+    return BoundedFrame(standard_atilde(k + 2, block))
+
+
+@PROPERTY
+@given(atilde_frames(), st.sampled_from(sorted(BACKENDS)), st.data())
+def test_domain_forms_match_the_sparse_loops(frame, backend, data):
+    coord = BACKENDS[backend]
+    G, m, n = frame.lattice.gram, frame.lattice.rank, frame.n
+    x, y = (data.draw(st.lists(coord, min_size=m, max_size=m)) for _ in range(2))
+    z = data.draw(st.lists(coord, min_size=n, max_size=n))
+    a, b = data.draw(coord), data.draw(coord)
+    assert frame.a_prime == reference_a_prime(frame.lattice)
+    assert frame.bilinear_c(x, y) == reference_sparse_form(G, x, y)
+    assert frame.quadratic_c(x) == reference_sparse_form(G, x, x)
+    assert frame.q_u(z) == reference_sparse_form(frame.u_gram, z, z)
+    assert frame.q_a_prime(z) == reference_sparse_form(frame.a_prime, z, z)
+    conj = [t.conjugate() for t in z]
+    assert frame.h_a_prime(z) == reference_sparse_form(frame.a_prime, z, conj).real
+    assert frame.ambient_from_tube(a, b, z) == reference_ambient_from_tube(frame, a, b, z)
+
+
+@st.composite
+def normalized_planes(draw):
+    """span(Re v, Im v) for v = psi(y) at an exact point y of the tube over
+    a random frame: a normalized positive plane."""
+    frame = draw(atilde_frames())
+    im = [Fraction(draw(st.integers(1, 6))) for _ in range(2)] \
+        + [Fraction(draw(st.integers(-1, 1)), 4) for _ in range(frame.n - 2)]
+    y = tuple(GaussianRational(draw(small_fractions), t) for t in im)
+    assume(in_tube(y, frame))
+    plane = grass_of(psi(TubePoint(y, frame)))
+    assert plane.is_normalized
+    return plane
+
+
+@PROPERTY
+@given(normalized_planes(), small_fractions, small_fractions,
+       st.floats(-10, 10, allow_nan=False), st.floats(-3, 3, allow_nan=False))
+def test_circle_action_matches_the_column_loop(plane, t, r, theta, r_float):
+    # (cos 2theta, sin 2theta) = ((1 - t^2), 2t) / (1 + t^2), exactly
+    cs = ((1 - t * t) / (1 + t * t), 2 * t / (1 + t * t))
+    assert circle_action_matrix(plane, r, cos_sin_2theta=cs) == \
+        reference_circle_action_matrix(plane, r, cos_sin_2theta=cs)
+    assert circle_action_matrix(plane, r_float, theta=theta) == \
+        reference_circle_action_matrix(plane, r_float, theta=theta)

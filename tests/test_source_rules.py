@@ -102,6 +102,22 @@ def test_only_qform_computes_a_signature_by_congruence():
     assert found == []
 
 
+def test_only_linalg_defines_matrix_kernels():
+    # one identity, one form evaluator and one denominator clearing: every
+    # other module asks _linalg (identity, form, mat_vec, scaled_int) and
+    # defines no copy of its own
+    kernel = re.compile(r"identity|_form$|cleared|sparse")
+    found = []
+    for path in SOURCES:
+        if path.stem == "_linalg":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) \
+                    and kernel.search(node.name):
+                found.append(f"{path.name}:{node.lineno}:{node.name}")
+    assert found == []
+
+
 def test_every_definition_is_used():
     # no dead helpers: every non-dunder function or class defined in the
     # package is named somewhere in src/, tests/ or demos/ outside its own
