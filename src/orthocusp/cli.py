@@ -507,8 +507,11 @@ def cmd_ramify(args):
         raise UsageError("--bound must be >= 1")
     L = io.lattice_from_json(_read_json(args.gram))
     pool = enumerate_isometries(L, args.bound)
-    rows = []
+    rows, first = [], {}  # subgroup -> the row of its first element
     for g in pool:
+        if g.subgroup in first:  # a generator of <g> classifies as g does
+            rows.append({**first[g.subgroup], "matrix": io.matrix_to_json(g.mat)})
+            continue
         row = {
             "matrix": io.matrix_to_json(g.mat),
             "order": g.order,
@@ -535,6 +538,7 @@ def cmd_ramify(args):
                 row["classification"] = "skipped: not finite order"
             except FixedVectorPresent:
                 row["classification"] = "skipped: fixed vector present"
+            first[g.subgroup] = row
         rows.append(row)
     return io.make_report(
         "ramify",

@@ -4,38 +4,46 @@ All computations run on exact eigen-data of finite-order integral
 isometries: the candidate period plane of g lives on the saturated kernel
 of the cyclotomic value Phi_m(g) for the unique m whose isotypic subspace
 carries positive index 2.  The classification depends only on the order
-r_tau of the character image, never on a choice of primitive root.  The
-eigen-data is one pass per element: matrix_order's power loop keeps the
-traces tr(g^k), which give dim ker Phi_m(g) for every m | order, so a
-kernel is taken only for a factor Phi_m that occurs, and the certificate
-takes r_tau = m from the chosen factor.
+r_tau of the character image, never on a choice of primitive root.
+matrix_order's power loop keeps the traces tr(g^k), which give
+dim ker Phi_m(g) for every m | order, so a kernel is taken only for a
+factor Phi_m that occurs, and the certificate takes r_tau = m from it.
 
-The classification computes over int: matrix powers, the kernels of
-the cyclotomic values, the restricted Grams (blocks of the lattice's
-scaled integer Gram, whose positive scale changes no signature and no
-zero test) with their signatures (qform.int_signature, one fraction-free
-congruence on the int block), the restriction of g to S (one echelon)
-and the cyclotomic certificate's candidate vectors, which are one
-integer multiple of the rational kernel basis.  Fractions appear only in
-what is reported: the defining equations, the scaled Gram's integer
-images over den, and the certificate's factor bases, divided back to
-that rational basis.  Factorization and primality (euler_phi,
-max_finite_order) are _linalg's factor and is_prime.
+The data belong to the cyclic subgroup <g>: for gcd(k, N) = 1, N = ord g,
+x -> x^k permutes the primitive m-th roots of unity for each m | N, so
+ker Phi_m(g^k) = ker Phi_m(g) with the same multiplicity, and S, S^perp,
+r_tau, the classification and the field agree.  On S, R^k spans the same
+algebra Q[R] as R, so the certificate's cyclic spans, singularity tests
+and mate searches find the same subspaces.  Only the basis kernel_int
+picks for S, in which the certificate reads its first candidates, can
+tell g^k from g.  enumerate_isometries runs the power loop, and cli
+ramify classifies, once per subgroup.
+
+Everything runs over int: powers, kernels, the restricted Grams (blocks
+of the scaled integer Gram, whose positive scale moves no signature or
+zero test) and their signatures (qform.int_signature), the restriction
+of g to S (one echelon) and the certificate's candidates (one integer
+multiple of the rational kernel basis).  Fractions appear only in what
+is reported: the defining equations (integer images over den) and the
+factor bases, divided back to that rational basis.
+
+Errors: the CLI reaches none of the 3 ValueErrors or chi_order_at's
+AssertionError.  IsometryElement.make and chi_order_at are library-only,
+and ramify calls restriction_matrix only on S = ker Phi_m(g), which is
+g-stable and saturated.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+from bisect import bisect_left
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from math import gcd
 
 from . import _linalg as la
-from .errors import (
-    FixedVectorPresent,
-    NoPositiveEigenplane,
-    NotRootOfUnity,
-)
+from .errors import FixedVectorPresent, NoPositiveEigenplane, NotRootOfUnity
 from .qform import QuadraticLattice, int_signature, orthogonal_complement_basis
 
 INTERIOR_UNRAMIFIED = "interior_unramified"
@@ -50,13 +58,15 @@ class IsometryElement:
     order: int | None = None
     # tr(g^k) for k < order, as matrix_order found them (None: derive)
     traces: tuple | None = field(default=None, compare=False, repr=False)
+    # the least pool generator of <g> (None: infinite order or not from a pool)
+    subgroup: tuple | None = field(default=None, compare=False, repr=False)
 
     @staticmethod
     def make(mat, lattice: QuadraticLattice) -> "IsometryElement":
         m = la.mat(mat)
         if not la.preserves_form(m, lattice.gram):
             raise ValueError("matrix does not preserve the Gram matrix")
-        return IsometryElement(m, *_order_traces(m))
+        return IsometryElement(m, *_order_traces(m)[:2])
 
 
 @functools.lru_cache(maxsize=None)
@@ -84,26 +94,28 @@ def matrix_order(m):
     of finite order is diagonalisable over C with roots of unity as
     eigenvalues, so every power of it has |tr p| <= n, with tr p = n only
     when p = I.  A power with tr p >= n that is not I, or with tr p < -n,
-    proves the order infinite, and the loop stops there.  Elements keep
-    the traces of g^0 .. g^(order - 1) (_order_traces): they give the
-    dimension of every ker Phi_m(g) (_multiplicities).
+    proves the order infinite, and the loop stops there.  It keeps g^k and
+    tr(g^k), k < order (_order_traces): the traces give every
+    dim ker Phi_m(g) (_multiplicities), the powers the other generators.
     """
     return _order_traces(m)[0]
 
 
 def _order_traces(m):
-    """(order, (tr m^0, .., tr m^(order - 1))), or (None, None)."""
+    """(order, (tr m^0, .., tr m^(order - 1)), [m^0, .., m^(order - 1)]),
+    or (None, None, None)."""
     p = m = tuple(map(tuple, m))
     n = len(m)
-    ident, traces = la.identity(n), [n]
+    powers, traces = [la.identity(n)], [n]
     for _ in range(max_finite_order(n)):
-        if p == ident:
-            return len(traces), tuple(traces)
+        if p == powers[0]:
+            return len(traces), tuple(traces), powers
         traces.append(sum(p[i][i] for i in range(n)))
         if traces[-1] >= n or traces[-1] < -n:
             break
+        powers.append(p)
         p = la.mat_mul(p, m)
-    return None, None
+    return None, None, None
 
 
 def _multiplicities(traces):
@@ -125,12 +137,26 @@ def enumerate_isometries(L: QuadraticLattice, bound: int):
 
     Column backtracking (la.gram_preservers) over the box [-bound, bound]^m
     on the integer multiple of the Gram matrix; always contains +/-
-    identity.  The matrices are kept as int rows.  Desk scale: rank <= 6,
-    bound small.
+    identity.  The matrices are kept as int rows, sorted.  Desk scale:
+    rank <= 6, bound small.  The power loop runs on the first element g of
+    each cyclic subgroup: each g^k in the pool with gcd(k, N) = 1 takes
+    order N, traces tr(g^(kj mod N)), j < N, and g as its subgroup.
     """
     box = itertools.product(range(-bound, bound + 1), repeat=L.rank)
     found = sorted(tuple(zip(*cols)) for cols in la.gram_preservers(L.scaled_gram, box))
-    return [IsometryElement(g, *_order_traces(g)) for g in found]
+    pool = [None] * len(found)
+    for i, g in enumerate(found):
+        if pool[i] is None:
+            N, traces, powers = _order_traces(g)
+            pool[i] = IsometryElement(g, N, traces, g if N else None)
+            for k in (k for k in range(2, N or 0) if gcd(k, N) == 1):
+                j = bisect_left(found, powers[k], i)
+                # keep found[j], not the equal powers[k]: a pool holding the
+                # power loop's copies peaked about 0.1 MB higher in RSS
+                if j < len(found) and found[j] == powers[k]:
+                    pool[j] = IsometryElement(found[j], N, tuple(
+                        traces[k * e % N] for e in range(N)), g)
+    return pool
 
 
 @functools.lru_cache(maxsize=None)
@@ -209,7 +235,7 @@ def fixed_sublattice(g: IsometryElement, L: QuadraticLattice) -> FixedLocusRepor
         raise NotRootOfUnity("isometry must have finite order")
     n, traces = len(g.mat), g.traces
     if traces is None:  # a caller-given order: g^order = I must hold
-        order, traces = _order_traces(g.mat)
+        order, traces, _ = _order_traces(g.mat)
         if order is None or g.order % order:
             raise NotRootOfUnity(f"isometry does not have order dividing {g.order}")
     mults = _multiplicities(traces)
@@ -393,9 +419,7 @@ def classify_ramification(g: IsometryElement, L: QuadraticLattice) -> FixedLocus
     """Full classification of the ramification type of a finite-order isometry."""
     report = fixed_sublattice(g, L)
     m = report.r_tau
-    notes = []
-    decomposition = None
-    field = None
+    notes, decomposition, field = [], None, None
     if m == 1:
         cls = INTERIOR_UNRAMIFIED if not report.s_perp_basis else HEEGNER_REFLECTION
         if cls == HEEGNER_REFLECTION:
@@ -418,29 +442,16 @@ def classify_ramification(g: IsometryElement, L: QuadraticLattice) -> FixedLocus
 
 def stabilizer_orders(L: QuadraticLattice, s_basis, isometries):
     """Desk-scale orders of Gamma_S, Gamma-bar_S, Gamma-tilde_S in a pool."""
-    gamma_s = []
-    for g in isometries:
-        if all(la.in_span(la.mat_vec(g.mat, v), s_basis) for v in s_basis):
-            gamma_s.append(g)
-    restrictions = set()
-    tilde = 0
+    gamma_s = [g for g in isometries
+               if all(la.in_span(la.mat_vec(g.mat, v), s_basis) for v in s_basis)]
+    restrictions = {restriction_matrix(g.mat, s_basis) for g in gamma_s}
     perp = orthogonal_complement_basis(L, s_basis)
-    for g in gamma_s:
-        R = restriction_matrix(g.mat, s_basis) if s_basis else ()
-        restrictions.add(R)
-        if all(tuple(la.mat_vec(g.mat, v)) == tuple(map(Fraction, v)) for v in perp):
-            tilde += 1
-    return {
-        "gamma_S": len(gamma_s),
-        "gamma_bar_S": len(restrictions),
-        "gamma_tilde_S": tilde,
-    }
+    tilde = sum(all(tuple(la.mat_vec(g.mat, v)) == tuple(map(Fraction, v)) for v in perp)
+                for g in gamma_s)
+    return {"gamma_S": len(gamma_s), "gamma_bar_S": len(restrictions),
+            "gamma_tilde_S": tilde}
 
 
 def gamma_canonical(alphas) -> bool:
     """Sum of fractional parts of the eigenvalue angles is at least 1."""
-    total = Fraction(0)
-    for a in alphas:
-        a = la.frac(a)
-        total += a - (a.numerator // a.denominator)
-    return total >= 1
+    return sum(a % 1 for a in map(la.frac, alphas)) >= 1

@@ -550,3 +550,18 @@ class TestRamifyCLI:
         classes = [r["classification"] for r in rep["elements"]]
         assert classes.count("skipped: fixed vector present") == 10
         assert "special_cycle" in classes and "interior_unramified" in classes
+
+    def test_each_cyclic_subgroup_is_classified_once(self, tmp_path, monkeypatch):
+        # <1,1,-1,-1> at bound 1: 128 elements of finite order in 90 cyclic
+        # subgroups; the other generators of a subgroup copy its row fields
+        import orthocusp.cycles as cycles
+
+        calls = []
+        classify = cycles.classify_ramification
+        monkeypatch.setattr(cycles, "classify_ramification",
+                            lambda g, L: calls.append(g) or classify(g, L))
+        gram = write(tmp_path, "g4.json", {"gram": [["1", "0", "0", "0"], ["0", "1", "0", "0"],
+                                                    ["0", "0", "-1", "0"], ["0", "0", "0", "-1"]]})
+        code, _ = run_to_file(tmp_path, ["ramify", "--gram", gram, "--bound", "1"])
+        assert code == 0
+        assert len(calls) == 90

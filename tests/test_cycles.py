@@ -1,5 +1,6 @@
 """Isometry enumeration, fixed sublattices, and ramification types."""
 
+import math
 import random
 from fractions import Fraction as F
 
@@ -67,6 +68,24 @@ class TestCarriedTraces:
             plain = IsometryElement(g.mat, g.order)
             assert plain.traces is None and (g.traces is None) == (g.order is None)
             assert g == plain and hash(g) == hash(plain) and repr(g) == repr(plain)
+
+    def test_subgroup_key_is_shared_by_generators_and_not_compared(self):
+        pool = enumerate_isometries(SIG22, 1)
+        by_mat = {g.mat: g for g in pool}
+        for g in pool:
+            plain = IsometryElement(g.mat, g.order, g.traces)
+            assert g == plain and hash(g) == hash(plain) and repr(g) == repr(plain)
+            if g.order is None:
+                assert g.subgroup is None
+                continue
+            # every generator of <g> that the pool holds carries the same key,
+            # the least of them
+            power, generators = g.mat, []
+            for k in range(1, g.order + 1):
+                if math.gcd(k, g.order) == 1 and power in by_mat:
+                    generators.append(power)
+                power = la.mat_mul(power, g.mat)
+            assert {by_mat[h].subgroup for h in generators} == {min(generators)}
 
     def test_made_elements_carry_their_traces(self):
         assert elem(J2, DIAG11).traces == (2, 0, -2, 0)

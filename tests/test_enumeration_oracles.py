@@ -14,12 +14,16 @@ the Fraction cyclotomic certificate (on the rational Gram of S and the
 rational kernel bases) that the integer one replaced.  The classification
 is checked against the path before trace multiplicities: a kernel of
 Phi_m(g) for every divisor m of the order, matrix_order of the restriction
-in the certificate, and every pairing a full la.form.  They are slow and
-kept only as oracles.
+in the certificate, and every pairing a full la.form.  The ramify rows
+are checked against cli.cmd_ramify's loop before each cyclic subgroup was
+classified once: one classification per element, on its own order and
+traces.  They are slow and kept only as oracles.
 """
 
+import argparse
 import gc
 import itertools
+import json
 import random
 from dataclasses import replace
 from fractions import Fraction
@@ -30,6 +34,8 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from orthocusp import _linalg as la
+from orthocusp import reportio as io
+from orthocusp.cli import cmd_ramify
 from orthocusp.corecone import SelfAdjointCone, light_cone
 from orthocusp.cycles import (
     HEEGNER_REFLECTION,
@@ -399,6 +405,41 @@ def reference_classify(g, L):
                    decomposition=decomposition, notes=tuple(notes))
 
 
+def reference_ramify_rows(pool, L):
+    """cli.cmd_ramify's row loop before sharing: one classification per
+    element of finite order, each from that element's own order and traces."""
+    rows = []
+    for g in pool:
+        row = {
+            "matrix": io.matrix_to_json(g.mat),
+            "order": g.order,
+        }
+        if g.order is None:
+            row["classification"] = "skipped: infinite order"
+        else:
+            try:
+                rep = classify_ramification(g, L)
+                row.update(
+                    {
+                        "classification": rep.classification,
+                        "r_tau": rep.r_tau,
+                        "field": rep.field_descriptor,
+                        "s_rank": len(rep.s_basis),
+                        "s_perp_rank": len(rep.s_perp_basis),
+                    }
+                )
+                if rep.decomposition is not None:
+                    row["decomposition_verified"] = rep.decomposition.verified
+            except NoPositiveEigenplane:
+                row["classification"] = "skipped: no positive eigenplane"
+            except NotRootOfUnity:
+                row["classification"] = "skipped: not finite order"
+            except FixedVectorPresent:
+                row["classification"] = "skipped: fixed vector present"
+        rows.append(row)
+    return rows
+
+
 # ---------------------------------------------------------------- strategies
 
 
@@ -708,7 +749,7 @@ def test_classification_matches_divisor_loop_and_form_certificate(G, bound):
         assert got == classification_outcome(g, L, reference_classify), g.mat
         # the carried traces are those of the powers, and each one's
         # character multiplicity is the rank of its kernel
-        assert _order_traces(g.mat) == (g.order, g.traces)
+        assert _order_traces(g.mat)[:2] == (g.order, g.traces)
         assert _multiplicities(g.traces) == kernel_ranks(g), g.mat
         if isinstance(got, FixedLocusReport):
             outcomes.add(got.classification)
@@ -740,3 +781,36 @@ def test_fraction_conjugates_classify_as_the_reference():
             assert got == classification_outcome(conj, L, reference_classify), conj.mat
             special += getattr(got, "classification", None) == SPECIAL_CYCLE
     assert special
+
+
+U_PLUS_U = [[0, 0, 1, 0], [0, 0, 0, 1], [1, 0, 0, 0], [0, 1, 0, 0]]
+
+
+@pytest.mark.parametrize("G, bound", [
+    ([[1, 0], [0, 1]], 1),
+    ([[2, 1], [1, 2]], 1),
+    ([[1, 0, 0], [0, 1, 0], [0, 0, -1]], 1),
+    ([[1, 0, 0], [0, 1, 0], [0, 0, -1]], 2),
+    ([[2, 1, 0], [1, 2, 0], [0, 0, -1]], 2),
+    ([[0, 1, 0], [1, 0, 0], [0, 0, -2]], 2),
+    ([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, -1, 0], [0, 0, 0, -1]], 1),
+    (U_PLUS_U, 1),
+    (U_PLUS_U, 2),
+    ([row + [0] for row in U_PLUS_U] + [[0, 0, 0, 0, -2]], 1),
+    ([[2, 1, 0, 0], [1, 2, 0, 0], [0, 0, -2, -1], [0, 0, -1, -2]], 1),
+], ids=["diag11", "a2", "sig21", "sig21-b2", "a2m1-b2", "um2-b2", "g4", "u+u",
+        "u+u-b2", "u+u+<-2>", "a2+a2(-1)"])
+def test_shared_ramify_rows_match_per_element_rows(G, bound, tmp_path):
+    # the rows of a subgroup's other generators are copied from its first
+    # element's; the reference classifies every element on its own data
+    L = QuadraticLattice(G)
+    pool = enumerate_isometries(L, bound)
+    own = [IsometryElement(g.mat, *_order_traces(g.mat)[:2]) for g in pool]
+    for g, h in zip(pool, own):
+        assert (g.order, g.traces) == (h.order, h.traces), g.mat
+    finite = [g for g in pool if g.order is not None]
+    assert len({g.subgroup for g in finite}) < len(finite)  # some rows are shared
+    gram = tmp_path / "gram.json"
+    gram.write_text(json.dumps({"gram": G}))
+    got = cmd_ramify(argparse.Namespace(gram=str(gram), bound=bound))["results"]
+    assert got["elements"] == io.normalize_value(reference_ramify_rows(own, L))
