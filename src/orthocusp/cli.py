@@ -500,46 +500,32 @@ def cmd_dim_leading(args):
 
 
 def cmd_ramify(args):
-    from .cycles import classify_ramification, enumerate_isometries
+    from .cycles import classify_subgroups, enumerate_isometries
     from .errors import FixedVectorPresent, NoPositiveEigenplane, NotRootOfUnity
 
     if args.bound < 1:
         raise UsageError("--bound must be >= 1")
     L = io.lattice_from_json(_read_json(args.gram))
     pool = enumerate_isometries(L, args.bound)
-    rows, first = [], {}  # subgroup -> the row of its first element
-    for g in pool:
-        if g.subgroup in first:  # a generator of <g> classifies as g does
-            rows.append({**first[g.subgroup], "matrix": io.matrix_to_json(g.mat)})
+    skipped = {NoPositiveEigenplane: "skipped: no positive eigenplane",
+               NotRootOfUnity: "skipped: not finite order",
+               FixedVectorPresent: "skipped: fixed vector present"}
+    fields = {None: {"classification": "skipped: infinite order"}}  # row fields by subgroup
+    for key, rep in classify_subgroups(pool, L).items():
+        if isinstance(rep, type):
+            fields[key] = {"classification": skipped[rep]}
             continue
-        row = {
-            "matrix": io.matrix_to_json(g.mat),
-            "order": g.order,
+        fields[key] = {
+            "classification": rep.classification,
+            "r_tau": rep.r_tau,
+            "field": rep.field_descriptor,
+            "s_rank": len(rep.s_basis),
+            "s_perp_rank": len(rep.s_perp_basis),
         }
-        if g.order is None:
-            row["classification"] = "skipped: infinite order"
-        else:
-            try:
-                rep = classify_ramification(g, L)
-                row.update(
-                    {
-                        "classification": rep.classification,
-                        "r_tau": rep.r_tau,
-                        "field": rep.field_descriptor,
-                        "s_rank": len(rep.s_basis),
-                        "s_perp_rank": len(rep.s_perp_basis),
-                    }
-                )
-                if rep.decomposition is not None:
-                    row["decomposition_verified"] = rep.decomposition.verified
-            except NoPositiveEigenplane:
-                row["classification"] = "skipped: no positive eigenplane"
-            except NotRootOfUnity:
-                row["classification"] = "skipped: not finite order"
-            except FixedVectorPresent:
-                row["classification"] = "skipped: fixed vector present"
-            first[g.subgroup] = row
-        rows.append(row)
+        if rep.decomposition is not None:
+            fields[key]["decomposition_verified"] = rep.decomposition.verified
+    rows = [{"matrix": io.matrix_to_json(g.mat), "order": g.order, **fields[g.subgroup]}
+            for g in pool]
     return io.make_report(
         "ramify",
         {"group_size": len(pool), "elements": rows},

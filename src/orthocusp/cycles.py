@@ -16,8 +16,15 @@ r_tau, the classification and the field agree.  On S, R^k spans the same
 algebra Q[R] as R, so the certificate's cyclic spans, singularity tests
 and mate searches find the same subspaces.  Only the basis kernel_int
 picks for S, in which the certificate reads its first candidates, can
-tell g^k from g.  enumerate_isometries runs the power loop, and cli
-ramify classifies, once per subgroup.
+tell g^k from g.
+
+-I acts trivially on D_L, and the subgroups <g> and <-g> pair up: the
+generators of <-g> are the negatives of those of <g>.  With m' = 2m for
+odd m, m/2 for m = 2 mod 4 and m for 4 | m, Phi_m'(-x) = +-Phi_m(x), so
+ker Phi_m'(-g) = ker Phi_m(g): -g has g's S, S^perp and equations, with
+r_tau = m'.  enumerate_isometries runs the power loop, and
+classify_subgroups takes S, once per +-pair; each subgroup then runs the
+classification tail (and certificate) on its own element.
 
 Everything runs over int: powers, kernels, the restricted Grams (blocks
 of the scaled integer Gram, whose positive scale moves no signature or
@@ -141,21 +148,40 @@ def enumerate_isometries(L: QuadraticLattice, bound: int):
     rank <= 6, bound small.  The power loop runs on the first element g of
     each cyclic subgroup: each g^k in the pool with gcd(k, N) = 1 takes
     order N, traces tr(g^(kj mod N)), j < N, and g as its subgroup.
+
+    Box and form are invariant under X -> -X, so negation reverses the
+    sorted pool: found[~i] = -found[i].  The generators of <-g> are the
+    -g^k, so the same loop gives each -g^k the order N' of -g (the least
+    j >= 1 with (-1)^j tr(g^(j mod N)) = n), traces (-1)^j tr(g^(kj mod N)),
+    j < N', and the least -g^k as its subgroup; -g has infinite order when
+    g has.
     """
     box = itertools.product(range(-bound, bound + 1), repeat=L.rank)
     found = sorted(tuple(zip(*cols)) for cols in la.gram_preservers(L.scaled_gram, box))
     pool = [None] * len(found)
     for i, g in enumerate(found):
-        if pool[i] is None:
-            N, traces, powers = _order_traces(g)
-            pool[i] = IsometryElement(g, N, traces, g if N else None)
-            for k in (k for k in range(2, N or 0) if gcd(k, N) == 1):
-                j = bisect_left(found, powers[k], i)
-                # keep found[j], not the equal powers[k]: a pool holding the
-                # power loop's copies peaked about 0.1 MB higher in RSS
-                if j < len(found) and found[j] == powers[k]:
-                    pool[j] = IsometryElement(found[j], N, tuple(
-                        traces[k * e % N] for e in range(N)), g)
+        if pool[i] is not None:
+            continue
+        N, traces, powers = _order_traces(g)
+        if N is None:
+            pool[i], pool[~i] = IsometryElement(g), IsometryElement(found[~i])
+            continue
+        gens = [(i, 1)]  # (index, k) of the g^k in the pool, gcd(k, N) = 1
+        for k in (k for k in range(2, N) if gcd(k, N) == 1):
+            j = bisect_left(found, powers[k], i)
+            # keep found[j], not the equal powers[k]: a pool holding the
+            # power loop's copies peaked about 0.1 MB higher in RSS
+            if j < len(found) and found[j] == powers[k]:
+                gens.append((j, k))
+        for j, k in gens:
+            pool[j] = IsometryElement(found[j], N, tuple(traces[k * e % N] for e in range(N)), g)
+        if pool[~i] is None:  # -g is not a generator of <g>
+            n = len(g)
+            M = next(e for e in range(1, 2 * N + 1) if (-1) ** e * traces[e % N] == n)
+            key = found[~max(j for j, _ in gens)]
+            for j, k in gens:
+                pool[~j] = IsometryElement(found[~j], M, tuple(
+                    (-1) ** e * traces[k * e % N] for e in range(M)), key)
     return pool
 
 
@@ -417,7 +443,11 @@ def cyclotomic_decomposition(g: IsometryElement, L: QuadraticLattice,
 
 def classify_ramification(g: IsometryElement, L: QuadraticLattice) -> FixedLocusReport:
     """Full classification of the ramification type of a finite-order isometry."""
-    report = fixed_sublattice(g, L)
+    return _classify_locus(g, L, fixed_sublattice(g, L))
+
+
+def _classify_locus(g, L, report):
+    """classify_ramification's tail on g's fixed-plane report."""
     m = report.r_tau
     notes, decomposition, field = [], None, None
     if m == 1:
@@ -438,6 +468,45 @@ def classify_ramification(g: IsometryElement, L: QuadraticLattice) -> FixedLocus
                      f"{decomposition.d}*{euler_phi(m)} = {decomposition.rank}")
     return replace(report, classification=cls, field_descriptor=field,
                    decomposition=decomposition, notes=tuple(notes))
+
+
+_SKIPPED = (NoPositiveEigenplane, NotRootOfUnity, FixedVectorPresent)
+
+
+def _twin_index(m: int) -> int:
+    """m' with Phi_m'(-x) = +-Phi_m(x): 2m for odd m, m/2 for m = 2 mod 4,
+    m for 4 | m."""
+    return 2 * m if m % 2 else (m // 2 if m % 4 == 2 else m)
+
+
+def classify_subgroups(pool, L: QuadraticLattice):
+    """{subgroup: classify_ramification(g, L), or the class of the error it
+    raises} over the finite-order g of an enumerate_isometries pool.
+
+    pool[~i] is -pool[i], and one fixed_sublattice serves both: -g has g's
+    S, S^perp and equations with r_tau = m' (module docstring; kernel_int
+    takes the same basis for the kernel of -M as of M).  Each subgroup
+    runs the classification tail on its own element.  An error is kept as
+    its class: the caught object would pin this frame via its traceback.
+    """
+    out = {}
+    for i, g in enumerate(pool):
+        if g.order is None or g.subgroup in out:
+            continue
+        try:
+            report = fixed_sublattice(g, L)
+        except _SKIPPED as e:
+            out[g.subgroup] = out[pool[~i].subgroup] = type(e)
+            continue
+        m = _twin_index(report.r_tau)
+        twin = replace(report, r_tau=m, lambda_exponent=_canonical_exponent(m))
+        for h, rep in ((g, report), (pool[~i], twin)):
+            if h.subgroup not in out:  # false for -g when -g generates <g>
+                try:
+                    out[h.subgroup] = _classify_locus(h, L, rep)
+                except _SKIPPED as e:
+                    out[h.subgroup] = type(e)
+    return out
 
 
 def stabilizer_orders(L: QuadraticLattice, s_basis, isometries):

@@ -60,11 +60,14 @@ def _double_description(normals, dim, equations=()):
         tight = sum(bit for _, bit in rows)
         return tuple(sorted((r, tight) for r in {line, tuple(-x for x in line)}))
     rows = [rows[i] for i in first] + [x for i, x in enumerate(rows) if i not in first]
-    # simplicial start: ray j is tight on every chosen row but row j
-    inv = la.inverse([r for r, _ in rows[:k]])
+    # simplicial start: ray j is tight on every chosen row but row j.  The
+    # echelon of [A | I] is d [I | A^-1], so ray j is sign(d) times column
+    # j of its right-hand block
+    M, _, d, _ = la.echelon([list(r) + [int(i == j) for j in range(k)]
+                             for i, (r, _) in enumerate(rows[:k])])
     full = sum(bit for _, bit in rows[:k])
-    rays = [(la.primitive([inv[i][j] for i in range(k)]), full & ~rows[j][1])
-            for j in range(k)]
+    rays = [(la.primitive([row[k + j] if d > 0 else -row[k + j] for row in M]),
+             full & ~rows[j][1]) for j in range(k)]
     for a, bit in rows[k:]:
         signs = [(r, z, la.dot(a, r)) for r, z in rays]
         pos = [x for x in signs if x[2] > 0]
@@ -186,8 +189,13 @@ class RationalCone:
             self._facets = _facets_of(gens, self.rank)
         return self._facets[:2]
 
+    def _cut(self):
+        """(ineqs, eqs): x is in the cone when <d, x> >= 0 for every d in
+        ineqs and <e, x> = 0 for every e in eqs."""
+        return self.facet_normals()
+
     def contains(self, x) -> bool:
-        ineqs, eqs = self.facet_normals()
+        ineqs, eqs = self._cut()
         return all(la.dot(e, x) == 0 for e in eqs) and all(la.dot(d, x) >= 0 for d in ineqs)
 
     def barycenter(self):
@@ -222,8 +230,9 @@ class _Face(RationalCone):
         self._cone, self._through, self._mask, self._lattice = cone, through, mask, lattice
         self._extreme = cone._extreme
 
-    def contains(self, x) -> bool:
-        return self._cone.contains(x) and all(la.dot(d, x) == 0 for d in self._through)
+    def _cut(self):
+        ineqs, eqs = self._cone.facet_normals()
+        return ineqs, eqs + self._through
 
 
 def faces(c: RationalCone):
@@ -323,10 +332,16 @@ def _maximal(cones):
     ray is a ray of a kept cone.  A ray-incidence table decides the rest:
     own(c) is the bitmask of c's rays, inside(c) of the rays c contains, so
     c lies strictly inside d exactly when own(c) & ~inside(d) == 0 and
-    own(d) & ~inside(c) != 0.  No fan property is used.
+    own(d) & ~inside(c) != 0.  No fan property is used.  inside(c) is one
+    packed la.rows_at_least over c's inequalities, equations and their
+    negatives.
     """
     bits, kept = _ray_tops(cones)
-    inside = [sum(b for r, b in bits.items() if c.contains(r)) for c, _ in kept]
+    rays, inside = tuple(bits), []
+    for c, _ in kept:
+        ineqs, eqs = c._cut()
+        rows = ineqs + eqs + tuple(tuple(-x for x in e) for e in eqs)
+        inside.append(sum(bits[r] for r in la.rows_at_least(rows, 0, rays)))
     return tuple(c for (c, oc), ic in zip(kept, inside)
                  if not any(od & ~ic and not oc & ~id_ for (_, od), id_ in zip(kept, inside)))
 

@@ -41,7 +41,7 @@ def list_field(blob, key) -> list:
 
 
 def matrix_to_json(M):
-    return [[rat_to_str(x) for x in row] for row in M]
+    return [[str(x) if type(x) is int else rat_to_str(x) for x in row] for row in M]
 
 
 def matrix_from_json(rows):
@@ -166,14 +166,16 @@ def normalize_value(v):
 
     str, int, bool, None, list, tuple and dict are told apart by their
     exact type; anything else, subclasses included, takes the isinstance
-    chain."""
+    chain.  The str items of a list, tuple or dict are kept as they are,
+    with no call: the rows matrix_to_json has formatted are not walked
+    again."""
     t = type(v)
     if t is str or t is int or t is bool or v is None:
         return v
     if t is list or t is tuple:
-        return [normalize_value(x) for x in v]
+        return [x if type(x) is str else normalize_value(x) for x in v]
     if t is dict:
-        return {str(k): normalize_value(x) for k, x in v.items()}
+        return {str(k): x if type(x) is str else normalize_value(x) for k, x in v.items()}
     if isinstance(v, Fraction):
         return rat_to_str(v)
     if isinstance(v, int):

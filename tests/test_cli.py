@@ -553,15 +553,19 @@ class TestRamifyCLI:
 
     def test_each_cyclic_subgroup_is_classified_once(self, tmp_path, monkeypatch):
         # <1,1,-1,-1> at bound 1: 128 elements of finite order in 90 cyclic
-        # subgroups; the other generators of a subgroup copy its row fields
+        # subgroups, which pair as <g>, <-g> into 50 fixed sublattices; the
+        # other generators of a subgroup copy its row fields
         import orthocusp.cycles as cycles
 
-        calls = []
-        classify = cycles.classify_ramification
-        monkeypatch.setattr(cycles, "classify_ramification",
-                            lambda g, L: calls.append(g) or classify(g, L))
+        outcomes, fixed = [], []
+        classify, fixed_sublattice = cycles.classify_subgroups, cycles.fixed_sublattice
+        monkeypatch.setattr(cycles, "classify_subgroups",
+                            lambda pool, L: outcomes.append(classify(pool, L)) or outcomes[-1])
+        monkeypatch.setattr(cycles, "fixed_sublattice",
+                            lambda g, L: fixed.append(g) or fixed_sublattice(g, L))
         gram = write(tmp_path, "g4.json", {"gram": [["1", "0", "0", "0"], ["0", "1", "0", "0"],
                                                     ["0", "0", "-1", "0"], ["0", "0", "0", "-1"]]})
         code, _ = run_to_file(tmp_path, ["ramify", "--gram", gram, "--bound", "1"])
         assert code == 0
-        assert len(calls) == 90
+        assert [len(out) for out in outcomes] == [90]
+        assert len(fixed) == 50

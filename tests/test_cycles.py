@@ -14,8 +14,11 @@ from orthocusp.cycles import (
     SPECIAL_CYCLE,
     CyclotomicCertificate,
     IsometryElement,
+    _cyclotomic_coeffs,
+    _twin_index,
     chi_order_at,
     classify_ramification,
+    classify_subgroups,
     cyclotomic_decomposition,
     double_perp,
     enumerate_isometries,
@@ -106,6 +109,46 @@ class TestCarriedTraces:
             fixed_sublattice(IsometryElement(J2, 4, (3, 0, 0, 0)), DIAG11)
         with pytest.raises(NotRootOfUnity, match="has rank 0, not 1"):
             fixed_sublattice(IsometryElement(J2, 4, (2, 0, 2, 0)), DIAG11)
+
+
+class TestTwins:
+    def test_cyclotomic_twin_lemma(self):
+        # Phi_m'(-x) = +-Phi_m(x), so ker Phi_m'(-g) = ker Phi_m(g)
+        for m in range(1, 121):
+            twin = _twin_index(m)
+            at_minus_x = tuple((-1) ** i * c for i, c in enumerate(_cyclotomic_coeffs(twin)))
+            phi = _cyclotomic_coeffs(m)
+            assert at_minus_x in (phi, tuple(-c for c in phi)), m
+            assert _twin_index(twin) == m
+
+    def test_pool_negation_reverses_the_order(self):
+        for L in (DIAG11, A2, SIG21, SIG22):
+            pool = enumerate_isometries(L, 1)
+            assert all(pool[~i].mat == la.mat_scale(-1, g.mat) for i, g in enumerate(pool))
+
+    def test_twin_subgroups_classify_as_their_own_elements(self):
+        A2M1 = QuadraticLattice([[2, 1, 0], [1, 2, 0], [0, 0, -1]])
+        for L, bound in ((SIG22, 1), (A2M1, 2)):
+            pool = enumerate_isometries(L, bound)
+            out = classify_subgroups(pool, L)
+            for g in pool:
+                if g.order is None:
+                    assert g.subgroup is None
+                    continue
+                try:
+                    own = classify_ramification(g, L)
+                except (NoPositiveEigenplane, FixedVectorPresent) as e:
+                    assert out[g.subgroup] is type(e), g.mat
+                    continue
+                got = out[g.subgroup]
+                assert (got.classification, got.r_tau, got.lambda_exponent, got.field_descriptor,
+                        len(got.s_basis), len(got.s_perp_basis)) == (
+                    own.classification, own.r_tau, own.lambda_exponent, own.field_descriptor,
+                    len(own.s_basis), len(own.s_perp_basis)), g.mat
+            r_taus = {(out[g.subgroup].r_tau, out[pool[~i].subgroup].r_tau)
+                      for i, g in enumerate(pool) if hasattr(out.get(g.subgroup), "r_tau")}
+            assert all(b == _twin_index(a) for a, b in r_taus)
+        assert (3, 6) in r_taus  # a twin with odd m >= 3
 
 
 class TestFixedSublattice:

@@ -15,9 +15,9 @@ rational kernel bases) that the integer one replaced.  The classification
 is checked against the path before trace multiplicities: a kernel of
 Phi_m(g) for every divisor m of the order, matrix_order of the restriction
 in the certificate, and every pairing a full la.form.  The ramify rows
-are checked against cli.cmd_ramify's loop before each cyclic subgroup was
-classified once: one classification per element, on its own order and
-traces.  They are slow and kept only as oracles.
+are checked against cli.cmd_ramify's loop before cyclic subgroups were
+classified once per +-pair: one classification per element, on its own
+order and traces.  They are slow and kept only as oracles.
 """
 
 import argparse
@@ -784,6 +784,7 @@ def test_fraction_conjugates_classify_as_the_reference():
 
 
 U_PLUS_U = [[0, 0, 1, 0], [0, 0, 0, 1], [1, 0, 0, 0], [0, 1, 0, 0]]
+A2M1 = [[2, 1, 0], [1, 2, 0], [0, 0, -1]]
 
 
 @pytest.mark.parametrize("G, bound", [
@@ -791,7 +792,7 @@ U_PLUS_U = [[0, 0, 1, 0], [0, 0, 0, 1], [1, 0, 0, 0], [0, 1, 0, 0]]
     ([[2, 1], [1, 2]], 1),
     ([[1, 0, 0], [0, 1, 0], [0, 0, -1]], 1),
     ([[1, 0, 0], [0, 1, 0], [0, 0, -1]], 2),
-    ([[2, 1, 0], [1, 2, 0], [0, 0, -1]], 2),
+    (A2M1, 2),
     ([[0, 1, 0], [1, 0, 0], [0, 0, -2]], 2),
     ([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, -1, 0], [0, 0, 0, -1]], 1),
     (U_PLUS_U, 1),
@@ -814,3 +815,6 @@ def test_shared_ramify_rows_match_per_element_rows(G, bound, tmp_path):
     gram.write_text(json.dumps({"gram": G}))
     got = cmd_ramify(argparse.Namespace(gram=str(gram), bound=bound))["results"]
     assert got["elements"] == io.normalize_value(reference_ramify_rows(own, L))
+    if G is A2M1:  # rows i and ~i are g and -g: a twin pair with odd m >= 3
+        rows = got["elements"]
+        assert (3, 6) in {(a.get("r_tau"), b.get("r_tau")) for a, b in zip(rows, reversed(rows))}
