@@ -46,11 +46,11 @@ print("rank-2 half-line: w1 = 5 ->", omega_member((5,), f2),
 
 print()
 print("adjacency of the point cusp span(e1) inside the curve cusp span(e1,e2):")
-rec = adjacency_data(f2, (1, 0, 0, 0, 0), L)
+rec = adjacency_data(f2, (1, 0, 0, 0, 0))
 print("  centre inclusion w1 -> (y1, y3, y4) =", rec.inclusion)
 print("  image ray", rec.ray, "is isotropic on the cone boundary:",
       rec.ray_is_isotropic)
-print("  line e3 outside the plane ->", adjacency_data(f2, (0, 0, 1, 0, 0), L))
+print("  line e3 outside the plane ->", adjacency_data(f2, (0, 0, 1, 0, 0)))
 
 c = center_element(f2, F(1))
 u = build_unipotent(f2, ((F(1),), (F(2),), F(3)))

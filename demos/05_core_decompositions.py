@@ -8,7 +8,6 @@ from fractions import Fraction as F
 
 from orthocusp.corecone import (
     ExtremeSet,
-    KernelSpec,
     core_extremes,
     first_quadrant_cone,
     gamma_check,
@@ -25,7 +24,7 @@ for variant in ("central", "perfect", "central_dual"):
           f"stable at H=4 vs H=8: {E.stable}")
 
 E = core_extremes(fq, "perfect", 4)
-fan, rep = support_fan(KernelSpec(points=E.points), E, fq)
+fan, rep = support_fan(E, fq)
 print("  support fan from E = {(1,1)}: degenerate =", rep.degenerate)
 print("   ", rep.warnings[0][:72], "...")
 print("  trivial fan cone:", [list(c.rays) for c in fan.top_cones()])
@@ -34,7 +33,7 @@ print()
 print("a custom kernel with three vertices subdividing the quadrant:")
 E2 = ExtremeSet(points=((1, 0), (F(1, 3), F(1, 3)), (0, 1)),
                 truncation=4, variant="custom", stable=True)
-fan2, rep2 = support_fan(KernelSpec(points=((2, 1), (1, 2))), E2, fq)
+fan2, rep2 = support_fan(E2, fq)
 print("  support functionals:", [list(map(str, y)) for y in rep2.functionals])
 print("  top cones:", sorted(list(c.rays) for c in fan2.top_cones()))
 print("  valid fan:", validate_fan(fan2).valid)
@@ -46,7 +45,7 @@ E3 = core_extremes(lc, "central", 4)
 print("  central core window vertices (H=4, certified at 2H):", list(E3.points))
 E4 = core_extremes(lc, "central_dual", 2)
 print("  co-core vertices:", list(E4.points))
-fan3, rep3 = support_fan(KernelSpec(points=E3.points), E4, lc, window=4)
+fan3, rep3 = support_fan(E4, lc, window=4)
 print("  co-core support fan: degenerate =", rep3.degenerate,
       " top cones =", [list(c.rays) for c in fan3.top_cones()])
 

@@ -19,7 +19,7 @@ import os
 import sys
 
 from . import reportio as io
-from .errors import OrthocuspError, UsageError
+from .errors import OrthocuspError, UnsupportedShape, UsageError
 from .qform import Place, REAL_PLACE, discriminant, hasse_invariant, signature
 
 
@@ -158,24 +158,22 @@ def cmd_invariants(args):
 
 def _parse_point(blob, mode, src):
     from .domains import BoundedFrame, BoundedPoint, Frame, ProjPoint, TubePoint
-    from .qform import (
-        find_isotropic_split,
-        is_atilde_shape,
-        orthogonal_complement_basis,
-    )
+    from .qform import find_isotropic_split, orthogonal_complement_basis
 
     model, coords, lattice, split = io.point_from_json(blob, mode)
     if model != src:
         raise UsageError(f"point file is a {model!r} point, not {src!r}")
-    if split is None and is_atilde_shape(lattice):
-        frame = BoundedFrame(lattice)
-    else:
-        if split is None:
-            found = find_isotropic_split(lattice, height=2)
-            if found is None:
+    frame = None
+    if split is None:
+        try:
+            frame = BoundedFrame(lattice)
+        except UnsupportedShape:
+            split = find_isotropic_split(lattice, height=2)
+            if split is None:
                 raise UsageError("frame needs an explicit e1/e2 split "
-                                 "(no small isotropic vector found)")
-            split = found + (None,)
+                                 "(no small isotropic vector found)") from None
+            split += (None,)
+    if frame is None:
         e1, e2, u_basis = split
         if u_basis is None:
             u_basis = orthogonal_complement_basis(lattice, [e1, e2])
@@ -310,13 +308,7 @@ def cmd_fan(args):
 
 
 def cmd_core_decompose(args):
-    from .corecone import (
-        KernelSpec,
-        SelfAdjointCone,
-        core_extremes,
-        gamma_check,
-        support_fan,
-    )
+    from .corecone import SelfAdjointCone, core_extremes, gamma_check, support_fan
 
     if args.height < 1:
         raise UsageError("--height must be >= 1")
@@ -333,8 +325,7 @@ def cmd_core_decompose(args):
     except ValueError as e:
         raise UsageError(str(e))
     E = core_extremes(cone, args.variant, args.height)
-    K = KernelSpec(points=E.points)
-    fan, rep = support_fan(K, E, cone)
+    fan, rep = support_fan(E, cone)
     results = {
         "variant": args.variant,
         "height": args.height,
@@ -431,9 +422,11 @@ def cmd_local_density(args):
     )
 
 
-def _alpha_inf(args):
-    from .dimform import alpha_inf_from_densities
+def _volume(args):
+    """(L, hm_volume(L, alpha_inf)) for hm-volume and dim-leading."""
+    from .dimform import alpha_inf_from_densities, hm_volume
 
+    L = io.lattice_from_json(_read_json(args.gram))
     flagged = False
     if args.alpha_inf is not None:
         alpha = io.rat_from_str(args.alpha_inf)
@@ -452,15 +445,11 @@ def _alpha_inf(args):
         elif spn < 1:
             raise UsageError("--spn must be >= 1")
         alpha = alpha_inf_from_densities(dens, spn_plus=spn)
-    return alpha, flagged
+    return L, hm_volume(L, alpha, spn_flagged=flagged)
 
 
 def cmd_hm_volume(args):
-    from .dimform import hm_volume
-
-    L = io.lattice_from_json(_read_json(args.gram))
-    alpha, flagged = _alpha_inf(args)
-    vol = hm_volume(L, alpha, spn_flagged=flagged)
+    _, vol = _volume(args)
     return io.make_report(
         "hm-volume",
         {
@@ -475,15 +464,12 @@ def cmd_hm_volume(args):
 
 
 def cmd_dim_leading(args):
-    from .dimform import hm_volume, leading_dimension
-    from .qform import signature as sig
+    from .dimform import leading_dimension
 
     if args.ell < 2:
         raise UsageError("--ell must be >= 2")
-    L = io.lattice_from_json(_read_json(args.gram))
-    alpha, flagged = _alpha_inf(args)
-    vol = hm_volume(L, alpha, spn_flagged=flagged)
-    n = sig(L)[1]
+    L, vol = _volume(args)
+    n = signature(L)[1]
     out = leading_dimension(n, args.ell, vol)
     return io.make_report(
         "dim-leading",

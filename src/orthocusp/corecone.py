@@ -159,7 +159,6 @@ class KernelSpec:
     """
 
     points: tuple
-    comparison: str = "closed"
 
     def members(self, xs, cone: SelfAdjointCone) -> tuple:
         C, d = _covectors(self.points, cone)
@@ -300,8 +299,7 @@ class SupportFanReport:
     warnings: list = field(default_factory=list)
 
 
-def support_fan(K: KernelSpec, E: ExtremeSet, cone: SelfAdjointCone,
-                window: int | None = None):
+def support_fan(E: ExtremeSet, cone: SelfAdjointCone, window: int | None = None):
     """Support-hyperplane fan of a kernel from its windowed extreme set.
 
     Candidates y are facet normals (level-1 normalized) of the windowed

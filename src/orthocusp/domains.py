@@ -7,7 +7,8 @@ doubles.  Both offer .real, .imag, .conjugate() and arithmetic with int and
 Fraction, so each conversion below is one formula for both; the backend of
 a point is the type of its coordinates, and every float-mode predicate
 takes a tolerance.  The linear algebra is _linalg's (form, mat_vec,
-identity) and qform.atilde_block's.  Of the 11 bare ValueErrors here the
+identity); a BoundedFrame tests the shape once, by qform.atilde_block, and
+keeps its block in a_prime.  Of the 11 bare ValueErrors here the
 CLI reaches only Frame.__init__'s 3, through cli._parse_point, which
 reports them as usage errors; the 8 in in_kappa, grass_plane_from_vectors,
 circle_action_matrix and oplus_sign are library-only.
@@ -35,7 +36,7 @@ from .errors import (
     UnsupportedShape,
 )
 from .gaussian import I, GaussianRational, abs2
-from .qform import QuadraticLattice, atilde_block, diagonalize, is_atilde_shape
+from .qform import QuadraticLattice, atilde_block, diagonalize
 
 
 class KappaClass(Enum):
@@ -137,12 +138,12 @@ class BoundedFrame(Frame):
     """
 
     def __init__(self, lattice: QuadraticLattice):
-        if not is_atilde_shape(lattice):
+        A = atilde_block(lattice)
+        if A is None:
             raise UnsupportedShape("bounded model needs the two-hyperbolic-planes shape")
         m = lattice.rank
         unit = la.identity(m)
         super().__init__(lattice, unit[0], unit[2], [unit[k] for k in (1, 3, *range(4, m))])
-        A = atilde_block(lattice)
         pad = [0] * len(A)
         self.a_prime = la.mat([[-2, 0, *pad], [0, -2, *pad]] + [[0, 0, *row] for row in A])
 

@@ -292,9 +292,8 @@ class Fan:
     def maximal_cones(self):
         return _maximal(self.cones)
 
-    def top_cones(self, dim=None):
-        dim = self.rank if dim is None else dim
-        return tuple(c for c in self.cones if c.dim == dim)
+    def top_cones(self):
+        return tuple(c for c in self.cones if c.dim == self.rank)
 
     def _lattice(self):
         """(the cones _ray_tops keeps, {rays: face} over the pointed ones' faces)."""
@@ -410,7 +409,7 @@ def is_regular(c: RationalCone) -> bool:
 def is_complete(f: Fan) -> bool:
     """Exact completeness via facet pairing of the top-dimensional cones."""
     n = f.rank
-    tops = f.top_cones(n)
+    tops = f.top_cones()
     if not tops:
         return False
     count = Counter(fc for c in tops for fc in f.faces_of(c) if fc.dim == n - 1)

@@ -1,9 +1,10 @@
 """Parabolic, unipotent, cone and Levi data at the two cusp types of O(2,n).
 
 Everything is relative to a lattice in the two-hyperbolic-planes shape
-(pairs (v0,v2) and (v1,v3) plus a negative-definite block A); the rank-1
-flag is the isotropic line spanned by v0, the rank-2 flag the totally
-isotropic plane span(v0, v1).  Dependent matrix entries are fixed by the
+(pairs (v0,v2) and (v1,v3) plus a negative-definite block A), which only
+CuspFlag.from_lattice tests, by qform.atilde_block; the flag keeps the
+block.  The rank-1 flag is the isotropic line spanned by v0, the rank-2
+flag the totally isotropic plane span(v0, v1).  Dependent matrix entries are fixed by the
 isometry condition g^t Atilde g = Atilde, which is unambiguous.
 
 Chart convention: the rank-1 boundary chart tuple is ordered
@@ -15,13 +16,13 @@ Levi equivariance phi(g p) = rho_l(g) phi(p) holds.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import _linalg as la
 from ._linalg import frac
 from .errors import NotInParabolic, UnsupportedShape, WrongFlagKind
-from .qform import QuadraticLattice, atilde_block, is_atilde_shape
+from .qform import QuadraticLattice, atilde_block
 
 RANK1 = "rank1"
 RANK2 = "rank2"
@@ -31,25 +32,23 @@ RANK2 = "rank2"
 class CuspFlag:
     kind: str
     lattice: QuadraticLattice
+    block: tuple = field(compare=False, repr=False)
 
     @classmethod
     def from_lattice(cls, lattice: QuadraticLattice, kind: str) -> "CuspFlag":
         if kind not in (RANK1, RANK2):
             raise WrongFlagKind(f"unknown flag kind {kind!r}")
-        if not is_atilde_shape(lattice):
+        block = atilde_block(lattice)
+        if block is None:
             raise UnsupportedShape(
                 "cusp flags need the two-hyperbolic-planes shape "
                 "(may not exist over Q for n <= 4)"
             )
-        return cls(kind, lattice)
+        return cls(kind, lattice, block)
 
     @property
     def n(self) -> int:
         return self.lattice.rank - 2
-
-    @property
-    def block(self):
-        return atilde_block(self.lattice)
 
 
 @dataclass(frozen=True)
@@ -273,7 +272,7 @@ class AdjacencyRecord:
     ray_is_isotropic: bool
 
 
-def adjacency_data(f2: CuspFlag, f1_generator, lattice: QuadraticLattice):
+def adjacency_data(f2: CuspFlag, f1_generator):
     """Adjacency data for a rank-1 line inside the standard rank-2 plane.
 
     f1_generator is an integral primitive vector; returns None when the
@@ -284,7 +283,7 @@ def adjacency_data(f2: CuspFlag, f1_generator, lattice: QuadraticLattice):
     if f2.kind != RANK2:
         raise WrongFlagKind("first flag must be rank-2")
     e = la.vec(f1_generator)
-    m = lattice.rank
+    m = f2.lattice.rank
     if any(e[k] != 0 for k in range(2, m)):
         return None
     c0, c1 = int(e[0]), int(e[1])
@@ -303,10 +302,10 @@ def adjacency_data(f2: CuspFlag, f1_generator, lattice: QuadraticLattice):
     h[2][2], h[2][3] = inv_t[0][0], inv_t[0][1]
     h[3][2], h[3][3] = inv_t[1][0], inv_t[1][1]
     h = la.mat(h)
-    if not la.preserves_form(h, lattice.gram):
+    if not la.preserves_form(h, f2.lattice.gram):
         raise UnsupportedShape("the SL2 change of basis does not preserve the Gram "
                                "matrix: the lattice lacks the two-hyperbolic-planes shape")
-    flag1 = CuspFlag.from_lattice(lattice, RANK1)
+    flag1 = CuspFlag(RANK1, f2.lattice, f2.block)
     hi = la.inverse(h)
     c = center_element(f2, Fraction(1))
     moved = la.mat_mul(la.mat_mul(hi, c), h)
@@ -315,6 +314,5 @@ def adjacency_data(f2: CuspFlag, f1_generator, lattice: QuadraticLattice):
     y1, y3, y4 = unipotent_params(flag1, moved)
     incl = (y1, y3, y4)
     ray = la.primitive((y1, y3) + tuple(y4))
-    A = flag1.block
-    qval = ray[0] * ray[1] + Fraction(1, 2) * la.form(A, ray[2:], ray[2:])
+    qval = ray[0] * ray[1] + Fraction(1, 2) * la.form(f2.block, ray[2:], ray[2:])
     return AdjacencyRecord(inclusion=incl, ray=ray, ray_is_isotropic=(qval == 0))

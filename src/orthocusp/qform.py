@@ -7,7 +7,8 @@ for int vectors, whatever the denominators of G.  Hilbert symbols use the
 standard closed-form local recipes; the test suite backs the p=2 branch
 with an independent congruence-search oracle.  Factorization and
 primality (square classes, relevant places, Place) are _linalg's factor
-and is_prime.
+and is_prime.  atilde_block is the one test of the two-hyperbolic-planes
+shape; cusp flags and bounded frames keep the block it returns.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from math import gcd, prod
 
 from . import _linalg as la
 from ._linalg import frac
-from .errors import DegenerateForm, UnsupportedShape
+from .errors import DegenerateForm
 
 
 @dataclass(frozen=True)
@@ -305,39 +306,29 @@ def orthogonal_complement_basis(L: QuadraticLattice, vectors):
     return la.kernel_int([la.mat_vec(L.scaled_gram, v) for v in vectors])
 
 
-def is_atilde_shape(L: QuadraticLattice) -> bool:
-    """Whether the Gram matrix literally has the two-hyperbolic-planes shape.
+def atilde_block(L: QuadraticLattice):
+    """The corner block A (() at rank 4) of a lattice whose Gram matrix
+    literally has the two-hyperbolic-planes shape, else None.
 
-    Pattern: b(v0,v2) = b(v1,v3) = 1, all other entries of the 4x4 corner and
-    the corner/block cross terms vanish, and the remaining block is negative
-    definite (signature bookkeeping for a (2,n) lattice).
+    Pattern: b(v0,v2) = b(v1,v3) = 1, all other entries of the 4x4 corner
+    and the corner/block cross terms vanish, and A is negative definite
+    (signature bookkeeping for a (2,n) lattice; read on the integer Gram).
     """
     G = L.gram
     m = L.rank
     if m < 4:
-        return False
+        return None
     need_one = {(0, 2), (2, 0), (1, 3), (3, 1)}
     for i in range(4):
         for j in range(m):
             want = Fraction(1) if (i, j) in need_one else Fraction(0)
             if G[i][j] != want:
-                return False
-    block = [row[4:] for row in G[4:]]
-    if block:
-        try:
-            r, _ = int_signature(la.scaled_int(block)[0])
-        except DegenerateForm:
-            return False
-        if r != 0:
-            return False
-    return True
-
-
-def atilde_block(L: QuadraticLattice):
-    """The (n-2)x(n-2) corner block A of an Atilde-shaped lattice."""
-    if not is_atilde_shape(L):
-        raise UnsupportedShape("lattice is not in the two-hyperbolic-planes shape")
-    return la.mat([row[4:] for row in L.gram[4:]]) if L.rank > 4 else ()
+                return None
+    try:
+        r, _ = int_signature([row[4:] for row in L.scaled_gram[4:]])
+    except DegenerateForm:
+        return None
+    return None if r else la.mat([row[4:] for row in G[4:]])
 
 
 def standard_atilde(n: int, block=None) -> QuadraticLattice:

@@ -322,7 +322,6 @@ def test_criterion_6_dual_cone_oracle():
 
 def test_criterion_7_core_window():
     from orthocusp.corecone import (
-        KernelSpec,
         cone_lattice_points,
         core_extremes,
         first_quadrant_cone,
@@ -353,13 +352,12 @@ def test_criterion_7_core_window():
     e_lc = core_extremes(lc, "central", 4)
     assert e_lc.stable
     # degenerate support set yields the trivial fan with a warning
-    K = KernelSpec(points=e_fq.points)
-    fan, rep = support_fan(K, e_fq, fq)
+    fan, rep = support_fan(e_fq, fq)
     assert rep.degenerate and any("DegenerateSupport" in w for w in rep.warnings)
     assert validate_fan(fan).valid
     # a nondegenerate window fan also validates
     e_dual = core_extremes(lc, "central_dual", 2)
-    fan2, rep2 = support_fan(KernelSpec(points=e_lc.points), e_dual, lc, window=4)
+    fan2, rep2 = support_fan(e_dual, lc, window=4)
     assert not rep2.degenerate
     assert validate_fan(fan2).valid
     elapsed = time.time() - t0

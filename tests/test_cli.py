@@ -4,6 +4,7 @@ import hashlib
 import json
 import os
 import pathlib
+import sys
 from fractions import Fraction
 
 import pytest
@@ -191,6 +192,37 @@ class TestCusp:
     def test_non_atilde_is_domain_error(self, tmp_path):
         gram = write(tmp_path, "g.json", {"gram": [["1", "0"], ["0", "1"]]})
         assert main(["cusp", "--gram", gram, "--flag", "rank1"]) == 1
+
+
+def test_each_use_tests_the_shape_at_most_once(tmp_path, monkeypatch):
+    # qform.atilde_block is the one recognizer: a bounded map-point and a
+    # cusp report test the lattice once, and adjacency_data reuses the
+    # rank-2 flag's block
+    from orthocusp import qform
+    from orthocusp.parab import CuspFlag, adjacency_data
+
+    calls = []
+    recognize = qform.atilde_block
+    for module in list(sys.modules.values()):
+        if getattr(module, "__name__", "").startswith("orthocusp") \
+                and getattr(module, "atilde_block", None) is recognize:
+            monkeypatch.setattr(module, "atilde_block",
+                                lambda L: calls.append(L) or recognize(L))
+    point = {"model": "bounded", "coords": [["1/8", "1/9"], ["-1/7", "0"]], "frame": ATILDE4}
+    pf = write(tmp_path, "p.json", point)
+    gram = write(tmp_path, "g.json", ATILDE4)
+    counts = []
+    for argv in (["map-point", "--point", pf, "--from", "bounded", "--to", "tube"],
+                 ["cusp", "--gram", gram, "--flag", "rank1"],
+                 ["cusp", "--gram", gram, "--flag", "rank2"]):
+        del calls[:]
+        assert run_to_file(tmp_path, argv)[0] == 0
+        counts.append(len(calls))
+    assert counts == [1, 1, 1]
+    f2 = CuspFlag.from_lattice(qform.standard_atilde(3), "rank2")
+    del calls[:]
+    assert adjacency_data(f2, (1, 0, 0, 0, 0)) is not None
+    assert calls == []
 
 
 class TestFan:

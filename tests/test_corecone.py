@@ -160,8 +160,7 @@ class TestSupportFan:
     def test_degenerate_first_quadrant(self):
         cone = first_quadrant_cone()
         E = core_extremes(cone, "perfect", 4)
-        K = KernelSpec(points=E.points)
-        fan, report = support_fan(K, E, cone)
+        fan, report = support_fan(E, cone)
         assert report.degenerate
         assert any("DegenerateSupport" in w for w in report.warnings)
         tops = fan.top_cones()
@@ -175,8 +174,7 @@ class TestSupportFan:
         cone = first_quadrant_cone()
         E = ExtremeSet(points=((1, 0), (F(1, 3), F(1, 3)), (0, 1)),
                        truncation=4, variant="custom", stable=True)
-        K = KernelSpec(points=((2, 1), (1, 2)))
-        fan, report = support_fan(K, E, cone)
+        fan, report = support_fan(E, cone)
         assert not report.degenerate
         tops = sorted(c.rays for c in fan.top_cones())
         assert tops == [((0, 1), (1, 1)), ((1, 0), (1, 1))]
@@ -187,8 +185,7 @@ class TestSupportFan:
         cone = first_quadrant_cone()
         E = ExtremeSet(points=((1, 0), (F(1, 3), F(1, 3)), (0, 1)),
                        truncation=4, variant="custom", stable=True)
-        K = KernelSpec(points=((2, 1), (1, 2)))
-        fan, report = support_fan(K, E, cone)
+        fan, report = support_fan(E, cone)
         phi = support_function(report, cone)
         rng = random.Random(227)
         for c in fan.top_cones():
@@ -208,8 +205,7 @@ class TestSupportFan:
         cone = first_quadrant_cone()
         E = ExtremeSet(points=((1, 0), (F(1, 3), F(1, 3)), (0, 1)),
                        truncation=4, variant="custom", stable=True)
-        K = KernelSpec(points=((2, 1), (1, 2)))
-        fan, _ = support_fan(K, E, cone)
+        fan, _ = support_fan(E, cone)
         for c in fan.top_cones():
             for r in c.rays:
                 assert cone.contains(r, closed=True)
@@ -295,10 +291,9 @@ class TestOneWindowScan:
     def test_support_fan_scans_only_another_window(self, scans):
         cone = light_cone(2)
         E = core_extremes(cone, "perfect", 3)
-        K = KernelSpec(points=E.points)
         assert E.recession == boundary_rays(cone, 3)
         del scans[:]
-        assert support_fan(K, E, cone)[1] == support_fan(K, E, cone, window=3)[1]
+        assert support_fan(E, cone)[1] == support_fan(E, cone, window=3)[1]
         assert scans == []
-        support_fan(K, E, cone, window=4)
+        support_fan(E, cone, window=4)
         assert scans == [4]

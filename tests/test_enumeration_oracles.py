@@ -791,7 +791,7 @@ A2M1 = [[2, 1, 0], [1, 2, 0], [0, 0, -1]]
     ([[1, 0], [0, 1]], 1),
     ([[2, 1], [1, 2]], 1),
     ([[1, 0, 0], [0, 1, 0], [0, 0, -1]], 1),
-    ([[1, 0, 0], [0, 1, 0], [0, 0, -1]], 2),
+    ([[1, 0, 0], [0, 1, 0], [0, 0, -1]], 3),
     (A2M1, 2),
     ([[0, 1, 0], [1, 0, 0], [0, 0, -2]], 2),
     ([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, -1, 0], [0, 0, 0, -1]], 1),
@@ -799,7 +799,7 @@ A2M1 = [[2, 1, 0], [1, 2, 0], [0, 0, -1]]
     (U_PLUS_U, 2),
     ([row + [0] for row in U_PLUS_U] + [[0, 0, 0, 0, -2]], 1),
     ([[2, 1, 0, 0], [1, 2, 0, 0], [0, 0, -2, -1], [0, 0, -1, -2]], 1),
-], ids=["diag11", "a2", "sig21", "sig21-b2", "a2m1-b2", "um2-b2", "g4", "u+u",
+], ids=["diag11", "a2", "sig21", "sig21-b3", "a2m1-b2", "um2-b2", "g4", "u+u",
         "u+u-b2", "u+u+<-2>", "a2+a2(-1)"])
 def test_shared_ramify_rows_match_per_element_rows(G, bound, tmp_path):
     # the rows of a subgroup's other generators are copied from its first

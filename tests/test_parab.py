@@ -278,18 +278,18 @@ class TestLevi:
 
 class TestAdjacency:
     def test_standard_nested_flags(self):
-        rec = adjacency_data(F2, (1, 0, 0, 0, 0), L5)
+        rec = adjacency_data(F2, (1, 0, 0, 0, 0))
         assert isinstance(rec, AdjacencyRecord)
         assert rec.ray == (0, 1, 0)
         assert rec.ray_is_isotropic
 
     def test_other_line_in_plane(self):
-        rec = adjacency_data(F2, (0, 1, 0, 0, 0), L5)
+        rec = adjacency_data(F2, (0, 1, 0, 0, 0))
         assert rec is not None
         assert rec.ray_is_isotropic
 
     def test_disjoint_line_returns_none(self):
-        assert adjacency_data(F2, (0, 0, 1, 0, 0), L5) is None
+        assert adjacency_data(F2, (0, 0, 1, 0, 0)) is None
 
     def test_ray_fixed_by_rank2_unipotents(self):
         rng = random.Random(79)

@@ -961,7 +961,7 @@ def test_support_functionals_match_subset_loop(name, data):
     window = cone_lattice_points(cone, 2, closed=True)
     points = data.draw(st.lists(st.sampled_from(window), min_size=1, max_size=5, unique=True))
     E = ExtremeSet(points=tuple(sorted(points)), truncation=2, variant="custom", stable=True)
-    _, report = support_fan(KernelSpec(points=E.points), E, cone)
+    _, report = support_fan(E, cone)
     want = subset_support_functionals(E.points, cone, boundary_rays(cone, 2))
     assert list(report.functionals) == want
 
@@ -972,7 +972,7 @@ def test_anisotropic_two_point_support_is_the_span_equation():
     cone = SUPPORT_CONES["anisotropic"]
     assert boundary_rays(cone, 2) == ()
     E = ExtremeSet(points=((2, -1), (2, 1)), truncation=2, variant="custom", stable=True)
-    _, report = support_fan(KernelSpec(points=E.points), E, cone)
+    _, report = support_fan(E, cone)
     assert report.functionals == ((Fraction(1, 2), Fraction(0)),)
     assert list(report.functionals) == subset_support_functionals(E.points, cone, ())
 
@@ -1239,7 +1239,7 @@ def _complete_fan(rays):
 def _support_fan_of_light_cone_2():
     lc = light_cone(2)
     E = core_extremes(lc, "perfect", 3)
-    return support_fan(KernelSpec(points=E.points), E, lc)[0]
+    return support_fan(E, lc)[0]
 
 
 E2 = ((1, 0), (0, 1))
@@ -1329,7 +1329,7 @@ SUPPORT_HEIGHTS = dict.fromkeys(WINDOW_CONES, 2) | {"light_cone_2": 3}
 def test_face_lattices_of_support_fans_match_reference_faces(name):
     cone = WINDOW_CONES[name]
     E = core_extremes(cone, "perfect", SUPPORT_HEIGHTS[name])
-    f = support_fan(KernelSpec(points=E.points), E, cone)[0]
+    f = support_fan(E, cone)[0]
     rnd = random.Random(17)
     for c in f.maximal_cones():
         check_lattice_against_fresh_faces(c, rnd)

@@ -17,12 +17,12 @@ from orthocusp.qform import (
     Place,
     QuadraticLattice,
     REAL_PLACE,
+    atilde_block,
     diagonalize,
     discriminant,
     find_isotropic_split,
     hasse_invariant,
     hilbert_symbol,
-    is_atilde_shape,
     orthogonal_complement_basis,
     relevant_places,
     signature,
@@ -228,14 +228,14 @@ class TestIsotropicSplit:
 
 
 def test_atilde_shape_checks():
-    assert is_atilde_shape(standard_atilde(2))
-    assert is_atilde_shape(standard_atilde(4))
-    assert not is_atilde_shape(QuadraticLattice(la.identity(4)))
+    assert atilde_block(standard_atilde(2)) == ()
+    assert atilde_block(standard_atilde(4)) == ((-2, 0), (0, -2))
+    assert atilde_block(QuadraticLattice(la.identity(4))) is None
     # positive-definite corner block breaks the (2, n) bookkeeping
     bad = standard_atilde(3)
     G = [list(r) for r in bad.gram]
     G[4][4] = Fraction(2)
-    assert not is_atilde_shape(QuadraticLattice(G))
+    assert atilde_block(QuadraticLattice(G)) is None
 
 
 def test_lattice_roundtrip_format():

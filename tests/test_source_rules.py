@@ -145,3 +145,26 @@ def test_every_definition_is_used():
              and all(ref == path and first <= line <= last
                      for ref, line in references.get(name, []))]
     assert found == []
+
+
+def test_every_parameter_is_read():
+    # no dead parameters: every parameter of every function or method, other
+    # than self and cls, is read as a Name inside that function.  The two
+    # boundary charts share one tuple, and chart_coords keeps parab's
+    # flag-first signature.
+    allowed = {("parab.py", "chart_coords", "flag")}
+    found = []
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                continue
+            args = node.args
+            params = args.posonlyargs + args.args + args.kwonlyargs \
+                + [a for a in (args.vararg, args.kwarg) if a is not None]
+            read = {n.id for n in ast.walk(node)
+                    if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+            name = getattr(node, "name", "<lambda>")
+            found += [f"{path.name}:{node.lineno}:{name}:{a.arg}" for a in params
+                      if a.arg not in ("self", "cls") and a.arg not in read
+                      and (path.name, name, a.arg) not in allowed]
+    assert found == []
