@@ -52,23 +52,36 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+class _AtLeast(argparse.Action):
+    """Store an int option, refusing one below const as a usage error."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        if values < self.const:
+            parser.error(f"{option_string} must be >= {self.const}")
+        setattr(namespace, self.dest, values)
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process: parsing leaves it as it
-    was, so every main call shares it."""
+    was, so every main call shares it.  Each command's parser names the
+    cmd_* function that runs it (func), and each integer option its least
+    value."""
     p = _Parser(prog="orthocusp", description=__doc__)
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--out", default=None, help="output path (default stdout)")
     sub = p.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
-    def add(name, **kw):
-        return sub.add_parser(name, parents=[common], **kw)
+    def add(name, func, **kw):
+        parser = sub.add_parser(name, parents=[common], **kw)
+        parser.set_defaults(func=func)
+        return parser
 
-    inv = add("invariants", help="discriminant, signature, Hasse data")
+    inv = add("invariants", cmd_invariants, help="discriminant, signature, Hasse data")
     inv.add_argument("--gram", required=True)
     inv.add_argument("--primes", default="2,3,5")
 
-    mp = add("map-point", help="convert a point between models")
+    mp = add("map-point", cmd_map_point, help="convert a point between models")
     mp.add_argument("--point", required=True)
     mp.add_argument("--from", dest="src", required=True,
                     choices=["projective", "tube", "bounded"])
@@ -77,58 +90,58 @@ def build_parser() -> argparse.ArgumentParser:
     mp.add_argument("--mode", default="exact", choices=["exact", "float"])
     mp.add_argument("--tol", type=float, default=1e-9)
 
-    cu = add("cusp", help="boundary data for a cusp flag")
+    cu = add("cusp", cmd_cusp, help="boundary data for a cusp flag")
     cu.add_argument("--gram", required=True)
     cu.add_argument("--flag", required=True, choices=["rank1", "rank2"])
 
-    fa = add("fan", help="fan predicates and constructions")
+    fa = add("fan", cmd_fan, help="fan predicates and constructions")
     fa.add_argument("action", choices=["validate", "subdivide", "complete",
                                        "regular", "chart"])
     fa.add_argument("--fan", required=True)
     fa.add_argument("--cone", type=int, default=None,
                     help="index into the fan's cone list")
 
-    cd = add("core-decompose", help="windowed core/co-core fan")
+    cd = add("core-decompose", cmd_core_decompose, help="windowed core/co-core fan")
     cd.add_argument("--gram", required=True)
     cd.add_argument("--positivity", default=None,
                     help="comma-separated positivity covector (default e1)")
     cd.add_argument("--variant", default="perfect",
                     choices=["central", "perfect", "central_dual"])
-    cd.add_argument("--height", type=int, required=True)
+    cd.add_argument("--height", type=int, required=True, action=_AtLeast, const=1)
     cd.add_argument("--gens", default=None, help="JSON file with generator matrices")
 
-    ch = add("chern", help="characteristic-class tables")
+    ch = add("chern", cmd_chern, help="characteristic-class tables")
     chsub = ch.add_subparsers(dest="chern_action", required=True)
     td = chsub.add_parser("td", parents=[common])
-    td.add_argument("--degree", type=int, required=True)
+    td.add_argument("--degree", type=int, required=True, action=_AtLeast, const=0)
     qp = chsub.add_parser("q-poly", parents=[common])
-    qp.add_argument("--dim", type=int, required=True)
-    qp.add_argument("--rank", type=int, required=True)
+    qp.add_argument("--dim", type=int, required=True, action=_AtLeast, const=0)
+    qp.add_argument("--rank", type=int, required=True, action=_AtLeast, const=0)
 
-    hp = add("hilbert-poly", help="Hilbert polynomial of the compact dual")
-    hp.add_argument("--n", type=int, required=True)
+    hp = add("hilbert-poly", cmd_hilbert_poly, help="Hilbert polynomial of the compact dual")
+    hp.add_argument("--n", type=int, required=True, action=_AtLeast, const=1)
 
-    ld = add("local-density", help="congruence-counting local density")
+    ld = add("local-density", cmd_local_density, help="congruence-counting local density")
     ld.add_argument("--gram", required=True)
     ld.add_argument("--p", type=int, required=True)
-    ld.add_argument("--kmax", type=int, default=4)
+    ld.add_argument("--kmax", type=int, default=4, action=_AtLeast, const=1)
 
-    hv = add("hm-volume", help="Hirzebruch-Mumford volume")
+    hv = add("hm-volume", cmd_hm_volume, help="Hirzebruch-Mumford volume")
     hv.add_argument("--gram", required=True)
     hv.add_argument("--alpha-inf", default=None)
     hv.add_argument("--densities", default=None)
-    hv.add_argument("--spn", type=int, default=None)
+    hv.add_argument("--spn", type=int, action=_AtLeast, const=1)
 
-    dl = add("dim-leading", help="leading term of dim S_ell")
+    dl = add("dim-leading", cmd_dim_leading, help="leading term of dim S_ell")
     dl.add_argument("--gram", required=True)
-    dl.add_argument("--ell", type=int, required=True)
+    dl.add_argument("--ell", type=int, required=True, action=_AtLeast, const=2)
     dl.add_argument("--alpha-inf", default=None)
     dl.add_argument("--densities", default=None)
-    dl.add_argument("--spn", type=int, default=None)
+    dl.add_argument("--spn", type=int, action=_AtLeast, const=1)
 
-    ra = add("ramify", help="classify ramification of enumerated isometries")
+    ra = add("ramify", cmd_ramify, help="classify ramification of enumerated isometries")
     ra.add_argument("--gram", required=True)
-    ra.add_argument("--bound", type=int, required=True)
+    ra.add_argument("--bound", type=int, required=True, action=_AtLeast, const=1)
     return p
 
 
@@ -218,7 +231,7 @@ def cmd_map_point(args):
             return p
         if isinstance(p, BoundedPoint):
             return upsilon(p)
-        return psi_inv(p, frame, tol=args.tol)
+        return psi_inv(p, tol=args.tol)
 
     def convert(p, dst):
         if dst == "tube":
@@ -310,8 +323,6 @@ def cmd_fan(args):
 def cmd_core_decompose(args):
     from .corecone import SelfAdjointCone, core_extremes, gamma_check, support_fan
 
-    if args.height < 1:
-        raise UsageError("--height must be >= 1")
     gram = io.lattice_from_json(_read_json(args.gram)).gram
     dim = len(gram)
     if args.positivity:
@@ -360,8 +371,6 @@ def cmd_chern(args):
 
     if args.chern_action == "td":
         n = args.degree
-        if n < 0:
-            raise UsageError("--degree must be >= 0")
         degs = {f"c{i}": i for i in range(1, n + 1)}
         cs = [GradedClass.gen(f"c{i}", i, degs, n) for i in range(1, n + 1)]
         td = todd_from_chern(cs, n)
@@ -371,8 +380,6 @@ def cmd_chern(args):
                 f"{g}^{e}" if e > 1 else g for g, e in mono)
             table[key] = coeff
         return io.make_report("chern td", {"degree": n, "coefficients": table})
-    if args.dim < 0 or args.rank < 0:
-        raise UsageError("--dim and --rank must be >= 0")
     q = universal_Q(args.dim, args.rank)
     table = {}
     for (beta, alpha), coeff in q.table:
@@ -388,8 +395,6 @@ def cmd_chern(args):
 def cmd_hilbert_poly(args):
     from .dimform import hilbert_poly_dual
 
-    if args.n < 1:
-        raise UsageError("--n must be >= 1")
     P = hilbert_poly_dual(args.n)
     return io.make_report(
         "hilbert-poly",
@@ -406,8 +411,6 @@ def cmd_local_density(args):
         Place(args.p)
     except ValueError as e:
         raise UsageError(f"--p: {e}")
-    if args.kmax < 1:
-        raise UsageError("--kmax must be >= 1")
     L = io.lattice_from_json(_read_json(args.gram))
     res = local_density(L, args.p, args.kmax)
     return io.make_report(
@@ -427,7 +430,6 @@ def _volume(args):
     from .dimform import alpha_inf_from_densities, hm_volume
 
     L = io.lattice_from_json(_read_json(args.gram))
-    flagged = False
     if args.alpha_inf is not None:
         alpha = io.rat_from_str(args.alpha_inf)
         if alpha <= 0:
@@ -438,13 +440,8 @@ def _volume(args):
         dens = io.vector_from_json(io.list_field(_read_json(args.densities), "alpha_p"))
         if any(d <= 0 for d in dens):
             raise UsageError("every local density must be positive")
-        spn = args.spn
-        if spn is None:
-            spn = 1
-            flagged = True
-        elif spn < 1:
-            raise UsageError("--spn must be >= 1")
-        alpha = alpha_inf_from_densities(dens, spn_plus=spn)
+        alpha = alpha_inf_from_densities(dens, spn_plus=args.spn or 1)
+    flagged = args.alpha_inf is None and args.spn is None
     return L, hm_volume(L, alpha, spn_flagged=flagged)
 
 
@@ -466,8 +463,6 @@ def cmd_hm_volume(args):
 def cmd_dim_leading(args):
     from .dimform import leading_dimension
 
-    if args.ell < 2:
-        raise UsageError("--ell must be >= 2")
     L, vol = _volume(args)
     n = signature(L)[1]
     out = leading_dimension(n, args.ell, vol)
@@ -489,8 +484,6 @@ def cmd_ramify(args):
     from .cycles import classify_subgroups, enumerate_isometries
     from .errors import FixedVectorPresent, NoPositiveEigenplane, NotRootOfUnity
 
-    if args.bound < 1:
-        raise UsageError("--bound must be >= 1")
     L = io.lattice_from_json(_read_json(args.gram))
     pool = enumerate_isometries(L, args.bound)
     skipped = {NoPositiveEigenplane: "skipped: no positive eigenplane",
@@ -520,27 +513,12 @@ def cmd_ramify(args):
     )
 
 
-_DISPATCH = {
-    "invariants": cmd_invariants,
-    "map-point": cmd_map_point,
-    "cusp": cmd_cusp,
-    "fan": cmd_fan,
-    "core-decompose": cmd_core_decompose,
-    "chern": cmd_chern,
-    "hilbert-poly": cmd_hilbert_poly,
-    "local-density": cmd_local_density,
-    "hm-volume": cmd_hm_volume,
-    "dim-leading": cmd_dim_leading,
-    "ramify": cmd_ramify,
-}
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
         thread_cap()
-        report = _DISPATCH[args.command](args)
+        report = args.func(args)
     except UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)
         return 2

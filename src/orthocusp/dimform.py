@@ -135,8 +135,9 @@ def _count_gram_preservers(A, m, mod) -> int:
 class HMVolumeResult:
     """Hirzebruch-Mumford volume with its symbolic factorization.
 
-    value = rational_part * pi**pi_power * sqrt(sqrt_arg) * alpha_factor
-    where alpha_factor is the (possibly non-rational) alpha_infinity input.
+    value = rational_part * pi**pi_power * sqrt(sqrt_arg), where
+    rational_part carries the exact alpha_infinity input and alpha_inf is
+    that input as a float.
     """
 
     value: float
@@ -188,14 +189,9 @@ def hm_volume(L: QuadraticLattice, alpha_inf, spn_flagged: bool = False) -> HMVo
     conventions = [CONVENTION_GAMMA, CONVENTION_BINOMIAL, CONVENTION_WEIGHT]
     if spn_flagged:
         conventions.append(CONVENTION_SPN)
-    alpha_exact = None
-    if isinstance(alpha_inf, (int, Fraction)):
-        alpha_exact = frac(alpha_inf)
-        rational *= alpha_exact
-        alpha_val = 1.0
-    else:
-        alpha_val = float(alpha_inf)
-    value = float(rational) * math.pi**pi_power * math.sqrt(float(sqrt_arg)) * alpha_val
+    alpha = frac(alpha_inf)
+    rational *= alpha
+    value = float(rational) * math.pi**pi_power * math.sqrt(float(sqrt_arg))
     if value <= 0:
         raise ValueError("volume must be positive")
     return HMVolumeResult(
@@ -203,7 +199,7 @@ def hm_volume(L: QuadraticLattice, alpha_inf, spn_flagged: bool = False) -> HMVo
         rational_part=rational,
         pi_power=pi_power,
         sqrt_arg=sqrt_arg,
-        alpha_inf=float(alpha_exact if alpha_exact is not None else alpha_inf),
+        alpha_inf=float(alpha),
         conventions=tuple(conventions),
     )
 

@@ -230,9 +230,9 @@ def psi(y: TubePoint) -> ProjPoint:
     return ProjPoint(frame.ambient_from_tube(a, 1, y.coords), frame)
 
 
-def psi_inv(p: ProjPoint, frame: Frame | None = None, tol: float = 0.0) -> TubePoint:
+def psi_inv(p: ProjPoint, tol: float = 0.0) -> TubePoint:
     """Projective -> tube; BoundaryPoint when the e2 coefficient vanishes."""
-    frame = frame or p.frame
+    frame = p.frame
     beta = frame.e2_coefficient(p.coords)
     if not beta or p.mode == "float" and abs(beta) <= tol:
         raise BoundaryPoint("point lies on the hyperplane b(v, e1) = 0")

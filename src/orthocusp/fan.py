@@ -38,8 +38,7 @@ def _double_description(normals, dim, equations=()):
     <normals[i], ray> = 0 (a normal that vanishes on the subspace has no
     bit); the adjacency test reads only & and bit_count, so the bits carry
     the caller's indices from the start.  A solution cone that is not
-    pointed gives +-l for a one-dimensional lineality space spanned by l,
-    tight on every row, and () otherwise.
+    pointed is refused with ValueError.
     """
     basis = la.kernel_int(equations or [(0,) * dim])
     k = len(basis)
@@ -54,11 +53,7 @@ def _double_description(normals, dim, equations=()):
         [la.dot(n, b) for b in basis] for n in normals) if any(r)]
     first = la.echelon(la.transpose([r for r, _ in rows]))[1]
     if len(first) < k:
-        if len(first) < k - 1:
-            return ()
-        line = lift(la.primitive(la.nullspace([r for r, _ in rows] or [(0,) * k])[0]))
-        tight = sum(bit for _, bit in rows)
-        return tuple(sorted((r, tight) for r in {line, tuple(-x for x in line)}))
+        raise ValueError("the solution cone contains a line")
     rows = [rows[i] for i in first] + [x for i, x in enumerate(rows) if i not in first]
     # simplicial start: ray j is tight on every chosen row but row j.  The
     # echelon of [A | I] is d [I | A^-1], so ray j is sign(d) times column
@@ -181,12 +176,15 @@ class RationalCone:
     def __repr__(self):
         return f"RationalCone(rays={list(self.rays)}, rank={self.rank})"
 
+    def _generators(self):
+        """The rays, the lines and their negatives: the cone is their N-span."""
+        return self.rays + self.lines + tuple(tuple(-x for x in l) for l in self.lines)
+
     def facet_normals(self):
         """Primitive inequalities cutting the cone inside its span, plus the
         span equations; the whole _facets_of pass is cached."""
         if not hasattr(self, "_facets"):
-            gens = list(self.rays + self.lines) + [tuple(-x for x in l) for l in self.lines]
-            self._facets = _facets_of(gens, self.rank)
+            self._facets = _facets_of(self._generators(), self.rank)
         return self._facets[:2]
 
     def _cut(self):
@@ -205,13 +203,16 @@ class RationalCone:
 def dual_cone(c: RationalCone) -> RationalCone:
     """Dual cone in the dual lattice: the cached facets of c are its rays.
     The dual of a lower-dimensional cone has span(c)^perp as its lines."""
-    gens = list(c.rays) + list(c.lines) + [tuple(-x for x in l) for l in c.lines]
     return RationalCone(c.facet_normals()[0], c.rank,
-                        lines=la.kernel_int(gens or [(0,) * c.rank]), canonicalize=False)
+                        lines=la.kernel_int(c._generators() or [(0,) * c.rank]),
+                        canonicalize=False)
 
 
 def intersect_cones(a: RationalCone, b: RationalCone) -> RationalCone:
-    """a cap b; the double description returns its primitive extreme rays."""
+    """a cap b for pointed a and b; the double description returns its
+    primitive extreme rays."""
+    if not (a.is_pointed and b.is_pointed):
+        raise ValueError("cone intersection implemented for pointed cones only")
     (ia, ea), (ib, eb) = a.facet_normals(), b.facet_normals()
     rays = _extreme_rays_of_halfspaces(ia + ib, a.rank, equations=ea + eb)
     return RationalCone(rays, a.rank, canonicalize=False)
@@ -522,32 +523,32 @@ def _triangulate(c: RationalCone):
 
 
 def hilbert_basis(c: RationalCone):
-    """Minimal monoid generators of dual(c) cap M.
+    """Monoid generators of dual(c) cap M, sorted.
 
     For pointed full-dimensional c this is the unique minimal generating
-    set (Hilbert basis) of the chart monoid; for lower-dimensional cones
-    the dual is degenerate and the returned set consists of +/- the
-    lineality basis together with the Hilbert basis of the pointed part
-    (monoid generators, not claimed minimal).
+    set (Hilbert basis) of the chart monoid.  For c of dimension r < n
+    they are +- a basis of c^perp cap M plus lifted generators (monoid
+    generators, not claimed minimal).  la.column_reduce gives H = G U for
+    the matrix G of c's generators, U unimodular, and columns r.. of H
+    vanish; so m = U y lies in dual(c) exactly when y[:r] lies in the dual
+    of the full-dimensional cone spanned by the rows of H[:, :r].  Columns
+    r.. of U are the basis of c^perp cap M, and that cone's Hilbert basis,
+    padded with zeros and lifted by U, gives the rest.
     """
+    n = c.rank
+    H, U, r = la.column_reduce(c._generators() or [(0,) * n])
+    if r < n:
+        lines = la.transpose(U)[r:]
+        sub = hilbert_basis(RationalCone([row[:r] for row in H], r))
+        gens = {la.mat_vec(U, y + (0,) * (n - r)) for y in sub}
+        return tuple(sorted(gens.union(lines, (tuple(-x for x in l) for l in lines))))
     d = dual_cone(c)
-    if d.is_degenerate:
-        gens = [v for l in d.lines for v in (l, tuple(-x for x in l))]
-        pointed = RationalCone(d.rays, d.rank)
-        if pointed.rays:
-            gens.extend(_hilbert_basis_pointed(pointed, c))
-        return tuple(sorted(set(gens)))
-    return tuple(_hilbert_basis_pointed(d, c))
-
-
-def _hilbert_basis_pointed(d: RationalCone, primal: RationalCone):
     cand = set(d.rays)
     for tri in _triangulate(d):
         cand.update(p for p, _ in _parallelepiped(tri) if any(p))
-    # grade by the primal barycenter, positive on the dual minus its lines
-    # (or by the coordinate sum when the primal has no rays)
-    w = primal.barycenter() if primal.rays else [1] * d.rank
-    return sorted(_cone_minima(cand, lambda v: la.dot(w, v), d.contains))
+    # grade by the barycenter of c, positive on the dual minus 0
+    w = c.barycenter()
+    return tuple(sorted(_cone_minima(cand, lambda v: la.dot(w, v), d.contains)))
 
 
 def chart_presentation(c: RationalCone):

@@ -237,6 +237,15 @@ class TestFan:
         code, blob = run_to_file(tmp_path, ["fan", "complete", "--fan", fan])
         assert json.loads(blob)["results"]["complete"] is True
 
+    def test_chart_of_a_ray_generates_its_dual(self, tmp_path):
+        # cone 1 is the ray (-1, -1); (-1, 0) pairs with it to 1
+        fan = write(tmp_path, "f.json", P2_FAN)
+        code, blob = run_to_file(tmp_path, ["fan", "chart", "--fan", fan, "--cone", "1"])
+        assert code == 0
+        out = json.loads(blob)["results"]
+        assert out["rays"] == [[-1, -1]]
+        assert out["generators"] == [[-1, 0], [-1, 1], [1, -1]]
+
     def test_chart_needs_cone(self, tmp_path):
         fan = write(tmp_path, "f.json", P2_FAN)
         assert main(["fan", "chart", "--fan", fan]) == 2
@@ -420,6 +429,47 @@ class TestBoundaryRefusals:
         assert captured.err == ""
         assert json.loads(captured.out)["results"]["error"] == "DeskScopeError"
         assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["core-decompose", "--gram", "g", "--height", "0"], "--height must be >= 1"),
+    (["chern", "td", "--degree", "-1"], "--degree must be >= 0"),
+    (["chern", "q-poly", "--dim", "-1", "--rank", "1"], "--dim must be >= 0"),
+    (["chern", "q-poly", "--dim", "2", "--rank", "-1"], "--rank must be >= 0"),
+    (["hilbert-poly", "--n", "0"], "--n must be >= 1"),
+    (["local-density", "--gram", "g", "--p", "3", "--kmax", "0"], "--kmax must be >= 1"),
+    (["hm-volume", "--gram", "g", "--densities", "d", "--spn", "0"], "--spn must be >= 1"),
+    (["dim-leading", "--gram", "g", "--ell", "1", "--alpha-inf", "1"], "--ell must be >= 2"),
+    (["dim-leading", "--gram", "g", "--ell", "3", "--spn=-2"], "--spn must be >= 1"),
+    (["ramify", "--gram", "g", "--bound", "0"], "--bound must be >= 1"),
+])
+def test_integer_bound_is_checked_as_the_option_is_read(capsys, argv, message):
+    # the parser refuses the value before any file is opened
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"usage error: {message}\n"
+
+
+def test_every_command_parser_names_its_function():
+    # a leaf parser without a func default would end main in a traceback;
+    # chern td and chern q-poly inherit chern's
+    import argparse
+
+    from orthocusp.cli import build_parser
+
+    def leaves(parser, func, path):
+        func = parser.get_default("func") or func
+        subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        if not subs:
+            yield path, func
+        for action in subs:
+            for name, child in action.choices.items():
+                yield from leaves(child, func, path + (name,))
+
+    found = dict(leaves(build_parser(), None, ()))
+    assert ("chern", "td") in found and ("chern", "q-poly") in found
+    assert len(found) == 12
+    for path, func in found.items():
+        assert callable(func) and func.__name__ == "cmd_" + path[0].replace("-", "_"), path
 
 
 class TestDeterminism:

@@ -167,14 +167,26 @@ class TestLineality:
         assert c.contains((-5, 1)) and not c.contains((0, -1))
 
     def test_kernel_on_non_pointed_systems(self):
-        # a one-dimensional lineality space gives +-l, a larger one ()
-        assert _extreme_rays_of_halfspaces([(1, 0, 0), (0, 1, 0)], 3) == \
-            ((0, 0, -1), (0, 0, 1))
-        assert _extreme_rays_of_halfspaces([(1, 1, 0)], 3, equations=[(0, 0, 2)]) == \
-            ((-1, 1, 0), (1, -1, 0))
-        assert _extreme_rays_of_halfspaces([], 1) == ((-1,), (1,))
-        assert _extreme_rays_of_halfspaces([(1, 0, 0)], 3) == ()
-        assert _extreme_rays_of_halfspaces([], 2) == ()
+        # a solution cone with a line of any dimension is refused, and so is
+        # a cone with a line as an input of intersect_cones
+        for normals, dim, equations in [
+            ([(1, 0, 0), (0, 1, 0)], 3, ()),
+            ([(1, 1, 0)], 3, [(0, 0, 2)]),
+            ([], 1, ()),
+            ([(1, 0, 0)], 3, ()),
+            ([], 2, ()),
+        ]:
+            with pytest.raises(ValueError, match="contains a line"):
+                _extreme_rays_of_halfspaces(normals, dim, equations)
+        half_plane = RationalCone([(1, 0), (-1, 0), (0, 1)], 2)
+        half_space = RationalCone([(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0),
+                                   (0, 0, 1)], 3)
+        for c in (half_plane, half_space):
+            for other in (c, RationalCone([(1, 0, 0)[:c.rank]], c.rank)):
+                with pytest.raises(ValueError, match="pointed cones only"):
+                    intersect_cones(c, other)
+                with pytest.raises(ValueError, match="pointed cones only"):
+                    intersect_cones(other, c)
 
 
 class TestOnePassPerHull:
@@ -358,6 +370,75 @@ class TestHilbertBasis:
             others = [h for h in hb if h != g]
             # g must not be an N-combination of the others
             assert not _n_generated(g, others, d)
+
+
+def _generated_modulo_lines(x, gens, rays):
+    """Whether x is gens' N-combination plus a vector orthogonal to every
+    ray: the pairings with the rays decide it."""
+    def pair(v):
+        return tuple(la.dot(r, v) for r in rays)
+
+    steps = {pair(g) for g in gens} - {pair((0,) * len(x))}
+    seen = set()
+
+    def reach(v):
+        if not any(v):
+            return True
+        if v in seen:
+            return False
+        seen.add(v)
+        return any(reach(tuple(a - b for a, b in zip(v, s)))
+                   for s in steps if all(a >= b for a, b in zip(v, s)))
+
+    return reach(pair(x))
+
+
+class TestLowerDimensionalCharts:
+    """dual(c) cap M for dim c < rank: +- a basis of c^perp cap M and lifted
+    generators, so every window point of the dual is an N-combination of
+    the generators modulo c^perp cap M."""
+
+    def check(self, c, radius):
+        gens = hilbert_basis(c)
+        assert all(la.dot(r, g) >= 0 for g in gens for r in c.rays)
+        lines = [g for g in gens if all(la.dot(r, g) == 0 for r in c.rays)]
+        assert la.rank(lines or [(0,) * c.rank]) == c.rank - c.dim
+        for x in itertools.product(range(-radius, radius + 1), repeat=c.rank):
+            if all(la.dot(r, x) >= 0 for r in c.rays):
+                assert _generated_modulo_lines(x, gens, c.rays), (c, x)
+
+    def test_every_cone_of_the_p2_fan(self):
+        for c in p2_fan().cones:
+            self.check(c, 3)
+        ray = cone((-1, -1))
+        assert hilbert_basis(ray) == ((-1, 0), (-1, 1), (1, -1))
+
+    def test_the_diagonal_ray(self):
+        # (1, 0) pairs to 1 with (1, 1): +-(1, -1) and (1, 1) alone pair to
+        # even numbers and miss it
+        c = cone((1, 1))
+        assert hilbert_basis(c) == ((-1, 1), (1, -1), (1, 0))
+        self.check(c, 3)
+
+    def test_cones_with_lines(self):
+        # the dual lies in the lines' orthogonal complement
+        assert hilbert_basis(RationalCone([(1, 0, 0)], 3, lines=[(0, 1, 0)])) == (
+            (0, 0, -1), (0, 0, 1), (1, 0, 0))
+        assert hilbert_basis(RationalCone([(1, 0, 0), (1, 2, 0)], 3, lines=[(0, 0, 1)])) == (
+            (0, 1, 0), (1, 0, 0), (2, -1, 0))
+
+    def test_random_lower_dimensional_cones(self):
+        rng = random.Random(2501)
+        checked = 0
+        while checked < 25:
+            rank = rng.choice([2, 3, 3, 4])
+            rays = [tuple(rng.randint(-3, 3) for _ in range(rank))
+                    for _ in range(rng.randint(1, 3))]
+            c = RationalCone(rays, rank)
+            if not c.rays or c.dim == rank or not c.is_pointed:
+                continue
+            self.check(c, 2 if rank == 4 else 3)
+            checked += 1
 
 
 def _n_generated(x, gens, cone_, depth=0):
