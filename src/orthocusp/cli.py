@@ -343,7 +343,7 @@ def cmd_core_decompose(args):
         "extreme_points": [io.vector_to_json(p) for p in E.points],
         "fan": io.fan_to_json(fan),
         "degenerate_support": rep.degenerate,
-        "support_functionals": [io.vector_to_json(y) for y in rep.functionals],
+        "support_functionals": rep.functionals,
         "warnings": rep.warnings,
     }
     certificates = {
@@ -450,11 +450,11 @@ def cmd_hm_volume(args):
     return io.make_report(
         "hm-volume",
         {
-            "value": vol.value,
+            "value": io.float_to_json(vol.value),
             "rational_part": vol.rational_part,
             "pi_power": vol.pi_power,
             "sqrt_arg": vol.sqrt_arg,
-            "alpha_inf": vol.alpha_inf,
+            "alpha_inf": io.float_to_json(vol.alpha_inf),
         },
         conventions=list(vol.conventions),
     )
@@ -472,8 +472,8 @@ def cmd_dim_leading(args):
             "ell": args.ell,
             "n": n,
             "hilbert_value": out.hilbert_value,
-            "volume": vol.value,
-            "leading_value": out.value,
+            "volume": io.float_to_json(vol.value),
+            "leading_value": io.float_to_json(out.value),
             "note": "boundary error term E(ell) omitted (symbolic only)",
         },
         conventions=list(out.conventions),
@@ -482,13 +482,12 @@ def cmd_dim_leading(args):
 
 def cmd_ramify(args):
     from .cycles import classify_subgroups, enumerate_isometries
-    from .errors import FixedVectorPresent, NoPositiveEigenplane, NotRootOfUnity
+    from .errors import NoPositiveEigenplane, NotRootOfUnity
 
     L = io.lattice_from_json(_read_json(args.gram))
     pool = enumerate_isometries(L, args.bound)
     skipped = {NoPositiveEigenplane: "skipped: no positive eigenplane",
-               NotRootOfUnity: "skipped: not finite order",
-               FixedVectorPresent: "skipped: fixed vector present"}
+               NotRootOfUnity: "skipped: not finite order"}
     fields = {None: {"classification": "skipped: infinite order"}}  # row fields by subgroup
     for key, rep in classify_subgroups(pool, L).items():
         if isinstance(rep, type):

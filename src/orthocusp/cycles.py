@@ -34,8 +34,9 @@ multiple of the rational kernel basis).  Fractions appear only in what
 is reported: the defining equations (integer images over den) and the
 factor bases, divided back to that rational basis.
 
-Errors: the CLI reaches none of the 3 ValueErrors or chi_order_at's
-AssertionError.  IsometryElement.make and chi_order_at are library-only,
+Errors: the CLI reaches none of the 3 ValueErrors, chi_order_at's
+AssertionError or the certificate's 2 RuntimeErrors (a failed repair
+would be a bug).  IsometryElement.make and chi_order_at are library-only,
 and ramify calls restriction_matrix only on S = ker Phi_m(g), which is
 g-stable and saturated.
 """
@@ -144,10 +145,10 @@ def enumerate_isometries(L: QuadraticLattice, bound: int):
 
     Column backtracking (la.gram_preservers) over the box [-bound, bound]^m
     on the integer multiple of the Gram matrix; always contains +/-
-    identity.  The matrices are kept as int rows, sorted.  Desk scale:
-    rank <= 6, bound small.  The power loop runs on the first element g of
-    each cyclic subgroup: each g^k in the pool with gcd(k, N) = 1 takes
-    order N, traces tr(g^(kj mod N)), j < N, and g as its subgroup.
+    identity.  The matrices are kept as int rows, sorted.  The power loop
+    runs on the first element g of each cyclic subgroup: each g^k in the
+    pool with gcd(k, N) = 1 takes order N, traces tr(g^(kj mod N)), j < N,
+    and g as its subgroup.
 
     Box and form are invariant under X -> -X, so negation reverses the
     sorted pool: found[~i] = -found[i].  The generators of <-g> are the
@@ -368,8 +369,14 @@ def cyclotomic_decomposition(g: IsometryElement, L: QuadraticLattice,
     """Certificate that S decomposes into q-nondegenerate cyclic factors.
 
     Requires the mu_{r_tau}-action on S to have no nonzero fixed vectors
-    (FixedVectorPresent otherwise).  When a cyclic factor is q-trivial it
-    is repaired by the paired-factor substitution y = x^(1) + x^(2).
+    (FixedVectorPresent otherwise).  When a cyclic factor K v is q-trivial
+    it is repaired by y = v + R^j u, j < m, or last y = v - u, for a mate
+    u that pairs with K v.  With b = Tr_{K/Q} h on S (K = Q(zeta_m) acting
+    through R), h(y, y) = h(u, u) + 2 Re(zeta^-j h(v, u)).  For m > 1 these
+    sum to m h(u, u) over j < m, and for m = 1 the values at v + u and
+    v - u differ by 4 h(v, u): either way they all vanish only if
+    h(v, u) = 0.  So on a nondegenerate S, such as S = ker Phi_m(g), a
+    failed repair is a RuntimeError, not a fact about g.
 
     Runs over int: the Gram of S is den times the rational one, and each
     round's candidates are the complement's rational basis times one
@@ -418,10 +425,15 @@ def cyclotomic_decomposition(g: IsometryElement, L: QuadraticLattice,
         if singular(W, BW):
             mate = next((u for u in cands[1:] if any(la.dot(Bw, u) for Bw in BW)), None)
             if mate is None:
-                raise FixedVectorPresent("cannot repair a q-trivial factor")
-            W, BW = cyclic_span(la.vec_add(v, mate))
-            if singular(W, BW):
-                raise FixedVectorPresent("repair step failed to fix degeneracy")
+                raise RuntimeError("no mate pairs with a q-trivial factor")
+            u = mate
+            for j in range(m + 1):  # v + R^j mate for j < m, then v - mate
+                W, BW = cyclic_span(la.vec_add(v, u))
+                if not singular(W, BW):
+                    break
+                u = la.mat_vec(R, u) if j < m - 1 else la.vec_scale(-1, mate)
+            else:
+                raise RuntimeError("no v + R^j mate or v - mate repairs a q-trivial factor")
             repaired += 1
         factors.append((W, BW, c))
         space_eqs += BW
@@ -470,7 +482,7 @@ def _classify_locus(g, L, report):
                    decomposition=decomposition, notes=tuple(notes))
 
 
-_SKIPPED = (NoPositiveEigenplane, NotRootOfUnity, FixedVectorPresent)
+_SKIPPED = (NoPositiveEigenplane, NotRootOfUnity)
 
 
 def _twin_index(m: int) -> int:

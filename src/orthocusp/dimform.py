@@ -176,7 +176,10 @@ def alpha_inf_from_densities(densities, spn_plus: int = 1) -> Fraction:
 
 
 def hm_volume(L: QuadraticLattice, alpha_inf, spn_flagged: bool = False) -> HMVolumeResult:
-    """Vol_HM = alpha_inf * |D(L)|^{(n+3)/2} * prod_{k<=n+2} pi^{k/2}/Gamma(k/2)."""
+    """Vol_HM = alpha_inf * |D(L)|^{(n+3)/2} * prod_{k<=n+2} pi^{k/2}/Gamma(k/2).
+
+    DeskScopeError when the volume or alpha_inf is not a finite float > 0.
+    """
     r, s = signature(L)
     if r != 2 or s < 1:
         raise WrongSignature(f"signature {(r, s)} is not (2, n) with n >= 1")
@@ -191,15 +194,20 @@ def hm_volume(L: QuadraticLattice, alpha_inf, spn_flagged: bool = False) -> HMVo
         conventions.append(CONVENTION_SPN)
     alpha = frac(alpha_inf)
     rational *= alpha
-    value = float(rational) * math.pi**pi_power * math.sqrt(float(sqrt_arg))
-    if value <= 0:
-        raise ValueError("volume must be positive")
+    try:
+        value = float(rational) * math.pi**pi_power * math.sqrt(float(sqrt_arg))
+        alpha_float = float(alpha)
+    except OverflowError:
+        value = alpha_float = math.inf
+    if not (0 < value < math.inf and 0 < alpha_float < math.inf):
+        raise DeskScopeError(f"volume {value!r} and alpha_inf {alpha_float!r} "
+                             "must be finite floats > 0")
     return HMVolumeResult(
         value=value,
         rational_part=rational,
         pi_power=pi_power,
         sqrt_arg=sqrt_arg,
-        alpha_inf=float(alpha),
+        alpha_inf=alpha_float,
         conventions=tuple(conventions),
     )
 
@@ -219,13 +227,21 @@ class LeadingDimension:
 
 
 def leading_dimension(n: int, ell: int, vol: HMVolumeResult) -> LeadingDimension:
+    """DeskScopeError when the leading value, which may be negative, is not
+    a finite float."""
     if ell < 2:
         raise ValueError("the proportionality formula needs ell >= 2")
     P = hilbert_poly_dual(n)
     hv = P.evaluate(ell - 1)
+    try:
+        value = vol.value * float(hv)
+    except OverflowError:
+        value = math.inf
+    if not math.isfinite(value):
+        raise DeskScopeError("the leading value overflows a float")
     return LeadingDimension(
         ell=ell,
         hilbert_value=hv,
-        value=vol.value * float(hv),
+        value=value,
         conventions=tuple(sorted(set(vol.conventions) | {CONVENTION_BINOMIAL})),
     )

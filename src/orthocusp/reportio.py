@@ -2,12 +2,18 @@
 
 Rationals are serialized as strings ("p/q" or plain integers) so round
 trips are bit-exact; emitted JSON is byte-deterministic (sorted keys,
-fixed separators, trailing newline).
+fixed separators, trailing newline).  dumps_canonical is the one encoder:
+a single json.dumps whose default hook writes a Fraction as rat_to_str
+and a GaussianRational or complex as complex_to_json, and refuses any
+other type.  Every dict key in a payload is a str: sort_keys would order
+int keys by number, not as text.  A float is formatted where it is made,
+by float_to_json, since json.dumps would write it as a number.
 """
 
 from __future__ import annotations
 
 import json
+import sys
 from fractions import Fraction
 
 from .errors import UsageError
@@ -41,7 +47,7 @@ def list_field(blob, key) -> list:
 
 
 def matrix_to_json(M):
-    return [[str(x) if type(x) is int else rat_to_str(x) for x in row] for row in M]
+    return [vector_to_json(row) for row in M]
 
 
 def matrix_from_json(rows):
@@ -76,7 +82,7 @@ def lattice_from_json(blob: dict) -> QuadraticLattice:
 def complex_to_json(z):
     if isinstance(z, GaussianRational):
         return [rat_to_str(z.re), rat_to_str(z.im)]
-    return [_float_str(z.real), _float_str(z.imag)]
+    return [float_to_json(z.real), float_to_json(z.imag)]
 
 
 def complex_from_json(pair, mode="exact"):
@@ -155,62 +161,37 @@ def fan_from_json(blob: dict):
     return Fan(cones, rank)
 
 
-def _float_str(x: float) -> str:
+def float_to_json(x: float) -> str:
+    """repr of a float, with -0.0 written as 0.0."""
     if x == 0.0:
         x = 0.0  # normalize -0
     return repr(float(x))
 
 
-def normalize_value(v):
-    """Recursively convert a result payload into canonical JSON scalars.
-
-    str, int, bool, None, list, tuple and dict are told apart by their
-    exact type; anything else, subclasses included, takes the isinstance
-    chain.  The str items of a list, tuple or dict are kept as they are,
-    with no call: the rows matrix_to_json has formatted are not walked
-    again."""
-    t = type(v)
-    if t is str or t is int or t is bool or v is None:
-        return v
-    if t is list or t is tuple:
-        return [x if type(x) is str else normalize_value(x) for x in v]
-    if t is dict:
-        return {str(k): x if type(x) is str else normalize_value(x) for k, x in v.items()}
+def _canonical(v):
+    """json.dumps' hook for the values it cannot write itself."""
     if isinstance(v, Fraction):
         return rat_to_str(v)
-    if isinstance(v, int):
-        return v
-    if isinstance(v, float):
-        return _float_str(v)
     if isinstance(v, (GaussianRational, complex)):
         return complex_to_json(v)
-    if isinstance(v, dict):
-        return {str(k): normalize_value(x) for k, x in v.items()}
-    if isinstance(v, (list, tuple)):
-        return [normalize_value(x) for x in v]
-    return v
+    raise TypeError(f"{type(v).__name__} {v!r} has no canonical JSON form")
 
 
 def make_report(command: str, results, conventions=(), certificates=None) -> dict:
-    report = {
-        "command": command,
-        "conventions": sorted(conventions),
-        "results": normalize_value(results),
-    }
+    report = {"command": command, "conventions": sorted(conventions), "results": results}
     if certificates is not None:
-        report["certificates"] = normalize_value(certificates)
+        report["certificates"] = certificates
     return report
 
 
 def dumps_canonical(obj) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"), ensure_ascii=True) + "\n"
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"), ensure_ascii=True,
+                      default=_canonical) + "\n"
 
 
 def emit_report(report: dict, path=None) -> str:
     text = dumps_canonical(report)
     if path is None or path == "-":
-        import sys
-
         sys.stdout.write(text)
     else:
         with open(path, "w", encoding="ascii") as fh:

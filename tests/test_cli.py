@@ -13,13 +13,7 @@ from hypothesis import strategies as st
 
 from orthocusp.cli import main
 from orthocusp.gaussian import GaussianRational
-from orthocusp.reportio import (
-    _float_str,
-    complex_to_json,
-    dumps_canonical,
-    normalize_value,
-    rat_to_str,
-)
+from orthocusp.reportio import complex_to_json, dumps_canonical, float_to_json, rat_to_str
 
 
 def write(tmp_path, name, obj):
@@ -521,8 +515,8 @@ class TestDeterminism:
 
 
 def isinstance_normalize_value(v):
-    """normalize_value by the isinstance chain alone, with no exact-type
-    dispatch first."""
+    """A payload as canonical JSON scalars, by an isinstance chain: the
+    reference for dumps_canonical and its hook."""
     if type(v) is str:
         return v
     if isinstance(v, Fraction):
@@ -532,7 +526,7 @@ def isinstance_normalize_value(v):
     if isinstance(v, int):
         return v
     if isinstance(v, float):
-        return _float_str(v)
+        return float_to_json(v)
     if isinstance(v, (GaussianRational, complex)):
         return complex_to_json(v)
     if isinstance(v, dict):
@@ -546,40 +540,48 @@ class Count(int):
     """An int subclass, which takes the isinstance chain."""
 
 
-def typed(v):
-    """v with the exact type of every node beside it, so True and 1 differ."""
-    if type(v) in (list, tuple):
-        return type(v).__name__, [typed(x) for x in v]
-    if type(v) is dict:
-        return "dict", {k: typed(x) for k, x in v.items()}
-    return type(v).__name__, repr(v)
-
-
 small_fraction = st.fractions(min_value=-50, max_value=50, max_denominator=12)
+# str keys only, and floats only as float_to_json makes them: the two
+# rules every report payload keeps
 payload_scalars = st.one_of(
     small_fraction, st.integers(-9, 9).map(Fraction), st.integers(), st.booleans(),
-    st.integers(-9, 9).map(Count), st.none(), st.floats(), st.just(-0.0),
-    st.builds(GaussianRational, small_fraction, small_fraction),
+    st.integers(-9, 9).map(Count), st.none(), st.floats().map(float_to_json),
+    st.just(float_to_json(-0.0)), st.builds(GaussianRational, small_fraction, small_fraction),
     st.complex_numbers(), st.text(max_size=4))
 payloads = st.recursive(payload_scalars, lambda kids: st.one_of(
     st.lists(kids, max_size=4), st.lists(kids, max_size=4).map(tuple),
-    st.dictionaries(st.one_of(st.text(max_size=3), st.integers(-5, 5)), kids, max_size=4)),
+    st.dictionaries(st.text(max_size=3), kids, max_size=4)),
     max_leaves=30)
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(payloads)
-def test_normalize_value_matches_the_isinstance_chain(v):
-    got, want = normalize_value(v), isinstance_normalize_value(v)
-    assert typed(got) == typed(want)
-    assert dumps_canonical(got) == dumps_canonical(want)
+def test_encoder_matches_the_isinstance_chain(v):
+    assert dumps_canonical(v) == dumps_canonical(isinstance_normalize_value(v))
+
+
+def refuse_float(text):
+    raise AssertionError(f"a report holds the JSON float {text}")
+
+
+def test_no_golden_report_holds_a_json_float():
+    # floats reach a report as float_to_json strings, never as JSON numbers
+    goldens = sorted(GOLDEN.glob("*.json"))
+    assert goldens
+    for path in goldens:
+        json.loads(path.read_text(), parse_float=refuse_float)
 
 
 class TestReportNormalization:
     def test_minus_zero_normalized(self):
-        assert normalize_value(-0.0) == "0.0"
-        assert normalize_value(0.0) == "0.0"
-        assert normalize_value(complex(-0.0, -0.0)) == ["0.0", "0.0"]
+        assert float_to_json(-0.0) == float_to_json(0.0) == "0.0"
+        assert complex_to_json(complex(-0.0, -0.0)) == ["0.0", "0.0"]
+        assert dumps_canonical([complex(-0.0, -0.0)]) == '[["0.0","0.0"]]\n'
+
+    def test_encoder_refuses_other_types(self):
+        for v in (object(), {1, 2}, b"x"):
+            with pytest.raises(TypeError):
+                dumps_canonical({"results": [v]})
 
     def test_float_mode_flag_parses(self, tmp_path):
         point = {
@@ -621,17 +623,20 @@ class TestRamifyCLI:
         assert "interior_unramified" in classes
         assert "minus_identity" in classes
 
-    def test_fixed_vector_elements_are_skipped_rows(self, tmp_path):
-        # U+U at bound 1 has elements whose cyclotomic repair cannot remove
-        # a fixed vector; they get a row each, and the rest are classified
+    def test_elements_without_fixed_vectors_are_certified(self, tmp_path):
+        # U+U at bound 1, typed e1, e2, f1, f2: the 10 elements whose
+        # certificate needs v + R^j mate with j > 0 are special cycles with
+        # a verified decomposition, not skipped rows
         gram = write(tmp_path, "uu.json", ATILDE4)
         code, blob = run_to_file(tmp_path, ["ramify", "--gram", gram, "--bound", "1"])
         assert code == 0
         rep = json.loads(blob)["results"]
         assert len(rep["elements"]) == rep["group_size"] == 800
         classes = [r["classification"] for r in rep["elements"]]
-        assert classes.count("skipped: fixed vector present") == 10
-        assert "special_cycle" in classes and "interior_unramified" in classes
+        assert not any(c.startswith("skipped: fixed") for c in classes)
+        special = [r for r in rep["elements"] if r["classification"] == "special_cycle"]
+        assert all(r["decomposition_verified"] for r in special)
+        assert "interior_unramified" in classes
 
     def test_each_cyclic_subgroup_is_classified_once(self, tmp_path, monkeypatch):
         # <1,1,-1,-1> at bound 1: 128 elements of finite order in 90 cyclic
@@ -651,3 +656,34 @@ class TestRamifyCLI:
         assert code == 0
         assert [len(out) for out in outcomes] == [90]
         assert len(fixed) == 50
+
+    @pytest.mark.parametrize("gram, bound", [
+        ([[0, 0, 1, 0], [0, 0, 0, 1], [1, 0, 0, 0], [0, 1, 0, 0]], 1),
+        ([[0, 0, 1, 0], [0, 0, 0, 1], [1, 0, 0, 0], [0, 1, 0, 0]], 2),
+        ([[0, 0, 1, 0, 0], [0, 0, 0, 1, 0], [1, 0, 0, 0, 0], [0, 1, 0, 0, 0],
+          [0, 0, 0, 0, -2]], 1),
+        ([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, -1, 0], [0, 0, 0, -1]], 1),
+        ([[2, 1, 0], [1, 2, 0], [0, 0, -1]], 2),
+    ], ids=["u+u", "u+u-b2", "u+u+<-2>", "g4", "a2+<-1>"])
+    def test_rows_do_not_depend_on_the_basis(self, tmp_path, gram, bound):
+        # P^t G P for a permutation matrix P: conjugation by P maps the box
+        # and the pool onto themselves, so the rows, matrices left out,
+        # form the same multiset.  Swapping coordinates 1 and 2 retypes
+        # U+U from e1, e2, f1, f2 to e1, f1, e2, f2.
+        m = len(gram)
+        swap = [0, 2, 1] + list(range(3, m))
+        shift = list(range(1, m)) + [0]
+
+        def rows(perm):
+            path = write(tmp_path, "g.json", {"gram": [[str(gram[i][j]) for j in perm]
+                                                       for i in perm]})
+            code, blob = run_to_file(tmp_path, ["ramify", "--gram", path,
+                                                "--bound", str(bound)])
+            assert code == 0
+            return sorted(json.dumps({k: v for k, v in row.items() if k != "matrix"},
+                                     sort_keys=True)
+                          for row in json.loads(blob)["results"]["elements"])
+
+        want = rows(list(range(m)))
+        assert rows(swap) == want
+        assert rows(shift) == want

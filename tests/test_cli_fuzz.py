@@ -5,7 +5,8 @@ Derandomized hypothesis writes --gram, --fan, --gens, --densities and
 strings and wrong ray or coordinate lengths, draws --tol values, and runs
 each through `main`.  Every run must return 0, 1 or 2 without raising, and
 print either nothing or one canonical JSON report; exit code 2 prints
-exactly one `usage error:` line, argparse's own errors included.
+exactly one `usage error:` line, argparse's own errors included.  No
+report holds a JSON float: floats are written as strings.
 Ranks stay <= 3 and heights and bounds at 1, so the whole file runs in
 seconds.
 """
@@ -118,8 +119,13 @@ G3 = {"gram": [["1", "0", "0"], ["0", "-1", "0"], ["0", "0", "-1"]]}
 G21 = {"gram": [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "-1"]]}
 
 
+def refuse_float(text):
+    raise AssertionError(f"a report holds the JSON float {text}")
+
+
 def run(argv, files):
-    """main(argv) with @name tokens replaced by paths of the given JSON blobs."""
+    """(exit code, stdout) of main(argv), with @name tokens replaced by paths
+    of the given JSON blobs."""
     out, err = io.StringIO(), io.StringIO()
     with tempfile.TemporaryDirectory() as tmp:
         paths = {}
@@ -132,11 +138,11 @@ def run(argv, files):
     assert code in (0, 1, 2), (argv, files, code)
     text = out.getvalue()
     if text:
-        assert dumps_canonical(json.loads(text)) == text, (argv, files)
+        assert dumps_canonical(json.loads(text, parse_float=refuse_float)) == text, (argv, files)
     if code == 2:
         err = err.getvalue()
         assert err.startswith("usage error: ") and err.count("\n") == 1, (argv, files, err)
-    return code
+    return code, text
 
 
 GRAM_COMMANDS = [
@@ -200,7 +206,7 @@ def test_malformed_point_files(blob, src, dst, mode):
 @pytest.mark.parametrize("argv", [c for c in FAN_COMMANDS if "--cone" not in c])
 def test_fan_cone_with_a_line_is_refused(argv):
     blob = {"rank": 2, "cones": [{"rays": [[1, 0], [-1, 0]]}, {"rays": [[0, 1]]}]}
-    assert run(argv, {"f": blob}) == 2
+    assert run(argv, {"f": blob})[0] == 2
 
 
 # on the zero quadric with b(v, e1) = 0: the tube chart refuses it
@@ -227,8 +233,8 @@ def test_bad_tolerance_is_refused(tol, mode):
 @given(st.one_of(st.floats(), st.sampled_from(["", "x", "1e999", "-0.0"])),
        st.sampled_from(MODELS), st.sampled_from(["exact", "float"]))
 def test_tolerance_argv(tol, dst, mode):
-    code = run(["map-point", "--point", "@f", "--from", "projective", "--to", dst,
-                "--mode", mode, f"--tol={tol}"], {"f": BOUNDARY_POINT})
+    code, _ = run(["map-point", "--point", "@f", "--from", "projective", "--to", dst,
+                   "--mode", mode, f"--tol={tol}"], {"f": BOUNDARY_POINT})
     if isinstance(tol, float) and not 0 <= tol < math.inf:
         assert code == 2
 
@@ -245,7 +251,21 @@ def test_tolerance_argv(tol, dst, mode):
 ])
 def test_argparse_errors_are_one_usage_line(argv):
     # run asserts the one `usage error:` line
-    assert run(argv, {"f": BOUNDARY_POINT}) == 2
+    assert run(argv, {"f": BOUNDARY_POINT})[0] == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["hm-volume", "--gram", "@f", "--alpha-inf", "1e400"],
+    ["hm-volume", "--gram", "@f", "--alpha-inf", "1e-400"],
+    ["dim-leading", "--gram", "@f", "--ell", "100000", "--alpha-inf", "1e307"],
+    ["dim-leading", "--gram", "@f", "--ell", "9" * 310, "--alpha-inf", "1"],
+], ids=["volume-overflow", "volume-underflow", "volume-inf", "leading-overflow"])
+def test_float_out_of_range_is_refused(argv):
+    # an infinite or zero volume, or an infinite leading value, is a domain
+    # error: no traceback and no "inf" in a report
+    code, text = run(argv, {"f": G21})
+    assert code == 1
+    assert json.loads(text)["results"]["error"] == "DeskScopeError"
 
 
 def test_help_still_exits_zero():

@@ -262,12 +262,16 @@ def fraction_cyclotomic_decomposition(g, L, s_basis=None):
             mate = next((u for u in cands[1:]
                          if any(pair(w, u) != 0 for w in W)), None)
             if mate is None:
-                raise FixedVectorPresent("cannot repair a q-trivial factor")
-            v = la.vec_add(v, mate)
-            W = cyclic_span(v)
-            GW = [[pair(a, b) for b in W] for a in W]
-            if la.determinant(GW) == 0:
-                raise FixedVectorPresent("repair step failed to fix degeneracy")
+                raise RuntimeError("no mate pairs with a q-trivial factor")
+            tries = [mate]  # v + R^j mate, j < m, then v - mate
+            while len(tries) < m:
+                tries.append(la.mat_vec(R, tries[-1]))
+            for u in tries + [la.vec_scale(-1, mate)]:
+                W = cyclic_span(la.vec_add(v, u))
+                if la.determinant([[pair(a, b) for b in W] for a in W]) != 0:
+                    break
+            else:
+                raise RuntimeError("no v + R^j mate or v - mate repairs a q-trivial factor")
             repaired += 1
         factors.append(tuple(W))
         for w in W:
@@ -360,10 +364,15 @@ def form_certificate(g, L, s_basis):
         if singular(W):
             mate = next((u for u in cands[1:] if any(pair(w, u) != 0 for w in W)), None)
             if mate is None:
-                raise FixedVectorPresent("cannot repair a q-trivial factor")
-            W = cyclic_span(la.vec_add(v, mate))
-            if singular(W):
-                raise FixedVectorPresent("repair step failed to fix degeneracy")
+                raise RuntimeError("no mate pairs with a q-trivial factor")
+            u = mate
+            for j in range(m + 1):
+                W = cyclic_span(la.vec_add(v, u))
+                if not singular(W):
+                    break
+                u = la.mat_vec(R, u) if j < m - 1 else la.vec_scale(-1, mate)
+            else:
+                raise RuntimeError("no v + R^j mate or v - mate repairs a q-trivial factor")
             repaired += 1
         factors.append((W, c))
         space_eqs += [la.mat_vec(gram_S, w) for w in W]
@@ -434,8 +443,6 @@ def reference_ramify_rows(pool, L):
                 row["classification"] = "skipped: no positive eigenplane"
             except NotRootOfUnity:
                 row["classification"] = "skipped: not finite order"
-            except FixedVectorPresent:
-                row["classification"] = "skipped: fixed vector present"
         rows.append(row)
     return rows
 
@@ -814,7 +821,8 @@ def test_shared_ramify_rows_match_per_element_rows(G, bound, tmp_path):
     gram = tmp_path / "gram.json"
     gram.write_text(json.dumps({"gram": G}))
     got = cmd_ramify(argparse.Namespace(gram=str(gram), bound=bound))["results"]
-    assert got["elements"] == io.normalize_value(reference_ramify_rows(own, L))
+    got = json.loads(io.dumps_canonical(got))
+    assert got["elements"] == json.loads(io.dumps_canonical(reference_ramify_rows(own, L)))
     if G is A2M1:  # rows i and ~i are g and -g: a twin pair with odd m >= 3
         rows = got["elements"]
         assert (3, 6) in {(a.get("r_tau"), b.get("r_tau")) for a, b in zip(rows, reversed(rows))}

@@ -168,3 +168,18 @@ def test_every_parameter_is_read():
                       if a.arg not in ("self", "cls") and a.arg not in read
                       and (path.name, name, a.arg) not in allowed]
     assert found == []
+
+
+def test_only_reportio_writes_json():
+    # one encoder: every report reaches its bytes through
+    # reportio.dumps_canonical, and cli only reads JSON
+    writers = {"dump", "dumps"}
+    found = []
+    for path in SOURCES:
+        if path.stem == "reportio":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            # an attribute (json.dumps), an imported alias or a definition
+            names = {getattr(node, key, None) for key in ("attr", "name")}
+            found += [f"{path.name}:{node.lineno}:{n}" for n in sorted(names & writers)]
+    assert found == []
