@@ -4,8 +4,10 @@ Everything is relative to a lattice in the two-hyperbolic-planes shape
 (pairs (v0,v2) and (v1,v3) plus a negative-definite block A), which only
 CuspFlag.from_lattice tests, by qform.atilde_block; the flag keeps the
 block.  The rank-1 flag is the isotropic line spanned by v0, the rank-2
-flag the totally isotropic plane span(v0, v1).  Dependent matrix entries are fixed by the
-isometry condition g^t Atilde g = Atilde, which is unambiguous.
+flag the totally isotropic plane span(v0, v1).  Each unipotent element is
+an Eichler transformation E(e, a) of v0 and v1 (Eichler, Quadratische
+Formen und orthogonale Gruppen, 1952): the rank-1 radical is abelian, the
+rank-2 radical a Heisenberg group with centre U_alpha = {E(v0, w1 v1)}.
 
 Chart convention: the rank-1 boundary chart tuple is ordered
 (v3/v2, v1/v2, v4/v2, ...) so that it matches the centre's parameter
@@ -18,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import gcd
 
 from . import _linalg as la
 from ._linalg import frac
@@ -95,83 +98,76 @@ def boundary_data(flag: CuspFlag) -> BoundaryData:
     )
 
 
+def _eichler(G, e, a):
+    """Matrix of the Eichler transformation E(e, a) for the Gram matrix G.
+
+    x -> x + b(x,e) a - b(x,a) e - (1/2) b(a,a) b(x,e) e, an isometry when e
+    is isotropic and a is orthogonal to e (Eichler 1952).
+    """
+    Ge, Ga = la.mat_vec(G, e), la.mat_vec(G, a)
+    half_q = la.dot(a, Ga) / 2
+    m = len(G)
+    return tuple(tuple((i == j) + a[i] * Ge[j] - e[i] * (Ga[j] + half_q * Ge[j])
+                       for j in range(m)) for i in range(m))
+
+
+def _basis(m, i, t=1):
+    """t v_i in Q^m."""
+    return tuple(frac(t) if k == i else Fraction(0) for k in range(m))
+
+
+def _rank1_vector(flag: CuspFlag, params):
+    """a = y3 v1 + y1 v3 + y4 from rank-1 params (y1, y3, y4vec)."""
+    if len(params) != 3 or isinstance(params[0], (tuple, list)) \
+            or isinstance(params[1], (tuple, list)):
+        raise WrongFlagKind("rank-1 params are (y1, y3, y4vec)")
+    y4 = la.vec(params[2])
+    if len(y4) != flag.n - 2:
+        raise WrongFlagKind("y4 must have length n-2")
+    return la.vec((0, params[1], 0, params[0])) + y4
+
+
 def build_unipotent(flag: CuspFlag, params):
     """Unipotent element from its free parameters.
 
-    rank-1: params = (y1, y3, y4vec); rank-2: params = (y4vec, z4vec, x3).
-    Dependent entries follow from g^t Atilde g = Atilde.
+    rank-1: params = (y1, y3, y4vec), the element E(v0, y3 v1 + y1 v3 + y4);
+    rank-2: params = (y4vec, z4vec, x3), the element
+    E(v1, z4) E(v0, y4 - x3 v1).
     """
-    m = flag.lattice.rank
-    A = flag.block
-    g = [[Fraction(1 if i == j else 0) for j in range(m)] for i in range(m)]
+    m, G = flag.lattice.rank, flag.lattice.gram
     if flag.kind == RANK1:
-        if len(params) != 3 or isinstance(params[0], (tuple, list)) \
-                or isinstance(params[1], (tuple, list)):
-            raise WrongFlagKind("rank-1 params are (y1, y3, y4vec)")
-        y1, y3 = frac(params[0]), frac(params[1])
-        y4 = la.vec(params[2])
-        if len(y4) != m - 4:
-            raise WrongFlagKind("y4 must have length n-2")
-        Ay4 = la.mat_vec(A, y4) if A else ()
-        g[0][1] = -y1
-        g[0][3] = -y3
-        g[1][2] = y3
-        g[3][2] = y1
-        g[0][2] = -(y1 * y3 + Fraction(1, 2) * la.form(A, y4, y4))
-        for k in range(m - 4):
-            g[4 + k][2] = y4[k]
-            g[0][4 + k] = -Ay4[k]
-        return la.mat(g)
+        return _eichler(G, _basis(m, 0), _rank1_vector(flag, params))
     if len(params) != 3:
         raise WrongFlagKind("rank-2 params are (y4vec, z4vec, x3)")
     y4, z4, x3 = la.vec(params[0]), la.vec(params[1]), frac(params[2])
     if len(y4) != m - 4 or len(z4) != m - 4:
         raise WrongFlagKind("y4, z4 must have length n-2")
-    Ay4 = la.mat_vec(A, y4) if A else ()
-    Az4 = la.mat_vec(A, z4) if A else ()
-    g[0][2] = -Fraction(1, 2) * la.form(A, y4, y4)
-    g[1][3] = -Fraction(1, 2) * la.form(A, z4, z4)
-    g[0][3] = x3
-    g[1][2] = -la.form(A, y4, z4) - x3
-    for k in range(m - 4):
-        g[4 + k][2] = y4[k]
-        g[4 + k][3] = z4[k]
-        g[0][4 + k] = -Ay4[k]
-        g[1][4 + k] = -Az4[k]
-    return la.mat(g)
+    return la.mat_mul(_eichler(G, _basis(m, 1), la.vec((0, 0, 0, 0)) + z4),
+                      _eichler(G, _basis(m, 0), la.vec((0, -x3, 0, 0)) + y4))
 
 
 def unipotent_params(flag: CuspFlag, g):
     """Free parameters of a unipotent-radical element (no validation)."""
+    y4 = tuple(row[2] for row in g[4:])
     if flag.kind == RANK1:
-        y3 = g[1][2]
-        y1 = g[3][2]
-        y4 = tuple(g[4 + k][2] for k in range(flag.lattice.rank - 4))
-        return (y1, y3, y4)
-    y4 = tuple(g[4 + k][2] for k in range(flag.lattice.rank - 4))
-    z4 = tuple(g[4 + k][3] for k in range(flag.lattice.rank - 4))
-    x3 = g[0][3]
-    return (y4, z4, x3)
+        return (g[3][2], g[1][2], y4)
+    return (y4, tuple(row[3] for row in g[4:]), g[0][3])
 
 
 def is_in_unipotent(g, flag: CuspFlag) -> bool:
     """Pattern match against the displayed shape plus the isometry condition."""
-    m = flag.lattice.rank
     g = la.mat(g)
-    if len(g) != m:
-        return False
-    rebuilt = build_unipotent(flag, unipotent_params(flag, g))
-    if not la.mat_eq(g, rebuilt):
-        return False
-    return la.preserves_form(g, flag.lattice.gram)
+    return len(g) == flag.lattice.rank \
+        and la.mat_eq(g, build_unipotent(flag, unipotent_params(flag, g))) \
+        and la.preserves_form(g, flag.lattice.gram)
 
 
 def center_element(flag: CuspFlag, w1):
-    """Element of the centre U_alpha with parameter w1 (rank-2 flags)."""
+    """Element E(v0, w1 v1) of the centre U_alpha (rank-2 flags)."""
     if flag.kind != RANK2:
         raise WrongFlagKind("centre parametrized by w1 only for rank-2 flags")
-    zeros = tuple(0 for _ in range(flag.lattice.rank - 4))
-    return build_unipotent(flag, (zeros, zeros, frac(-w1)))
+    m = flag.lattice.rank
+    return _eichler(flag.lattice.gram, _basis(m, 0), _basis(m, 1, w1))
 
 
 def omega_member(u, flag: CuspFlag) -> bool:
@@ -249,18 +245,18 @@ def levi_project(g, flag: CuspFlag):
 
 
 def levi_cone_action(g, flag: CuspFlag, u):
-    """Action of rho_l(g) on centre coordinates, computed by conjugation."""
+    """Action of rho_l(g) on centre coordinates, for g in P_alpha.
+
+    g E(v0, a) g^-1 = E(g v0, g a) = E(v0, g[0][0] g a) at rank 1, and
+    g E(v0, w1 v1) g^-1 = E(v0, det(g on span(v0, v1)) w1 v1) at rank 2.
+    """
+    g = la.mat(g)
+    if not stabilizes_flag(g, flag):
+        raise NotInParabolic("element does not stabilize the flag")
     if flag.kind == RANK1:
-        y1, y3, y4 = u
-        elem = build_unipotent(flag, (y1, y3, y4))
-    else:
-        elem = center_element(flag, u[0])
-    gi = la.inverse(la.mat(g))
-    conj = la.mat_mul(la.mat_mul(la.mat(g), elem), gi)
-    params = unipotent_params(flag, conj)
-    if flag.kind == RANK1:
-        return (params[0], params[1], params[2])
-    return (conj[1][2],)
+        b = [g[0][0] * x for x in la.mat_vec(g, _rank1_vector(flag, u))]
+        return (b[3], b[1], tuple(b[4:]))
+    return ((g[0][0] * g[1][1] - g[0][1] * g[1][0]) * frac(u[0]),)
 
 
 @dataclass(frozen=True)
@@ -276,43 +272,22 @@ def adjacency_data(f2: CuspFlag, f1_generator):
     """Adjacency data for a rank-1 line inside the standard rank-2 plane.
 
     f1_generator is an integral primitive vector; returns None when the
-    line does not lie in span(v0, v1).  The record expresses the image of
-    the rank-2 centre in the rank-1 centre coordinates of the line's own
-    adapted basis.
+    line does not lie in span(v0, v1).  An SL2 change of basis of the plane
+    moves the line to span(v0) and fixes the centre E(v0, w1 v1), which
+    depends only on w1 v0^v1: every line gets the record of span(v0).
     """
     if f2.kind != RANK2:
         raise WrongFlagKind("first flag must be rank-2")
-    e = la.vec(f1_generator)
-    m = f2.lattice.rank
-    if any(e[k] != 0 for k in range(2, m)):
-        return None
-    c0, c1 = int(e[0]), int(e[1])
-    from math import gcd
-
-    if gcd(c0, c1) != 1:
-        raise ValueError("generator must be primitive")
-    # move the line to span(v0) by an SL2 change on both hyperbolic pairs
-    h = [[Fraction(1 if i == j else 0) for j in range(m)] for i in range(m)]
-    # columns: v0 -> (c0, c1), v1 -> (-beta, alpha) with alpha c0 + beta c1 = 1
-    _, alpha, beta = la.ext_gcd(c0, c1)
-    h[0][0], h[1][0] = Fraction(c0), Fraction(c1)
-    h[0][1], h[1][1] = Fraction(-beta), Fraction(alpha)
-    # dual pair: preserve b(v0,v2), b(v1,v3): block = (h^-1)^t on (v2, v3)
-    inv_t = la.transpose(la.inverse(la.mat([[c0, -beta], [c1, alpha]])))
-    h[2][2], h[2][3] = inv_t[0][0], inv_t[0][1]
-    h[3][2], h[3][3] = inv_t[1][0], inv_t[1][1]
-    h = la.mat(h)
-    if not la.preserves_form(h, f2.lattice.gram):
-        raise UnsupportedShape("the SL2 change of basis does not preserve the Gram "
+    c = center_element(f2, 1)
+    if not la.preserves_form(c, f2.lattice.gram):
+        raise UnsupportedShape("the centre of the rank-2 flag does not preserve the Gram "
                                "matrix: the lattice lacks the two-hyperbolic-planes shape")
-    flag1 = CuspFlag(RANK1, f2.lattice, f2.block)
-    hi = la.inverse(h)
-    c = center_element(f2, Fraction(1))
-    moved = la.mat_mul(la.mat_mul(hi, c), h)
-    if not is_in_unipotent(moved, flag1):
+    e = la.vec(f1_generator)
+    if any(e[2:]):
         return None
-    y1, y3, y4 = unipotent_params(flag1, moved)
-    incl = (y1, y3, y4)
-    ray = la.primitive((y1, y3) + tuple(y4))
+    if gcd(int(e[0]), int(e[1])) != 1:
+        raise ValueError("generator must be primitive")
+    y1, y3, y4 = unipotent_params(CuspFlag(RANK1, f2.lattice, f2.block), c)
+    ray = la.primitive((y1, y3) + y4)
     qval = ray[0] * ray[1] + Fraction(1, 2) * la.form(f2.block, ray[2:], ray[2:])
-    return AdjacencyRecord(inclusion=incl, ray=ray, ray_is_isotropic=(qval == 0))
+    return AdjacencyRecord(inclusion=(y1, y3, y4), ray=ray, ray_is_isotropic=(qval == 0))

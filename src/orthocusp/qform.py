@@ -334,20 +334,18 @@ def atilde_block(L: QuadraticLattice):
 def standard_atilde(n: int, block=None) -> QuadraticLattice:
     """The shape matrix for signature (2, n): two hyperbolic planes plus A.
 
-    block defaults to -2*identity of size n-2 (negative definite).
+    block defaults to -2*identity of size n-2 (negative definite); any
+    other size raises ValueError.
     """
     if n < 2:
         raise ValueError("need n >= 2")
     m = n + 2
+    B = la.mat([[-2 * x for x in row] for row in la.identity(n - 2)]
+               if block is None else block)
+    if len(B) != n - 2 or any(len(row) != n - 2 for row in B):
+        raise ValueError(f"block must be {n - 2}x{n - 2} for n = {n}")
     G = [[Fraction(0)] * m for _ in range(m)]
-    G[0][2] = G[2][0] = Fraction(1)
-    G[1][3] = G[3][1] = Fraction(1)
-    if block is None:
-        for i in range(4, m):
-            G[i][i] = Fraction(-2)
-    else:
-        B = la.mat(block)
-        for i in range(len(B)):
-            for j in range(len(B)):
-                G[4 + i][4 + j] = B[i][j]
+    G[0][2] = G[2][0] = G[1][3] = G[3][1] = Fraction(1)
+    for i, row in enumerate(B):
+        G[4 + i][4:] = row
     return QuadraticLattice(G)

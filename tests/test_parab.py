@@ -274,6 +274,10 @@ class TestLevi:
         g[1][1] = g[3][3] = g[4][4] = F(1)
         with pytest.raises(NotInParabolic):
             levi_project(la.mat(g), F1)
+        with pytest.raises(NotInParabolic):
+            levi_cone_action(g, F1, (F(1), F(2), (F(3),)))
+        with pytest.raises(NotInParabolic):
+            levi_cone_action(g, F2, (F(1),))
 
 
 class TestAdjacency:
@@ -285,7 +289,7 @@ class TestAdjacency:
 
     def test_other_line_in_plane(self):
         rec = adjacency_data(F2, (0, 1, 0, 0, 0))
-        assert rec is not None
+        assert rec == adjacency_data(F2, (1, 0, 0, 0, 0))
         assert rec.ray_is_isotropic
 
     def test_disjoint_line_returns_none(self):

@@ -238,6 +238,17 @@ def test_atilde_shape_checks():
     assert atilde_block(QuadraticLattice(G)) is None
 
 
+@pytest.mark.parametrize("n, block", [(3, [[-2, 0], [0, -2]]), (4, [[-2]]),
+                                      (2, [[-2]]), (4, [[-2, 0], [0]])])
+def test_atilde_block_must_be_n_minus_2_square(n, block):
+    from orthocusp.domains import standard_bounded_frame
+
+    with pytest.raises(ValueError, match="block must be"):
+        standard_atilde(n, block)
+    with pytest.raises(ValueError, match="block must be"):
+        standard_bounded_frame(n, block)
+
+
 def test_lattice_roundtrip_format():
     from orthocusp.reportio import lattice_from_json, lattice_to_json
 
