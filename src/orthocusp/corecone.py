@@ -27,7 +27,7 @@ from fractions import Fraction
 from . import _linalg as la
 from .errors import NotConePreserving, UnstableTruncation, WrongSignature
 from .fan import Fan, RationalCone, _facets_of, fan_from_maximal, validate_fan
-from .qform import QuadraticLattice, diagonalize
+from .qform import QuadraticLattice, diagonalize, signature
 
 
 class SelfAdjointCone:
@@ -62,8 +62,7 @@ class SelfAdjointCone:
             inner = la.identity(self.dim)
         self.inner = la.mat(inner)
         self._inner = QuadraticLattice(self.inner)
-        idiag, _ = diagonalize(self._inner)
-        if any(d <= 0 for d in idiag):
+        if signature(self._inner) != (self.dim, 0):
             raise ValueError("inner form must be positive definite")
         # a positive integer multiple of the side covector keeps its signs
         (self._side,), _ = la.scaled_int([self.side])

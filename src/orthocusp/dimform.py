@@ -105,7 +105,7 @@ def local_density(L: QuadraticLattice, p: int, k_max: int = 4) -> LocalDensityRe
         raise DeskScopeError("p = 2 local densities are outside desk scope")
     if L.den != 1:
         raise DeskScopeError("congruence counting needs an integral Gram matrix")
-    L.require_regular()
+    signature(L)  # refuses a singular Gram
     m, A = L.rank, L.scaled_gram
     densities = []
     counts = []

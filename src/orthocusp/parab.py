@@ -215,12 +215,15 @@ def phi_alpha(p, flag: CuspFlag):
 
 
 def stabilizes_flag(g, flag: CuspFlag) -> bool:
+    """g is an isometry of the lattice that keeps the flag."""
     m = flag.lattice.rank
     cols = la.transpose(g)
     if flag.kind == RANK1:
-        return all(cols[0][i] == 0 for i in range(1, m)) and cols[0][0] != 0
-    ok = all(cols[j][i] == 0 for j in (0, 1) for i in range(2, m))
-    return ok and la.rank([cols[0][:2], cols[1][:2]]) == 2
+        ok = all(cols[0][i] == 0 for i in range(1, m)) and cols[0][0] != 0
+    else:
+        ok = all(cols[j][i] == 0 for j in (0, 1) for i in range(2, m)) \
+            and la.rank([cols[0][:2], cols[1][:2]]) == 2
+    return ok and la.preserves_form(g, flag.lattice.gram)
 
 
 def levi_project(g, flag: CuspFlag):
@@ -271,10 +274,11 @@ class AdjacencyRecord:
 def adjacency_data(f2: CuspFlag, f1_generator):
     """Adjacency data for a rank-1 line inside the standard rank-2 plane.
 
-    f1_generator is an integral primitive vector; returns None when the
-    line does not lie in span(v0, v1).  An SL2 change of basis of the plane
-    moves the line to span(v0) and fixes the centre E(v0, w1 v1), which
-    depends only on w1 v0^v1: every line gets the record of span(v0).
+    f1_generator is a primitive vector of rank integer coordinates (else
+    ValueError); returns None when the line does not lie in span(v0, v1).
+    An SL2 change of basis of the plane moves the line to span(v0) and
+    fixes the centre E(v0, w1 v1), which depends only on w1 v0^v1: every
+    line gets the record of span(v0).
     """
     if f2.kind != RANK2:
         raise WrongFlagKind("first flag must be rank-2")
@@ -283,6 +287,8 @@ def adjacency_data(f2: CuspFlag, f1_generator):
         raise UnsupportedShape("the centre of the rank-2 flag does not preserve the Gram "
                                "matrix: the lattice lacks the two-hyperbolic-planes shape")
     e = la.vec(f1_generator)
+    if len(e) != f2.lattice.rank or any(x.denominator != 1 for x in e):
+        raise ValueError(f"generator must have {f2.lattice.rank} integer coordinates")
     if any(e[2:]):
         return None
     if gcd(int(e[0]), int(e[1])) != 1:

@@ -3,11 +3,13 @@
 The bilinear form is b (so q(x) = b(x,x) = x^t G x for the Gram matrix G);
 all arithmetic is exact.  The Gram is also kept as the integer matrix
 scaled_gram = den * G, and b(x, y) is its integer value over den: over int
-for int vectors, whatever the denominators of G.  Hilbert symbols use the
-standard closed-form local recipes; the test suite backs the p=2 branch
-with an independent congruence-search oracle.  Factorization and
-primality (square classes, relevant places, Place) are _linalg's factor
-and is_prime.  atilde_block is the one test of the two-hyperbolic-planes
+for int vectors, whatever the denominators of G.  _congruence is the one
+congruence: signature, int_signature and diagonalize read its steps, and
+it alone refuses a singular Gram.  Hilbert symbols use the standard
+closed-form local recipes; the test suite backs the p=2 branch with an
+independent congruence-search oracle.  Factorization and primality
+(square classes, relevant places, Place) are _linalg's factor and
+is_prime.  atilde_block is the one test of the two-hyperbolic-planes
 shape; cusp flags and bounded frames keep the block it returns.
 """
 
@@ -69,13 +71,6 @@ class QuadraticLattice:
     def quadratic(self, x) -> Fraction:
         return self.bilinear(x, x)
 
-    def is_regular(self) -> bool:
-        return la.determinant(self.gram) != 0
-
-    def require_regular(self):
-        if not self.is_regular():
-            raise DegenerateForm("det(gram) = 0")
-
     def __eq__(self, other):
         return isinstance(other, QuadraticLattice) and la.mat_eq(self.gram, other.gram)
 
@@ -98,52 +93,64 @@ def square_class(a) -> int:
     return odd if n > 0 else -odd
 
 
+def _congruence(B):
+    """The one congruence: steps (j, added, top) of a symmetric integer B.
+
+    Pivot p = G[k][k] clears row and column j > k by j := p*j - c_j*k with
+    c_j = G[k][j], a congruence of nonzero determinant that leaves the
+    block p * (p G[i][j] - c_i c_j) on the later indices.  That block is
+    divided by |p| times the |p| of the previous pivot, a positive scale
+    and an exact division as in Bareiss's elimination (Math. Comp. 1968).
+    A zero pivot is fixed first: the first later j with G[j][j] != 0 is
+    swapped in (added False), else the first j with G[k][j] != 0 is added
+    to k (added True); j = 0 when no fix was needed.  top is the pivot row
+    of the active block, indexed from k.  A singular B raises DegenerateForm.
+    """
+    G = [list(row) for row in B]
+    e = 1
+    while G:
+        j, added = 0, False
+        if not G[0][0]:
+            j = next((j for j in range(1, len(G)) if G[j][j]), 0)
+            if j:
+                G[0], G[j] = G[j], G[0]
+                for row in G:
+                    row[0], row[j] = row[j], row[0]
+            else:
+                j, added = next((j for j, x in enumerate(G[0]) if x), 0), True
+                if not j:
+                    raise DegenerateForm("det(gram) = 0")
+                G[0] = [x + y for x, y in zip(G[0], G[j])]
+                for row in G:
+                    row[0] += row[j]
+        top = G[0]
+        yield j, added, top
+        p = top[0]
+        q = e if p > 0 else -e
+        G = [[(p * x - row[0] * y) // q for x, y in zip(row[1:], top[1:])]
+             for row in G[1:]]
+        e = abs(p)
+
+
 def diagonalize(L: QuadraticLattice):
     """Congruence diagonalization: returns (diag, T) with T^t G T diagonal.
 
-    Entries of diag are the nonzero diagonal values; raises DegenerateForm
-    on singular input.
+    Replays _congruence's steps on the columns of the identity: the
+    integer block is a positive multiple of the rational one, so column i
+    loses (c_i / p) times the pivot column.  diag is q of T's columns; a
+    singular Gram raises DegenerateForm.
     """
-    L.require_regular()
-    n = L.rank
-    G = [list(row) for row in L.gram]
-    T = [list(row) for row in la.identity(n)]
-
-    def add_col(dst, src, c):
-        # column_dst += c * column_src, congruently (also the matching rows)
-        for i in range(n):
-            G[i][dst] += c * G[i][src]
-        for j in range(n):
-            G[dst][j] += c * G[src][j]
-        for i in range(n):
-            T[i][dst] += c * T[i][src]
-
-    def swap_col(i, j):
-        for r in range(n):
-            G[r][i], G[r][j] = G[r][j], G[r][i]
-        for c in range(n):
-            G[i][c], G[j][c] = G[j][c], G[i][c]
-        for r in range(n):
-            T[r][i], T[r][j] = T[r][j], T[r][i]
-
-    for k in range(n):
-        if G[k][k] == 0:
-            j = next((j for j in range(k + 1, n) if G[j][j] != 0), None)
-            if j is not None:
-                swap_col(k, j)
-            else:
-                j = next((j for j in range(k + 1, n) if G[k][j] != 0), None)
-                if j is None:
-                    raise DegenerateForm("zero block encountered")
-                add_col(k, j, Fraction(1))
-        piv = G[k][k]
-        for j in range(k + 1, n):
-            if G[k][j] != 0:
-                add_col(j, k, -G[k][j] / piv)
-    diag = tuple(G[i][i] for i in range(n))
-    if any(d == 0 for d in diag):
-        raise DegenerateForm("diagonalization produced a zero entry")
-    return diag, tuple(tuple(row) for row in T)
+    T = [list(col) for col in la.identity(L.rank)]  # T[k] is column k
+    for k, (j, added, top) in enumerate(_congruence(L.scaled_gram)):
+        if added:
+            T[k] = [x + y for x, y in zip(T[k], T[k + j])]
+        elif j:
+            T[k], T[k + j] = T[k + j], T[k]
+        for i, c in enumerate(top[1:], k + 1):
+            if c:
+                f = Fraction(c, top[0])
+                T[i] = [x - f * y for x, y in zip(T[i], T[k])]
+    return tuple(map(L.quadratic, T)), tuple(zip(*T))
 
 
 def signature(L: QuadraticLattice):
@@ -153,42 +160,13 @@ def signature(L: QuadraticLattice):
 
 
 def int_signature(B):
-    """(r, s) of a symmetric integer matrix B by one fraction-free congruence.
+    """(r, s) of a symmetric integer B: the signs of _congruence's pivots.
 
-    Pivot p = G[k][k] clears row and column j > k by j := p*j - c_j*k with
-    c_j = G[k][j], a congruence of nonzero determinant that leaves the
-    block p * (p G[i][j] - c_i c_j) on the later indices.  That block is
-    divided by |p| times the |p| of the previous pivot, a positive scale
-    and an exact division as in Bareiss's elimination (Math. Comp. 1968),
-    so by Sylvester's law of inertia the signs of the pivots count the
-    signature.  A zero pivot is handled as in diagonalize: a later nonzero
-    diagonal entry is swapped in, or else a column j with G[k][j] != 0 is
-    added to column k.  The empty matrix has signature (0, 0); a singular
-    B raises DegenerateForm.
+    By Sylvester's law of inertia the positive pivots count r.  The empty
+    matrix has signature (0, 0); a singular B raises DegenerateForm.
     """
-    G = [list(row) for row in B]
-    n, r, e = len(G), 0, 1
-    while G:
-        if not G[0][0]:
-            j = next((j for j in range(1, len(G)) if G[j][j]), None)
-            if j is not None:
-                G[0], G[j] = G[j], G[0]
-                for row in G:
-                    row[0], row[j] = row[j], row[0]
-            else:
-                j = next((j for j, x in enumerate(G[0]) if x), None)
-                if j is None:
-                    raise DegenerateForm("det(gram) = 0")
-                G[0] = [x + y for x, y in zip(G[0], G[j])]
-                for row in G:
-                    row[0] += row[j]
-        top = G[0]
-        p = top[0]
-        q = e if p > 0 else -e
-        G = [[(p * x - row[0] * y) // q for x, y in zip(row[1:], top[1:])]
-             for row in G[1:]]
-        r, e = r + (p > 0), abs(p)
-    return (r, n - r)
+    r = sum(top[0] > 0 for _, _, top in _congruence(B))
+    return (r, len(B) - r)
 
 
 def _padic_split(n: int, p: int):

@@ -5,10 +5,11 @@ The reference functions below are the hand-written copies the callers
 carried before: Place's trial-division primality, the Moebius-product
 cyclotomic polynomial with its own x^k - 1 multiply and divide, and the
 trial-division euler_phi, square_class and relevant_places.  Beside them
-are the Fraction paths that integer ones replaced: the signature counted
-from qform.diagonalize's Fraction congruence, the form evaluated on
-Fraction coordinates, fixed_sublattice scanning every divisor of the
-order, and restriction_matrix solving for one image at a time.  Last are
+are the Fraction paths that integer ones replaced: diagonalize's own
+Fraction congruence and the signature counted from it, the form
+evaluated on Fraction coordinates, fixed_sublattice scanning every
+divisor of the order, and restriction_matrix solving for one image at a
+time.  Last are
 chern's hand-rolled accumulators: Newton's power sums, the Chern
 character and the Todd class with their own exponential, the series log
 through a full series inverse, log_correction and error_term_symbolic,
@@ -188,9 +189,55 @@ def loop_relevant_places(a, b):
     return [REAL_PLACE] + [Place(p) for p in sorted(primes)]
 
 
+def reference_diagonalize(L):
+    """diagonalize as a Fraction congruence on a copy of the Gram, with
+    its own determinant test for a singular one."""
+    if la.determinant(L.gram) == 0:
+        raise DegenerateForm("det(gram) = 0")
+    n = L.rank
+    G = [list(row) for row in L.gram]
+    T = [list(row) for row in la.identity(n)]
+
+    def add_col(dst, src, c):
+        # column_dst += c * column_src, congruently (also the matching rows)
+        for i in range(n):
+            G[i][dst] += c * G[i][src]
+        for j in range(n):
+            G[dst][j] += c * G[src][j]
+        for i in range(n):
+            T[i][dst] += c * T[i][src]
+
+    def swap_col(i, j):
+        for r in range(n):
+            G[r][i], G[r][j] = G[r][j], G[r][i]
+        for c in range(n):
+            G[i][c], G[j][c] = G[j][c], G[i][c]
+        for r in range(n):
+            T[r][i], T[r][j] = T[r][j], T[r][i]
+
+    for k in range(n):
+        if G[k][k] == 0:
+            j = next((j for j in range(k + 1, n) if G[j][j] != 0), None)
+            if j is not None:
+                swap_col(k, j)
+            else:
+                j = next((j for j in range(k + 1, n) if G[k][j] != 0), None)
+                if j is None:
+                    raise DegenerateForm("zero block encountered")
+                add_col(k, j, Fraction(1))
+        piv = G[k][k]
+        for j in range(k + 1, n):
+            if G[k][j] != 0:
+                add_col(j, k, -G[k][j] / piv)
+    diag = tuple(G[i][i] for i in range(n))
+    if any(d == 0 for d in diag):
+        raise DegenerateForm("diagonalization produced a zero entry")
+    return diag, tuple(tuple(row) for row in T)
+
+
 def diagonalize_signature(B):
-    """(r, s) counted from the Fraction congruence diagonalize runs."""
-    diag, _ = diagonalize(QuadraticLattice(B))
+    """(r, s) counted from the reference Fraction congruence."""
+    diag, _ = reference_diagonalize(QuadraticLattice(B))
     r = sum(1 for d in diag if d > 0)
     return r, len(diag) - r
 
@@ -569,6 +616,7 @@ def symmetric_int_matrices(draw):
 
 @PROPERTY
 @given(symmetric_int_matrices())
+@example([[0, 1], [1, 0]])                                          # demo 01's plane
 @example([[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]])  # U+U
 @example([[0, 1, 0], [1, 0, 0], [0, 0, -2]])                        # U+<-2>
 @example([[0, 0, 1], [0, 0, 0], [1, 0, 0]])                         # singular, zero row
@@ -580,6 +628,10 @@ def test_integer_signature_matches_diagonalize(B):
     # a rational Gram goes through its scaled integer Gram
     L = QuadraticLattice([[Fraction(x, 6) for x in row] for row in B])
     assert signature_outcome(signature, L) == want
+    # diagonalize replays the integer congruence: the reference's (diag, T)
+    # exactly, and its refusal of a singular Gram
+    for M in (QuadraticLattice(B), L):
+        assert signature_outcome(diagonalize, M) == signature_outcome(reference_diagonalize, M)
 
 
 def test_integer_signature_of_the_empty_block():

@@ -279,6 +279,21 @@ class TestLevi:
         with pytest.raises(NotInParabolic):
             levi_cone_action(g, F2, (F(1),))
 
+    def test_non_isometry_not_in_parabolic(self):
+        # diag(2, 1, 1, 1, 1) keeps both flags but scales b(v0, v2);
+        # diag(2, 1, 1/2, 1, 1) is the isometry that keeps them
+        def diag(*d):
+            return la.mat([[d[i] if i == j else 0 for j in range(5)] for i in range(5)])
+        assert stabilizes_flag(diag(2, 1, F(1, 2), 1, 1), F1)
+        assert levi_project(diag(2, 1, F(1, 2), 1, 1), F1)[1][0] == 2
+        g = diag(2, 1, 1, 1, 1)
+        for flag, u in ((F1, (1, 1, (0,))), (F2, (1,))):
+            assert not stabilizes_flag(g, flag)
+            with pytest.raises(NotInParabolic):
+                levi_project(g, flag)
+            with pytest.raises(NotInParabolic):
+                levi_cone_action(g, flag, u)
+
 
 class TestAdjacency:
     def test_standard_nested_flags(self):
@@ -294,6 +309,12 @@ class TestAdjacency:
 
     def test_disjoint_line_returns_none(self):
         assert adjacency_data(F2, (0, 0, 1, 0, 0)) is None
+
+    def test_generator_needs_rank_integer_coordinates(self):
+        # a short vector or a fractional one is no generator, not span(v0)
+        for generator in [(1, 0), (F(3, 2), 1, 0, 0, 0)]:
+            with pytest.raises(ValueError):
+                adjacency_data(F2, generator)
 
     def test_ray_fixed_by_rank2_unipotents(self):
         rng = random.Random(79)
