@@ -19,7 +19,7 @@ import os
 import sys
 
 from . import reportio as io
-from .errors import OrthocuspError, UnsupportedShape, UsageError
+from .errors import DeskScopeError, OrthocuspError, UnsupportedShape, UsageError
 from .qform import Place, REAL_PLACE, discriminant, hasse_invariant, signature
 
 
@@ -203,47 +203,29 @@ def _parse_point(blob, mode, src):
         raise UsageError(f"a {model} point in this frame needs {size} coordinates")
     if not coords:
         raise UsageError(f"this frame has no {model} coordinates")
-    if model == "projective":
-        return ProjPoint(coords, frame), frame
-    if model == "tube":
-        return TubePoint(coords, frame), frame
-    return BoundedPoint(coords, frame), frame
+    point = {"projective": ProjPoint, "tube": TubePoint, "bounded": BoundedPoint}[model]
+    return point(coords, frame), frame
 
 
 def cmd_map_point(args):
-    from .domains import (
-        BoundedFrame,
-        BoundedPoint,
-        ProjPoint,
-        TubePoint,
-        psi,
-        psi_inv,
-        upsilon,
-        upsilon_inv,
-    )
+    """Each conversion runs through the tube model: from_tube[dst] o to_tube[src]."""
+    from .domains import BoundedFrame, psi, psi_inv, upsilon, upsilon_inv
 
     if not 0 <= args.tol < math.inf:
         raise UsageError(f"--tol must be a finite number >= 0, got {args.tol}")
     point, frame = _parse_point(_read_json(args.point), args.mode, args.src)
-
-    def to_tube(p):
-        if isinstance(p, TubePoint):
-            return p
-        if isinstance(p, BoundedPoint):
-            return upsilon(p)
-        return psi_inv(p, tol=args.tol)
-
-    def convert(p, dst):
-        if dst == "tube":
-            return to_tube(p)
-        if dst == "projective":
-            return p if isinstance(p, ProjPoint) else psi(to_tube(p))
-        return p if isinstance(p, BoundedPoint) else upsilon_inv(to_tube(p))
-
-    out = convert(point, args.dst)
-    conventions = []
-    if args.mode == "float":
-        conventions.append(f"float-mode tolerance {args.tol}")
+    to_tube = {"projective": lambda p: psi_inv(p, tol=args.tol), "tube": lambda y: y,
+               "bounded": upsilon}
+    from_tube = {"projective": psi, "tube": lambda y: y, "bounded": upsilon_inv}
+    try:
+        out = point if args.src == args.dst else from_tube[args.dst](to_tube[args.src](point))
+        finite = args.mode == "exact" or all(math.isfinite(x) for z in out.coords
+                                             for x in (z.real, z.imag))
+    except OverflowError:  # a Gram entry beyond the double range
+        finite = False
+    if not finite:
+        raise DeskScopeError("a coordinate of the float image is not finite")
+    conventions = [f"float-mode tolerance {args.tol}"] if args.mode == "float" else []
     if isinstance(frame, BoundedFrame):
         payload = io.point_to_json(args.dst, out.coords, frame.lattice)
     else:

@@ -365,7 +365,7 @@ class CyclotomicCertificate:
 
 
 def cyclotomic_decomposition(g: IsometryElement, L: QuadraticLattice,
-                             s_basis=None, *, _r_tau=None) -> CyclotomicCertificate:
+                             s_basis=None) -> CyclotomicCertificate:
     """Certificate that S decomposes into q-nondegenerate cyclic factors.
 
     Requires the mu_{r_tau}-action on S to have no nonzero fixed vectors
@@ -382,16 +382,15 @@ def cyclotomic_decomposition(g: IsometryElement, L: QuadraticLattice,
     round's candidates are the complement's rational basis times one
     integer c, so every cyclic span scales by c and no zero test moves.
     Pairings are dot products with the images B w, one per cyclic-span
-    vector w.  The factor bases are divided by c again.  On the selected
-    S = ker Phi_m(g) g has minimal polynomial Phi_m, so r_tau = m (passed
-    as _r_tau); only another s_basis has its order found by matrix_order.
+    vector w.  The factor bases are divided by c again.  m is the order of
+    the restriction R, found by matrix_order: on the selected
+    S = ker Phi_m(g) R has minimal polynomial Phi_m, so m = r_tau.
     """
     if s_basis is None:
-        report = fixed_sublattice(g, L)
-        s_basis, _r_tau = report.s_basis, report.r_tau
+        s_basis = fixed_sublattice(g, L).s_basis
     R = restriction_matrix(g.mat, s_basis)
     k = len(s_basis)
-    m = matrix_order(R) if _r_tau is None else _r_tau
+    m = matrix_order(R)
     if m is None:
         raise NotRootOfUnity("restriction has infinite order")
     if m > 1:
@@ -415,11 +414,10 @@ def cyclotomic_decomposition(g: IsometryElement, L: QuadraticLattice,
     repaired = 0
     space_eqs = []  # rows: pairing functionals B w of the factors found so far
 
-    while True:
-        # pick a vector in the orthogonal complement of the found factors
+    while len(factors) * phi < k:
+        # pick a vector in the orthogonal complement of the found factors,
+        # which is nonzero: they give fewer than k pairing functionals
         cands, c = la.scaled_nullspace(space_eqs or [(0,) * k])
-        if not cands:
-            break
         v = cands[0]
         W, BW = cyclic_span(v)
         if singular(W, BW):
@@ -437,8 +435,6 @@ def cyclotomic_decomposition(g: IsometryElement, L: QuadraticLattice,
             repaired += 1
         factors.append((W, BW, c))
         space_eqs += BW
-        if len(factors) * phi >= k:
-            break
     ortho = all(la.dot(Ba, b) == 0 for (_, B1, _), (f2, _, _)
                 in itertools.combinations(factors, 2) for Ba in B1 for b in f2)
     return CyclotomicCertificate(
@@ -475,14 +471,11 @@ def _classify_locus(g, L, report):
     else:
         cls = SPECIAL_CYCLE
         field = f"Q(zeta_{m})"
-        decomposition = cyclotomic_decomposition(g, L, report.s_basis, _r_tau=m)
+        decomposition = cyclotomic_decomposition(g, L, report.s_basis)
         notes.append(f"CM field {field}; certificate d*phi(m) = "
                      f"{decomposition.d}*{euler_phi(m)} = {decomposition.rank}")
     return replace(report, classification=cls, field_descriptor=field,
                    decomposition=decomposition, notes=tuple(notes))
-
-
-_SKIPPED = (NoPositiveEigenplane, NotRootOfUnity)
 
 
 def _twin_index(m: int) -> int:
@@ -507,17 +500,14 @@ def classify_subgroups(pool, L: QuadraticLattice):
             continue
         try:
             report = fixed_sublattice(g, L)
-        except _SKIPPED as e:
+        except (NoPositiveEigenplane, NotRootOfUnity) as e:
             out[g.subgroup] = out[pool[~i].subgroup] = type(e)
             continue
         m = _twin_index(report.r_tau)
         twin = replace(report, r_tau=m, lambda_exponent=_canonical_exponent(m))
         for h, rep in ((g, report), (pool[~i], twin)):
             if h.subgroup not in out:  # false for -g when -g generates <g>
-                try:
-                    out[h.subgroup] = _classify_locus(h, L, rep)
-                except _SKIPPED as e:
-                    out[h.subgroup] = type(e)
+                out[h.subgroup] = _classify_locus(h, L, rep)
     return out
 
 

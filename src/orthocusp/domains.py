@@ -5,12 +5,13 @@ tube (y in U(C) with q(Im y) > 0), bounded (z subject to the two displayed
 inequalities).  Two numeric backends: exact Gaussian rationals and complex
 doubles.  Both offer .real, .imag, .conjugate() and arithmetic with int and
 Fraction, so each conversion below is one formula for both; the backend of
-a point is the type of its coordinates, and every float-mode predicate
-takes a tolerance.  The linear algebra is _linalg's (form, mat_vec,
+a point is the type of its coordinates.  _zero is the predicates' one
+refusal rule: a float within tol of 0 raises NearBoundary, an exact number
+is zero or not.  The linear algebra is _linalg's (form, mat_vec,
 identity); a BoundedFrame tests the shape once, by qform.atilde_block, and
-keeps its block in a_prime.  Of the 11 bare ValueErrors here the
-CLI reaches only Frame.__init__'s 3, through cli._parse_point, which
-reports them as usage errors; the 8 in in_kappa, grass_plane_from_vectors,
+keeps its block in a_prime.  Of the 11 bare ValueErrors here the CLI
+reaches only Frame.__init__'s 3, through cli._parse_point, which reports
+them as usage errors; the 8 in in_kappa, grass_plane_from_vectors,
 circle_action_matrix and oplus_sign are library-only.
 
 Conventions pinned by the exact test suite:
@@ -112,10 +113,6 @@ class _ModelPoint:
     coords: tuple
     frame: Frame
 
-    @property
-    def mode(self):
-        return "exact" if isinstance(self.coords[0], GaussianRational) else "float"
-
 
 class ProjPoint(_ModelPoint):
     """A representative of a class [v] in the projective model."""
@@ -161,59 +158,55 @@ def standard_bounded_frame(n: int, block=None) -> BoundedFrame:
     return BoundedFrame(standard_atilde(n, block))
 
 
-def _near(x, tol) -> bool:
-    return abs(x) <= tol
+def _zero(x, tol, what) -> bool:
+    """The one refusal rule: exact x (tol None) is zero or not; a float x
+    within tol of 0 raises NearBoundary, any other is not zero."""
+    if tol is None:
+        return not x
+    if abs(x) <= tol:
+        raise NearBoundary(f"{what} within tolerance of 0")
+    return False
 
 
-def _coerce(v):
-    """(v, exact) for a predicate's input: exact when every entry is an int,
-    Fraction or GaussianRational, or the first is a GaussianRational; the
-    exact v holds only GaussianRational entries."""
-    exact = all(isinstance(x, (int, Fraction, GaussianRational)) for x in v) \
-        or isinstance(v[0], GaussianRational)
-    if exact:
-        v = tuple(x if isinstance(x, GaussianRational) else GaussianRational(x) for x in v)
-    return v, exact
+def _coerce(v, tol):
+    """(v, None) for exact input, every entry an int, Fraction or
+    GaussianRational or the first a GaussianRational, with v holding only
+    GaussianRational entries; (v, tol) for float input."""
+    if all(isinstance(x, (int, Fraction, GaussianRational)) for x in v) \
+            or isinstance(v[0], GaussianRational):
+        return tuple(x if isinstance(x, GaussianRational) else GaussianRational(x)
+                     for x in v), None
+    return v, tol
 
 
 def in_kappa(v, frame: Frame, tol: float = 0.0) -> KappaClass:
     """Classify v against kappa and its components.
 
-    Exact mode decides exactly; float mode normalizes by the largest
-    coordinate and raises NearBoundary when a defining quantity is within
-    tol of zero.
+    Exact input is decided exactly.  Float input is normalized by its
+    largest coordinate and refused by _zero or when q(v) and b(v, conj v)
+    are both within tol of 0.  That joint refusal leaves no need of one for
+    b(v, conj v) alone, which only |q(v)| <= tol would reach (or a NaN q(v),
+    from overflow on Gram entries near the largest double; b(v, conj v)
+    then decides).
     """
-    v, exact = _coerce(v)
+    v, tol = _coerce(v, tol)
     if not any(v):
         raise ValueError("v must be nonzero")
-    if not exact:
+    if tol is not None:
         scale = max(abs(x) for x in v)
         v = tuple(x / scale for x in v)
     q = frame.quadratic_c(v)
     bvv = frame.bilinear_c(v, tuple(x.conjugate() for x in v)).real
-    if exact and (q or bvv <= 0):
+    if tol is not None and abs(q) <= tol and abs(bvv) <= tol:
+        raise NearBoundary("q(v) and b(v, conj v) both within tolerance of 0")
+    if (q if tol is None else abs(q) > tol) or bvv <= 0:
         return KappaClass.OUTSIDE
-    if not exact:
-        if _near(abs(q), tol) and _near(bvv, tol):
-            raise NearBoundary("q(v) and b(v, conj v) both within tolerance of 0")
-        if abs(q) > tol:
-            return KappaClass.OUTSIDE
-        if _near(bvv, tol):
-            raise NearBoundary("b(v, conj v) within tolerance of 0")
-        if bvv < 0:
-            return KappaClass.OUTSIDE
     beta = frame.e2_coefficient(v)
-    # on kappa the e2 coefficient never vanishes; in float mode treat a small
-    # one as undecidable
-    if exact and not beta:
+    # on kappa the e2 coefficient never vanishes
+    if _zero(beta, tol, "normalizing coordinate"):
         return KappaClass.OUTSIDE
-    if not exact and _near(abs(beta), tol):
-        raise NearBoundary("normalizing coordinate within tolerance of 0")
-    w = tuple(x / beta for x in v)
-    y = frame.tube_coords_of(w)
-    im1 = y[0].imag
-    if not exact and _near(im1, tol):
-        raise NearBoundary("component test within tolerance of 0")
+    im1 = frame.tube_coords_of(tuple(x / beta for x in v))[0].imag
+    _zero(im1, tol, "component test")
     return KappaClass.PLUS if im1 > 0 else KappaClass.MINUS
 
 
@@ -234,7 +227,7 @@ def psi_inv(p: ProjPoint, tol: float = 0.0) -> TubePoint:
     """Projective -> tube; BoundaryPoint when the e2 coefficient vanishes."""
     frame = p.frame
     beta = frame.e2_coefficient(p.coords)
-    if not beta or p.mode == "float" and abs(beta) <= tol:
+    if not beta or not isinstance(p.coords[0], GaussianRational) and abs(beta) <= tol:
         raise BoundaryPoint("point lies on the hyperplane b(v, e1) = 0")
     w = tuple(x / beta for x in p.coords)
     return TubePoint(frame.tube_coords_of(w), frame)
@@ -363,14 +356,11 @@ def psi_bounded(z: BoundedPoint) -> ProjPoint:
 
 def in_bounded(z, frame: BoundedFrame, tol: float = 0.0) -> bool:
     """Evaluate the two displayed inequalities for the bounded model."""
-    z, exact = _coerce(z)
-    Q = frame.q_a_prime(z)
-    h = frame.h_a_prime(z)
-    q2 = abs2(Q)
-    c1 = 4 + 4 * h + q2
-    c2 = 4 - q2
-    if not exact and (_near(c1, tol) or _near(c2, tol)):
-        raise NearBoundary("bounded-domain inequality within tolerance of 0")
+    z, tol = _coerce(z, tol)
+    q2 = abs2(frame.q_a_prime(z))
+    c1, c2 = 4 + 4 * frame.h_a_prime(z) + q2, 4 - q2
+    _zero(c1, tol, "bounded-domain inequality")
+    _zero(c2, tol, "bounded-domain inequality")
     return c1 > 0 and c2 > 0
 
 

@@ -284,12 +284,6 @@ class Fan:
     def __contains__(self, c):
         return c in self._index
 
-    def __iter__(self):
-        return iter(self.cones)
-
-    def __len__(self):
-        return len(self.cones)
-
     def maximal_cones(self):
         return _maximal(self.cones)
 

@@ -13,6 +13,7 @@ by float_to_json, since json.dumps would write it as a number.
 from __future__ import annotations
 
 import json
+import math
 import sys
 from fractions import Fraction
 
@@ -88,14 +89,17 @@ def complex_to_json(z):
 def complex_from_json(pair, mode="exact"):
     if not isinstance(pair, list) or len(pair) != 2:
         raise UsageError(f"expected a [re, im] pair, got {pair!r}")
-    re, im = pair
     if mode == "exact":
-        return GaussianRational(rat_from_str(re), rat_from_str(im))
+        return GaussianRational(*map(rat_from_str, pair))
     try:
-        return complex(float(Fraction(re) if isinstance(re, str) and "/" in re else float(re)),
-                       float(Fraction(im) if isinstance(im, str) and "/" in im else float(im)))
+        parts = [float(Fraction(x) if isinstance(x, str) and "/" in x else x) for x in pair]
     except (TypeError, ValueError, ZeroDivisionError):
         raise UsageError(f"expected a pair of real numbers, got {pair!r}")
+    except OverflowError:
+        parts = [math.inf]
+    if not all(map(math.isfinite, parts)):
+        raise UsageError(f"expected a pair of finite real numbers, got {pair!r}")
+    return complex(*parts)
 
 
 def point_to_json(model: str, coords, frame_lattice: QuadraticLattice,

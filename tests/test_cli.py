@@ -137,6 +137,39 @@ class TestMapPoint:
         assert out["coords"] == [["1/2", "0"], ["1", "0"], ["0", "1"], ["0", "0"]]
 
 
+class TestMapPointSplitSearch:
+    # diag(1, 1, -1, -1) lacks the two-hyperbolic-planes shape, so the frame
+    # comes from find_isotropic_split(height=2) and orthogonal_complement_basis
+    POINT = {"model": "projective", "coords": [["1", "0"], ["0", "1"], ["0", "0"], ["0", "0"]],
+             "frame": {"gram": [["1", "0", "0", "0"], ["0", "1", "0", "0"],
+                                ["0", "0", "-1", "0"], ["0", "0", "0", "-1"]]}}
+
+    def test_found_split_to_tube(self, tmp_path):
+        pf = write(tmp_path, "p.json", self.POINT)
+        code, blob = run_to_file(tmp_path, ["map-point", "--point", pf,
+                                            "--from", "projective", "--to", "tube"])
+        assert code == 0
+        assert hashlib.sha256(blob).hexdigest() == \
+            "2b7c1f4ec4df84536503b854ff9fd32300b50604552f6f8859a5efd2c04b0ba7"
+
+    def test_found_split_has_no_bounded_model(self, tmp_path, capsys):
+        pf = write(tmp_path, "p.json", self.POINT)
+        assert main(["map-point", "--point", pf, "--from", "projective",
+                     "--to", "bounded"]) == 1
+        assert json.loads(capsys.readouterr().out)["results"] == {
+            "error": "UnsupportedShape",
+            "detail": "upsilon_inv needs a bounded (Atilde-shaped) frame"}
+
+    def test_no_small_isotropic_vector(self, tmp_path, capsys):
+        identity = [["1" if i == j else "0" for j in range(3)] for i in range(3)]
+        point = {"model": "projective", "coords": [["1", "0"], ["0", "1"], ["0", "0"]],
+                 "frame": {"gram": identity}}
+        pf = write(tmp_path, "p.json", point)
+        assert main(["map-point", "--point", pf, "--from", "projective", "--to", "tube"]) == 2
+        assert capsys.readouterr().err == ("usage error: frame needs an explicit e1/e2 split "
+                                           "(no small isotropic vector found)\n")
+
+
 class TestMapPointFloat:
     # one point per model in the two-hyperbolic-planes frame; the projective
     # one is (2 - i) times the psi image of the tube one, so b(v, e1) != 1

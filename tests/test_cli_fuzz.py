@@ -2,11 +2,12 @@
 
 Derandomized hypothesis writes --gram, --fan, --gens, --densities and
 --point files with missing keys, wrong types, ragged rows, non-rational
-strings and wrong ray or coordinate lengths, draws --tol values, and runs
-each through `main`.  Every run must return 0, 1 or 2 without raising, and
-print either nothing or one canonical JSON report; exit code 2 prints
-exactly one `usage error:` line, argparse's own errors included.  No
-report holds a JSON float: floats are written as strings.
+or non-finite strings and wrong ray or coordinate lengths, draws --tol
+values, and runs each through `main`.  Every run must return 0, 1 or 2
+without raising, and print either nothing or one canonical JSON report;
+exit code 2 prints exactly one `usage error:` line, argparse's own errors
+included.  No report holds a JSON float: floats are written as strings,
+and a map-point report writes no "nan" or "inf".
 Ranks stay <= 3 and heights and bounds at 1, so the whole file runs in
 seconds.
 """
@@ -99,6 +100,8 @@ MODELS = ["projective", "tube", "bounded"]
 PAIRS = st.one_of(
     st.lists(st.lists(st.sampled_from(["0", "1", "-1", "1/2"]), min_size=2, max_size=2),
              max_size=5),
+    st.lists(st.lists(st.sampled_from(["0", "1", "nan", "-inf", "1e400"]), min_size=2,
+                      max_size=2), max_size=5),
     st.lists(st.one_of(st.lists(SCALARS, max_size=3), JUNK), max_size=4),
 )
 E1, E2 = ["1", "0", "0", "0"], ["0", "0", "1", "0"]
@@ -199,8 +202,9 @@ def test_malformed_density_files(blob, command):
 @example({"model": "tube", "coords": [["0", "x"], ["0", "1"]], "frame": ATILDE4},
          "tube", "projective", "float")
 def test_malformed_point_files(blob, src, dst, mode):
-    run(["map-point", "--point", "@f", "--from", src, "--to", dst, "--mode", mode],
-        {"f": blob})
+    _, text = run(["map-point", "--point", "@f", "--from", src, "--to", dst, "--mode", mode],
+                  {"f": blob})
+    assert '"nan"' not in text and 'inf"' not in text
 
 
 @pytest.mark.parametrize("argv", [c for c in FAN_COMMANDS if "--cone" not in c])
@@ -266,6 +270,49 @@ def test_float_out_of_range_is_refused(argv):
     code, text = run(argv, {"f": G21})
     assert code == 1
     assert json.loads(text)["results"]["error"] == "DeskScopeError"
+
+
+ATILDE5 = {"gram": [["0", "0", "1", "0", "0"], ["0", "0", "0", "1", "0"],
+                   ["1", "0", "0", "0", "0"], ["0", "1", "0", "0", "0"],
+                   ["0", "0", "0", "0", "-2"]]}
+HUGE = "1" + "0" * 400
+
+
+@pytest.mark.parametrize("src, dst, coords", [
+    ("bounded", "projective", [["nan", "0"], ["0", "0"], ["0", "0"]]),
+    ("tube", "tube", [["inf", "1"], ["0", "1"], ["0", "0"]]),
+    ("tube", "bounded", [["0", "-inf"], ["0", "1"], ["0", "0"]]),
+    ("tube", "projective", [["1e400", "0"], ["0", "1"], ["0", "0"]]),
+    ("tube", "projective", [[HUGE + "/3", "0"], ["0", "1"], ["0", "0"]]),
+    ("tube", "projective", [[int(HUGE), "0"], ["0", "1"], ["0", "0"]]),
+], ids=["nan", "inf", "minus-inf", "1e400", "huge-fraction", "huge-int"])
+def test_non_finite_float_input_is_refused(src, dst, coords):
+    # a part without a finite double is a usage error, as in exact mode a
+    # part without a rational is
+    code, text = run(["map-point", "--point", "@f", "--from", src, "--to", dst,
+                      "--mode", "float"], {"f": {"model": src, "coords": coords,
+                                                 "frame": ATILDE5}})
+    assert (code, text) == (2, "")
+
+
+HUGE_FRAME = {"gram": [["0", "1", "0", "0"], ["1", "0", "0", "0"],
+                       ["0", "0", HUGE, "0"], ["0", "0", "0", "-1"]],
+              "e1": ["1", "0", "0", "0"], "e2": ["0", "1", "0", "0"]}
+
+
+@pytest.mark.parametrize("coords, frame", [
+    ([["1e308", "1e308"], ["1e308", "1"], ["0", "0"]], ATILDE5),
+    ([["0", "1"], ["0", "0"]], HUGE_FRAME),
+], ids=["image-overflow", "gram-beyond-double"])
+def test_non_finite_float_image_is_refused(coords, frame):
+    # finite input whose image overflows a double is a domain error: no
+    # traceback and no "nan" or "inf" in a report
+    code, text = run(["map-point", "--point", "@f", "--from", "tube", "--to", "projective",
+                      "--mode", "float"], {"f": {"model": "tube", "coords": coords,
+                                                 "frame": frame}})
+    assert code == 1
+    assert json.loads(text)["results"] == {
+        "error": "DeskScopeError", "detail": "a coordinate of the float image is not finite"}
 
 
 def test_help_still_exits_zero():

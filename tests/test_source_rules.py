@@ -102,22 +102,33 @@ def test_only_qform_computes_a_signature_by_congruence():
     assert found == []
 
 
-def test_only_the_congruence_refuses_a_degenerate_form():
-    # one congruence decides regularity: signature, int_signature and
-    # diagonalize run qform._congruence, the only raise of DegenerateForm
+def raisers(error):
+    """module.function for each raise of the named error in the package,
+    the function being the innermost one around the raise."""
     found = []
     for path in SOURCES:
         tree = ast.parse(path.read_text(), str(path))
         functions = [node for node in ast.walk(tree)
                      if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))]
         for node in ast.walk(tree):
-            if isinstance(node, ast.Raise) and node.exc is not None and "DegenerateForm" in {
+            if isinstance(node, ast.Raise) and node.exc is not None and error in {
                     getattr(n, "id", None) or getattr(n, "attr", None) for n in ast.walk(node.exc)}:
-                # the innermost function around the raise
                 owner = max((f for f in functions if f.lineno <= node.lineno <= f.end_lineno),
                             key=lambda f: f.lineno, default=None)
                 found.append(f"{path.stem}.{getattr(owner, 'name', '<module>')}")
-    assert found == ["qform._congruence"]
+    return found
+
+
+def test_only_the_congruence_refuses_a_degenerate_form():
+    # one congruence decides regularity: signature, int_signature and
+    # diagonalize run qform._congruence, the only raise of DegenerateForm
+    assert raisers("DegenerateForm") == ["qform._congruence"]
+
+
+def test_only_zero_refuses_near_boundary():
+    # one refusal rule for float input near a boundary: domains._zero, and
+    # in_kappa's joint test of q(v) and b(v, conj v)
+    assert sorted(raisers("NearBoundary")) == ["domains._zero", "domains.in_kappa"]
 
 
 def test_only_linalg_defines_matrix_kernels():
