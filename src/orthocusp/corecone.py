@@ -13,9 +13,10 @@ description pass of fan._facets_of) and a minimum of the pool in the
 closed cone's order (one graded integer sweep); points one recession ray
 above another pool point are neither and are dropped first.  Support
 candidates are facet normals of the windowed hull of the extreme set.
-Pairings on window data run over int: the covectors inner * t are scaled
-once to integer rows over one denominator, and the cone tests use the
-scaled integer Gram.  No Fraction is built per window point.
+Every inner-form pairing (kernel tests, support_fan's hull and contact
+levels, the support function) runs over int: _covectors scales the
+covectors inner * t once to integer rows over one denominator, and the
+cone tests use the scaled Gram.  No Fraction is built per window point.
 """
 
 from __future__ import annotations
@@ -314,11 +315,11 @@ def support_fan(E: ExtremeSet, cone: SelfAdjointCone, window: int | None = None)
     window, pts, dim = window or E.truncation, E.points, cone.dim
     recession = E.recession if window == E.truncation else None
     recession = boundary_rays(cone, window) if recession is None else recession
-    gens = [la.mat_vec(cone.inner, e) + (1,) for e in pts] \
-        + [la.mat_vec(cone.inner, r) + (0,) for r in recession]
+    # (c_e, d) and (c_r, 0) are positive multiples of (inner e, 1) and (inner r, 0)
+    C, d = _covectors(pts, cone)
+    gens = [c + (d,) for c in C] + [r + (0,) for r in _covectors(recession, cone)[0]]
     facets, eqs, _ = _facets_of(gens, dim + 1)
     # <e, y> = 1 with y = a / -a0 is dot(c_e, a) = -a0 * d over int
-    C, d = _covectors(pts, cone)
     functionals = []
     for a in facets + eqs + tuple(tuple(-x for x in e) for e in eqs):
         if a[-1] >= 0:
@@ -351,14 +352,10 @@ def support_fan(E: ExtremeSet, cone: SelfAdjointCone, window: int | None = None)
 
 
 def support_function(report: SupportFanReport, cone: SelfAdjointCone):
-    """phi(x) = min over support functionals of <x, y>: the projectivity
-    certificate (convex, piecewise linear, linear on the top cones)."""
-    ys = report.functionals
-
-    def phi(x):
-        return min(cone.pair(x, y) for y in ys)
-
-    return phi
+    """phi(x) = min over support functionals y of <x, y>, x int or Fraction:
+    the projectivity certificate (convex, linear on the top cones)."""
+    C, d = _covectors(report.functionals, cone)
+    return lambda x: Fraction(min(la.dot(c, x) for c in C), d)
 
 
 @dataclass

@@ -4,14 +4,16 @@ Models: projective (class [v] on the zero quadric with b(v, conj v) > 0),
 tube (y in U(C) with q(Im y) > 0), bounded (z subject to the two displayed
 inequalities).  Two numeric backends: exact Gaussian rationals and complex
 doubles.  Both offer .real, .imag, .conjugate() and arithmetic with int and
-Fraction, so each conversion below is one formula for both; the backend of
-a point is the type of its coordinates.  _zero is the predicates' one
-refusal rule: a float within tol of 0 raises NearBoundary, an exact number
-is zero or not.  The linear algebra is _linalg's (form, mat_vec,
-identity); a BoundedFrame tests the shape once, by qform.atilde_block, and
-keeps its block in a_prime.  Of the 11 bare ValueErrors here the CLI
-reaches only Frame.__init__'s 3, through cli._parse_point, which reports
-them as usage errors; the 8 in in_kappa, grass_plane_from_vectors,
+Fraction, so each conversion below is one formula for both.  _exact is the
+one exactness rule: a point is exact when every coordinate is an int,
+Fraction or GaussianRational, and in doubles otherwise.  _zero is the
+predicates' one refusal rule: a float within tol of 0 raises NearBoundary,
+an exact number is zero or not; _coerce alone refuses a coordinate that is
+not finite.  The linear algebra is _linalg's (form, mat_vec, identity); a
+BoundedFrame tests the shape once, by qform.atilde_block, and keeps its
+block in a_prime.  Of the 12 bare ValueErrors here the CLI reaches only
+Frame.__init__'s 3, through cli._parse_point, which reports them as usage
+errors; the 9 in _coerce, in_kappa, grass_plane_from_vectors,
 circle_action_matrix and oplus_sign are library-only.
 
 Conventions pinned by the exact test suite:
@@ -25,6 +27,7 @@ Conventions pinned by the exact test suite:
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -50,9 +53,14 @@ HALF = Fraction(1, 2)
 QUARTER = Fraction(1, 4)
 
 
-def _i(x):
-    """The imaginary unit on the backend of the coordinate x."""
-    return I if isinstance(x, GaussianRational) else 1j
+def _exact(v) -> bool:
+    """The one exactness rule: every coordinate an int, Fraction or GaussianRational."""
+    return all(isinstance(x, (int, Fraction, GaussianRational)) for x in v)
+
+
+def _i(v):
+    """The imaginary unit on the backend of the coordinates v."""
+    return I if _exact(v) else 1j
 
 
 class Frame:
@@ -169,13 +177,14 @@ def _zero(x, tol, what) -> bool:
 
 
 def _coerce(v, tol):
-    """(v, None) for exact input, every entry an int, Fraction or
-    GaussianRational or the first a GaussianRational, with v holding only
-    GaussianRational entries; (v, tol) for float input."""
-    if all(isinstance(x, (int, Fraction, GaussianRational)) for x in v) \
-            or isinstance(v[0], GaussianRational):
+    """(v, None) for exact input, with v holding only GaussianRational
+    entries; (v, tol) for float input, refused when a coordinate is not
+    finite (every comparison with NaN is False, so none could decide it)."""
+    if _exact(v):
         return tuple(x if isinstance(x, GaussianRational) else GaussianRational(x)
                      for x in v), None
+    if not all(map(cmath.isfinite, v)):
+        raise ValueError("float coordinates must be finite")
     return v, tol
 
 
@@ -227,7 +236,7 @@ def psi_inv(p: ProjPoint, tol: float = 0.0) -> TubePoint:
     """Projective -> tube; BoundaryPoint when the e2 coefficient vanishes."""
     frame = p.frame
     beta = frame.e2_coefficient(p.coords)
-    if not beta or not isinstance(p.coords[0], GaussianRational) and abs(beta) <= tol:
+    if not beta or not _exact(p.coords) and abs(beta) <= tol:
         raise BoundaryPoint("point lies on the hyperplane b(v, e1) = 0")
     w = tuple(x / beta for x in p.coords)
     return TubePoint(frame.tube_coords_of(w), frame)
@@ -296,7 +305,7 @@ def upsilon(z: BoundedPoint) -> TubePoint:
     """Bounded -> tube via the displayed formulas (1/2-normalized Q)."""
     frame = z.frame
     z1, z2 = z.coords[0], z.coords[1]
-    i = _i(z1)
+    i = _i(z.coords)
     Q = frame.q_a_prime(z.coords)
     s = 1 - 2 * z1 - HALF * Q
     if not s:
@@ -319,7 +328,7 @@ def tube_r(y: TubePoint):
     frame = y.frame
     y1, y2 = y.coords[0], y.coords[1]
     qU = frame.q_u(y.coords)
-    W = _i(y1) * (y1 + y2) + qU
+    W = _i(y.coords) * (y1 + y2) + qU
     d = (y1 - y2) * QUARTER
     yprime = (W * QUARTER, d, -(W * QUARTER), -d) + tuple(yi * HALF for yi in y.coords[2:])
     denom = frame.quadratic_c(yprime)
@@ -334,7 +343,7 @@ def upsilon_inv(y: TubePoint) -> BoundedPoint:
         raise UnsupportedShape("upsilon_inv needs a bounded (Atilde-shaped) frame")
     r = tube_r(y)
     y1, y2 = y.coords[0], y.coords[1]
-    z1 = r * (_i(y1) * (y1 + y2) - 2) * QUARTER + 1
+    z1 = r * (_i(y.coords) * (y1 + y2) - 2) * QUARTER + 1
     z2 = r * (y1 - y2) * QUARTER
     rest = tuple(r * yi * HALF for yi in y.coords[2:])
     return BoundedPoint((z1, z2) + rest, y.frame)
@@ -344,7 +353,7 @@ def psi_bounded(z: BoundedPoint) -> ProjPoint:
     """Psi: bounded -> projective, landing on the zero quadric."""
     frame = z.frame
     z1, z2 = z.coords[0], z.coords[1]
-    i = _i(z1)
+    i = _i(z.coords)
     Qh = frame.q_a_prime(z.coords) * HALF
     pad = [0] * (frame.lattice.rank - 4)
     base = [1, i, 1, i] + pad

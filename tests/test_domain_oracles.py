@@ -6,7 +6,13 @@ an exact flag and tested a private _near beside every float refusal, and
 psi_inv asked the point for its backend.  They are kept only as oracles:
 every comparison is of outcomes, the returned class, answer or
 coordinates, or the exception's type and message.  The outcomes agree
-except where q(v) overflows to NaN, pinned by its own test below.
+except where q(v) overflows to NaN, pinned by its own test below, and
+where the rule changed on purpose: float input with a coordinate that is
+not finite is refused (ValueError), which the references decided, and a
+point whose coordinates are all int, Fraction or GaussianRational is
+exact, which reference_psi_inv read in doubles unless its first
+coordinate was a GaussianRational.  Such a point is compared with its
+GaussianRational copy, which every reference reads exactly.
 
 The frames are two of the two-hyperbolic-planes shape, the split
 H + diag(1, -1), and a split of diag(1, 1, 1, -1), which is not of
@@ -14,14 +20,16 @@ signature (2, n): only there can an exact point on the quadric with
 b(v, conj v) > 0 have e2 coefficient 0 or a real first tube coordinate.
 """
 
+import cmath
 import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from orthocusp.domains import (
+    BoundedPoint,
     Frame,
     KappaClass,
     ProjPoint,
@@ -29,12 +37,15 @@ from orthocusp.domains import (
     in_bounded,
     in_kappa,
     psi,
+    psi_bounded,
     psi_inv,
     standard_bounded_frame,
+    tube_r,
+    upsilon,
     upsilon_inv,
 )
 from orthocusp.errors import BoundaryPoint, NearBoundary, SingularDenominator
-from orthocusp.gaussian import GaussianRational, abs2
+from orthocusp.gaussian import GaussianRational, abs2, as_gaussian
 from orthocusp.qform import QuadraticLattice
 
 ORACLE = settings(max_examples=300, deadline=None, derandomize=True)
@@ -107,14 +118,39 @@ def reference_psi_inv(p, tol=0.0):
     return TubePoint(frame.tube_coords_of(w), frame)
 
 
+def is_exact(v):
+    return all(isinstance(x, (int, Fraction, GaussianRational)) for x in v)
+
+
+def gaussian(v):
+    """An exact vector with every coordinate a GaussianRational; any other as it is."""
+    return tuple(map(as_gaussian, v)) if is_exact(v) else tuple(v)
+
+
 def outcome(f, *args):
-    """f's answer, a point's coordinates as text (so NaN equals NaN), or
-    the type and message of what f raised."""
+    """f's answer, a point's coordinates as text (so NaN equals NaN; exact
+    ones as GaussianRationals), or the type and message of what f raised."""
     try:
         out = f(*args)
     except Exception as e:
         return type(e), str(e)
-    return repr(out.coords) if isinstance(out, TubePoint) else out
+    return repr(gaussian(out.coords)) if hasattr(out, "coords") else out
+
+
+NOT_FINITE = (ValueError, "float coordinates must be finite")
+
+
+def reference_outcome(reference, v, *args):
+    """The reference's outcome on v, or the refusal of float input with a
+    coordinate that is not finite, which the references decided."""
+    if not is_exact(v) and not all(map(cmath.isfinite, v)):
+        return NOT_FINITE
+    return outcome(reference, v, *args)
+
+
+def gaussian_point(p):
+    """p with its exact coordinates as GaussianRationals."""
+    return type(p)(gaussian(p.coords), p.frame)
 
 
 SPLIT_3_1 = Frame(QuadraticLattice([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, -1]]),
@@ -221,21 +257,23 @@ def proj_points(draw):
 @given(kappa_inputs())
 def test_in_kappa_matches_reference(case):
     v, frame, tol = case
-    assert outcome(in_kappa, v, frame, tol) == outcome(reference_in_kappa, v, frame, tol)
+    assert outcome(in_kappa, v, frame, tol) == reference_outcome(reference_in_kappa, v, frame,
+                                                                 tol)
 
 
 @ORACLE
 @given(bounded_inputs())
 def test_in_bounded_matches_reference(case):
     z, frame, tol = case
-    assert outcome(in_bounded, z, frame, tol) == outcome(reference_in_bounded, z, frame, tol)
+    assert outcome(in_bounded, z, frame, tol) == reference_outcome(reference_in_bounded, z,
+                                                                   frame, tol)
 
 
 @ORACLE
 @given(proj_points())
 def test_psi_inv_matches_reference(case):
     p, tol = case
-    assert outcome(psi_inv, p, tol) == outcome(reference_psi_inv, p, tol)
+    assert outcome(psi_inv, p, tol) == outcome(reference_psi_inv, gaussian_point(p), tol)
 
 
 def gr(re, im=0):
@@ -308,15 +346,18 @@ ON_HYPERPLANE = (BoundaryPoint, "point lies on the hyperplane b(v, e1) = 0")
 @pytest.mark.parametrize("coords, tol, expected", [
     ((gr(1), gr(0, 1), gr(0), gr(0)), 1e-9, ON_HYPERPLANE),
     ((1.0, 1j, 1e-12, 0j), 1e-9, ON_HYPERPLANE),
-    ((Fraction(1), Fraction(0), Fraction(1, 10 ** 12), Fraction(0)), 1e-9, ON_HYPERPLANE),
+    ((Fraction(1), Fraction(0), Fraction(1, 10 ** 12), Fraction(0)), 1e-9,
+     repr((gr(0), gr(0)))),
     ((Fraction(1), Fraction(0), Fraction(1, 10 ** 12), Fraction(0)), 0.0,
-     repr((Fraction(0), Fraction(0)))),
+     repr((gr(0), gr(0)))),
     ((gr(1), gr(0, 1), gr(1), gr(0, 1)), 0.0, repr((gr(0, 1), gr(0, 1)))),
 ], ids=["exact-beta-zero", "float-beta-small", "fraction-beta-small", "fraction-clear",
         "exact-base-point"])
 def test_psi_inv_branches(coords, tol, expected):
+    # a Fraction point is exact: b(v, e1) = 10^-12 is not 0, whatever tol
     p = ProjPoint(coords, ATILDE2)
-    assert outcome(psi_inv, p, tol) == outcome(reference_psi_inv, p, tol) == expected
+    assert outcome(psi_inv, p, tol) == outcome(reference_psi_inv, gaussian_point(p), tol) \
+        == expected
 
 
 def test_a_nan_q_is_judged_by_b_alone():
@@ -340,3 +381,53 @@ def test_a_nan_q_is_judged_by_b_alone():
     assert outcome(reference_in_kappa, v, frame, 1e-9) == \
         (NearBoundary, "b(v, conj v) within tolerance of 0")
     assert outcome(in_kappa, v, frame, 1e-9) == KappaClass.OUTSIDE
+
+
+@pytest.mark.parametrize("f, args", [
+    (in_kappa, ((1.0, math.nan, 1.0, 1j), ATILDE2, 1e-9)),
+    (in_kappa, ((math.nan, 1j, 1.0, 1j), ATILDE2, 1e-9)),
+    (in_kappa, ((1.0, complex(0, math.inf), 1.0, 1j), ATILDE2, 1e-9)),
+    (in_kappa, ((1.0, math.nan, 1.0, 1j), ATILDE2, None)),
+    (in_bounded, ((math.nan, 0j), ATILDE2, 1e-9)),
+    (in_bounded, ((0j, -math.inf), ATILDE2, 0.0)),
+], ids=["kappa-nan-second", "kappa-nan-first", "kappa-inf", "kappa-nan-tol-none",
+        "bounded-nan", "bounded-inf"])
+def test_the_predicates_refuse_non_finite_float_input(f, args):
+    # every comparison with NaN is False, so no rule could decide such input
+    assert outcome(f, *args) == NOT_FINITE
+
+
+INTS_AND_FRACTIONS = st.one_of(SMALL, st.integers(-2, 2))
+
+
+@st.composite
+def real_exact_points(draw):
+    """(map, point): an int and Fraction point of a model that map reads."""
+    name = draw(st.sampled_from(["upsilon", "psi_bounded", "tube_r", "upsilon_inv", "psi",
+                                 "psi_inv"]))
+    frames = sorted(FRAMES) if name in ("psi", "psi_inv") else BOUNDED_FRAMES
+    frame = FRAMES[draw(st.sampled_from(frames))]
+    kind, size = {"upsilon": (BoundedPoint, frame.n), "psi_bounded": (BoundedPoint, frame.n),
+                  "psi_inv": (ProjPoint, frame.lattice.rank)}.get(name, (TubePoint, frame.n))
+    coords = tuple(draw(st.lists(INTS_AND_FRACTIONS, min_size=size, max_size=size)))
+    return name, kind(coords, frame)
+
+
+MAPS = {"upsilon": upsilon, "psi_bounded": psi_bounded, "tube_r": tube_r,
+        "upsilon_inv": upsilon_inv, "psi": psi, "psi_inv": lambda p: psi_inv(p, 0.5)}
+
+
+@ORACLE
+@given(real_exact_points())
+@example(("upsilon", BoundedPoint((Fraction(1, 8), Fraction(1, 9)), ATILDE2)))
+@example(("psi_bounded", BoundedPoint((Fraction(1, 8), Fraction(1, 9)), ATILDE2)))
+def test_maps_read_an_int_and_fraction_point_as_its_gaussian_copy(case):
+    # one exactness rule: the point's answer, refusal or image is its
+    # GaussianRational copy's, and the image is exact
+    name, p = case
+    assert outcome(MAPS[name], p) == outcome(MAPS[name], gaussian_point(p))
+    try:
+        out = MAPS[name](p)
+    except (BoundaryPoint, SingularDenominator):
+        return
+    assert is_exact(getattr(out, "coords", (out,)))

@@ -42,6 +42,10 @@ face lattice (reference_faces): a search cutting ray subsets by dot
 products, with one fresh cone and its own double description pass per
 face, which the references above now use; and the double description
 pass that canonicalized independent rays before rank alone decided them.
+Last, support_fan as it was when its hull generators were the Fraction
+vectors (inner e, 1) and (inner r, 0), and the support function that
+paired each functional with cone.pair, before both read the integer
+covectors of _covectors.
 They are slow and kept only as oracles.
 """
 
@@ -61,6 +65,7 @@ from orthocusp.corecone import (
     ExtremeSet,
     KernelSpec,
     SelfAdjointCone,
+    SupportFanReport,
     _closed_minima,
     _closed_window,
     _covectors,
@@ -72,6 +77,7 @@ from orthocusp.corecone import (
     first_quadrant_cone,
     light_cone,
     support_fan,
+    support_function,
 )
 from orthocusp.errors import UnstableTruncation
 from orthocusp.fan import (
@@ -634,6 +640,59 @@ def looped_rows_at_least(C, d, xs):
     return tuple(x for x in xs if all(la.dot(c, x) >= d for c in C))
 
 
+def fraction_hull_support_fan(E, cone, window=None):
+    """support_fan with its hull over the Fraction vectors (inner e, 1) and
+    (inner r, 0)."""
+    window, pts, dim = window or E.truncation, E.points, cone.dim
+    recession = E.recession if window == E.truncation else None
+    recession = boundary_rays(cone, window) if recession is None else recession
+    gens = [la.mat_vec(cone.inner, e) + (1,) for e in pts] \
+        + [la.mat_vec(cone.inner, r) + (0,) for r in recession]
+    facets, eqs, _ = _facets_of(gens, dim + 1)
+    # <e, y> = 1 with y = a / -a0 is dot(c_e, a) = -a0 * d over int
+    C, d = _covectors(pts, cone)
+    functionals = []
+    for a in facets + eqs + tuple(tuple(-x for x in e) for e in eqs):
+        if a[-1] >= 0:
+            continue
+        # y is a positive multiple of a[:-1], so the cone holds both or neither
+        if not cone.contains(a[:-1], closed=True):
+            continue
+        level = -a[-1] * d
+        contact = [e for e, c in zip(pts, C) if la.dot(c, a[:-1]) == level]
+        if la.rank(contact) < dim:
+            continue
+        y = tuple(Fraction(x, -a[-1]) for x in a[:-1])
+        functionals.append((y, tuple(tuple(e) for e in contact)))
+    functionals = sorted(set(functionals))
+    cones = [RationalCone([la.primitive(e) for e in contact], dim)
+             for _, contact in functionals] or [RationalCone(list(recession), dim)]
+    fan = fan_from_maximal(cones, dim)
+    rep = validate_fan(fan)
+    report = SupportFanReport(degenerate=not functionals,
+                              functionals=tuple(y for y, _ in functionals),
+                              fan_valid=rep.valid)
+    if not functionals:
+        report.warnings.append(
+            "DegenerateSupport: no support hyperplane has a spanning contact "
+            "set in the window; returning the trivial decomposition"
+        )
+    elif not rep.valid:
+        report.warnings.append(f"window fan failed validation: {rep.violations}")
+    return fan, report
+
+
+def pairing_support_function(report, cone):
+    """phi(x) = min over support functionals of <x, y>: the projectivity
+    certificate (convex, piecewise linear, linear on the top cones)."""
+    ys = report.functionals
+
+    def phi(x):
+        return min(cone.pair(x, y) for y in ys)
+
+    return phi
+
+
 # ---------------------------------------------------------------- properties
 
 # ints, Fractions, floats and rational strings: everything la.frac reads
@@ -964,6 +1023,69 @@ def test_support_functionals_match_subset_loop(name, data):
     _, report = support_fan(E, cone)
     want = subset_support_functionals(E.points, cone, boundary_rays(cone, 2))
     assert list(report.functionals) == want
+
+
+def support_outcome(fn, *args, **kwargs):
+    """The fan's cones and rank with the report, or the exception's type
+    and message."""
+    try:
+        f, report = fn(*args, **kwargs)
+    except Exception as e:
+        return type(e), str(e)
+    return (f.cones, f.rank), report
+
+
+def check_support_fan_against_the_fraction_hull(E, cone, window=None):
+    """support_fan equals the Fraction hull's, and on the (closed) window
+    points and their rational multiples, its support function equals
+    the cone.pair loop (or both refuse a degenerate report alike)."""
+    got = support_outcome(support_fan, E, cone, window=window)
+    assert got == support_outcome(fraction_hull_support_fan, E, cone, window=window)
+    if isinstance(got[1], SupportFanReport):
+        points = cone_lattice_points(cone, window or E.truncation, closed=True)
+        xs = list(points) + [la.vec_scale(Fraction(2, 3), x) for x in points]
+        phi = support_function(got[1], cone)
+        psi = pairing_support_function(got[1], cone)
+        assert [outcome_of(phi, x) for x in xs] == [outcome_of(psi, x) for x in xs]
+
+
+def outcome_of(fn, x):
+    try:
+        return fn(x)
+    except ValueError as e:
+        return str(e)
+
+
+@pytest.mark.parametrize("variant", ["central", "perfect", "central_dual"])
+@pytest.mark.parametrize("name", sorted(SUPPORT_CONES))
+def test_support_fans_match_the_fraction_hull(name, variant):
+    # the core's extreme sets, at their own window (with the recession rays
+    # core_extremes hands on) and at a wider one (with a scan's)
+    cone = SUPPORT_CONES[name]
+    for height in (1, 2, 3):
+        try:
+            E = core_extremes(cone, variant, height)
+        except UnstableTruncation:
+            continue
+        check_support_fan_against_the_fraction_hull(E, cone)
+        check_support_fan_against_the_fraction_hull(E, cone, window=height + 1)
+
+
+@PROPERTY
+@given(st.sampled_from(sorted(SUPPORT_CONES)), st.data())
+def test_support_fans_of_rational_points_match_the_fraction_hull(name, data):
+    # hand-made extreme sets: closed-cone window points, some scaled by
+    # positive rationals, with no recession rays carried, at the set's
+    # window or another
+    cone = SUPPORT_CONES[name]
+    window = cone_lattice_points(cone, 2, closed=True)
+    points = data.draw(st.lists(st.sampled_from(window), min_size=1, max_size=6, unique=True))
+    points = [la.vec_scale(data.draw(positive_scale), p) if data.draw(st.booleans())
+              else p for p in points]
+    E = ExtremeSet(points=tuple(sorted(set(points))), truncation=2, variant="custom",
+                   stable=True)
+    check_support_fan_against_the_fraction_hull(E, cone, window=data.draw(st.sampled_from(
+        [None, 1, 2, 3])))
 
 
 def test_anisotropic_two_point_support_is_the_span_equation():

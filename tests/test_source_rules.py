@@ -102,6 +102,21 @@ def test_only_qform_computes_a_signature_by_congruence():
     assert found == []
 
 
+def test_only_covectors_apply_the_inner_form_in_corecone():
+    # one integer pairing: inside corecone only SelfAdjointCone's own
+    # methods and _covectors read the inner form (inner, _inner) or call
+    # pair; every other pairing runs over the covectors _covectors returns
+    path = next(p for p in SOURCES if p.stem == "corecone")
+    tree = ast.parse(path.read_text(), str(path))
+    owners = [node for node in ast.walk(tree)
+              if isinstance(node, ast.ClassDef) and node.name == "SelfAdjointCone"
+              or isinstance(node, ast.FunctionDef) and node.name == "_covectors"]
+    found = [f"{path.name}:{node.lineno}:{node.attr}" for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute) and node.attr in ("inner", "_inner", "pair")
+             and not any(o.lineno <= node.lineno <= o.end_lineno for o in owners)]
+    assert len(owners) == 2 and found == []
+
+
 def raisers(error):
     """module.function for each raise of the named error in the package,
     the function being the innermost one around the raise."""
