@@ -5,8 +5,10 @@ Everything here is a decision procedure; no floats.  identity(n) is the one
 (cached) int identity.  A rational matrix is stored once as an integer
 matrix over a positive denominator (scaled_int, the one clearing of
 denominators).  One fraction-free integer elimination, echelon, serves
-every rank, kernel, solve, inverse and determinant; scaled_nullspace hands
-out the rational kernel basis as integer rows over one common multiple.
+every rank, kernel, solve, inverse and determinant.  Its reduced form has
+two readers, which hand out integer rows over one common multiple:
+scaled_solve, for every A X = B (solve and inverse are its views), and
+scaled_nullspace, for the rational kernel basis.
 One unimodular integer column reduction, column_reduce, owns the integer
 kernel lattice (kernel_int) and the lattice block behind fan's
 multiplicities and fundamental parallelepipeds; extended Euclid on two
@@ -149,16 +151,26 @@ def rank(A):
 
 def solve(A, b):
     """One solution of A x = b over Fraction, or None if inconsistent."""
-    if not A:
+    sol = scaled_solve(A, [(bi,) for bi in b]) if A else None
+    return sol and tuple(Fraction(x, sol[1]) for x, in sol[0])
+
+
+def scaled_solve(A, B):
+    """(X, d): integer rows X, one per unknown (0 for a free one), with
+    A X = d B; None when a column of B lies outside the column span of A.
+
+    One echelon of [A | B], whose reduced form is M / d: row c of X is the
+    B block of the row with pivot c, and a pivot in the B block marks a
+    column outside the span.
+    """
+    m = len(A[0]) if A else 0
+    M, pivots, d, _ = echelon([tuple(a) + tuple(b) for a, b in zip(A, B)])
+    if pivots and pivots[-1] >= m:
         return None
-    m = len(A[0])
-    M, pivots, d, _ = echelon([list(row) + [bi] for row, bi in zip(A, b)])
-    if m in pivots:
-        return None
-    x = [Fraction(0)] * m
+    X = [(0,) * (len(B[0]) if B else 0)] * m
     for row, c in zip(M, pivots):
-        x[c] = Fraction(row[m], d)
-    return tuple(x)
+        X[c] = row[m:]
+    return tuple(X), d
 
 
 def nullspace(A):
@@ -187,12 +199,10 @@ def scaled_nullspace(A):
 
 
 def inverse(A):
-    n = len(A)
-    M, pivots, d, _ = echelon([list(row) + [int(i == j) for j in range(n)]
-                               for i, row in enumerate(A)])
-    if pivots[:n] != tuple(range(n)):
+    sol = scaled_solve(A, identity(len(A)))
+    if sol is None:
         raise ZeroDivisionError("matrix not invertible")
-    return tuple(tuple(Fraction(x, d) for x in row[n:]) for row in M)
+    return tuple(tuple(Fraction(x, sol[1]) for x in row) for row in sol[0])
 
 
 def scaled_int(A):

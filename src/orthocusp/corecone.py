@@ -354,6 +354,8 @@ def support_fan(E: ExtremeSet, cone: SelfAdjointCone, window: int | None = None)
 def support_function(report: SupportFanReport, cone: SelfAdjointCone):
     """phi(x) = min over support functionals y of <x, y>, x int or Fraction:
     the projectivity certificate (convex, linear on the top cones)."""
+    if not report.functionals:
+        raise ValueError("degenerate support: the report has no support functionals")
     C, d = _covectors(report.functionals, cone)
     return lambda x: Fraction(min(la.dot(c, x) for c in C), d)
 

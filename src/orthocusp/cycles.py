@@ -29,7 +29,7 @@ classification tail (and certificate) on its own element.
 Everything runs over int: powers, kernels, the restricted Grams (blocks
 of the scaled integer Gram, whose positive scale moves no signature or
 zero test) and their signatures (qform.int_signature), the restriction
-of g to S (one echelon) and the certificate's candidates (one integer
+of g to S (one scaled solve) and the certificate's candidates (one integer
 multiple of the rational kernel basis).  Fractions appear only in what
 is reported: the defining equations (integer images over den) and the
 factor bases, divided back to that rational basis.
@@ -311,20 +311,14 @@ def double_perp(L: QuadraticLattice, vectors):
 def restriction_matrix(g_mat, basis):
     """Matrix of g on the saturated sublattice spanned by basis, as int rows.
 
-    One echelon of the augmented matrix [basis^t | images^t] solves for
-    every image at once: the reduced form is M / d, and a pivot right of
-    the basis columns means some image leaves the span.
+    One scaled solve of basis^t R = d images^t finds the coordinates of
+    every image at once; no solution means some image leaves the span.
     """
-    k = len(basis)
-    if not k:
-        return ()
     images = [la.mat_vec(g_mat, v) for v in basis]
-    M, pivots, d, _ = la.echelon([list(col) for col in zip(*basis, *images)])
-    if pivots and pivots[-1] >= k:
+    sol = la.scaled_solve(la.transpose(basis), la.transpose(images))
+    if sol is None:
         raise ValueError("sublattice is not stable under g")
-    R = [[0] * k for _ in range(k)]
-    for row, c in zip(M, pivots):
-        R[c] = row[k:]
+    R, d = sol
     if any(x % d for row in R for x in row):
         raise ValueError("restriction is not integral; basis not saturated?")
     return tuple(tuple(x // d for x in row) for row in R)

@@ -56,13 +56,10 @@ def _double_description(normals, dim, equations=()):
         raise ValueError("the solution cone contains a line")
     rows = [rows[i] for i in first] + [x for i, x in enumerate(rows) if i not in first]
     # simplicial start: ray j is tight on every chosen row but row j.  The
-    # echelon of [A | I] is d [I | A^-1], so ray j is sign(d) times column
-    # j of its right-hand block
-    M, _, d, _ = la.echelon([list(r) + [int(i == j) for j in range(k)]
-                             for i, (r, _) in enumerate(rows[:k])])
+    # chosen rows A have A X = d I, and column j of d X = d^2 A^-1 is on ray j
+    X, d = la.scaled_solve([r for r, _ in rows[:k]], la.identity(k))
     full = sum(bit for _, bit in rows[:k])
-    rays = [(la.primitive([row[k + j] if d > 0 else -row[k + j] for row in M]),
-             full & ~rows[j][1]) for j in range(k)]
+    rays = [(la.primitive([row[j] * d for row in X]), full & ~rows[j][1]) for j in range(k)]
     for a, bit in rows[k:]:
         signs = [(r, z, la.dot(a, r)) for r, z in rays]
         pos = [x for x in signs if x[2] > 0]
@@ -237,18 +234,19 @@ class _Face(RationalCone):
 
 
 def faces(c: RationalCone):
-    """All faces of c including the zero cone and c itself (memoized).
+    """All faces of a pointed cone c, including the zero cone and c itself
+    (memoized); a cone that is not pointed is refused.
 
     A breadth-first search intersects the ray bitmasks of c's facets.  The
-    faces of a pointed cone are _Face objects (c itself for its own rays);
-    dim F is one more than the largest dim (F & t), t a facet not through F.
+    faces are _Face objects (c itself for its own rays); dim F is one more
+    than the largest dim (F & t), t a facet not through F.
     """
-    if c.is_degenerate:
-        raise ValueError("face enumeration implemented for pointed cones only")
     if not hasattr(c, "_faces") and isinstance(c, _Face):
         c._faces = tuple(g for m, g in c._lattice if not m & ~c._mask)
     if hasattr(c, "_faces"):
         return c._faces
+    if not c.is_pointed:
+        raise ValueError("face enumeration implemented for pointed cones only")
     ineqs, rays = c.facet_normals()[0], c.rays
     tight = [sum(1 << i for i, r in enumerate(rays) if la.dot(d, r) == 0) for d in ineqs]
     full = (1 << len(rays)) - 1
@@ -257,9 +255,6 @@ def faces(c: RationalCone):
         frontier = [m & t for m in frontier for t in tight
                     if not (m & t in seen or seen.add(m & t))]
     subsets = sorted((tuple(r for i, r in enumerate(rays) if m >> i & 1), m) for m in seen)
-    if not c.is_pointed:
-        c._faces = tuple(RationalCone(rs, c.rank, canonicalize=False) for rs, _ in subsets)
-        return c._faces
     dims = {0: 0}
     for m in sorted(seen, key=int.bit_count)[1:]:
         dims[m] = 1 + max(dims[m & t] for t in tight if m & ~t)
@@ -372,8 +367,8 @@ def validate_fan(f: Fan) -> FanReport:
     then sigma cap rho and rho cap tau are faces of rho, so sigma cap tau
     is a face of both and in f (faces of faces are faces: Cox, Little &
     Schenck, Toric Varieties, 1.2 and 3.1).  Any other fan, or a failed
-    pair, gets the scans over every cone's faces and every pair in order,
-    which name the first violation.
+    pair, gets scans over every cone (is it pointed?), its faces and every
+    pair in order, which name the first violation.
     """
     cone_set = list(f.cones)
     tops, lattice = f._lattice()
@@ -382,6 +377,8 @@ def validate_fan(f: Fan) -> FanReport:
             return FanReport(valid=True)
     else:
         for c in cone_set:
+            if not c.is_pointed:
+                return FanReport(False, [{"kind": "not_pointed", "cone": list(c.rays)}])
             for fc in faces(c):
                 if fc not in f:
                     return FanReport(False, [{"kind": "missing_face", "cone": list(c.rays),
@@ -432,22 +429,16 @@ def star_subdivide(f: Fan, ray) -> Fan:
 
 
 def barycentric_subdivide(f: Fan, selected) -> Fan:
-    """Star subdivision at the primitive barycenter of each selected cone.
+    """Star subdivision at the primitive barycenter of each selected cone
+    still in the fan, largest first.
 
-    selected is an iterable of cones; those of dimension <= 1 are ignored
-    (their barycenter is a ray of the fan already).  Each step starts from
-    the maximal elements of the last step's cones: a face added by the
-    closure lies strictly inside its cone, so they are the maximal cones of
-    the closed fan.
+    Cones of dimension <= 1 are ignored (their barycenter is a ray of the
+    fan already).
     """
-    selected = [c for c in selected if c.dim >= 2]
-    out, maxcones = f, f.maximal_cones()
-    for c in sorted(selected, key=lambda c: (-c.dim, c.rays)):
-        if c not in out:
-            continue
-        cones = _star(maxcones, c.barycenter(), f.rank)
-        out, maxcones = fan_from_maximal(cones, f.rank), _maximal(cones)
-    return out
+    for c in sorted((c for c in selected if c.dim >= 2), key=lambda c: (-c.dim, c.rays)):
+        if c in f:
+            f = star_subdivide(f, c.barycenter())
+    return f
 
 
 def _resolution_ray(c: RationalCone):

@@ -245,7 +245,7 @@ def find_isotropic_split(L: QuadraticLattice, height: int):
     for cand in itertools.product(range(-height, height + 1), repeat=L.rank):
         if gcd(*cand) != 1:
             continue
-        if L.quadratic(cand) != 0:
+        if la.form(L.scaled_gram, cand, cand):
             continue
         w = la.mat_vec(L.scaled_gram, cand)
         if any(x % L.den for x in w):

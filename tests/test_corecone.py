@@ -201,6 +201,19 @@ class TestSupportFan:
         for v in cone_lattice_points(cone, 3):
             assert phi(v) > 0
 
+    @pytest.mark.parametrize("gram, points", [
+        ([[1, 0], [0, -3]], ((1, 0),)),  # one point: its hull has no facet
+        ([[0, 1], [1, 0]], ((1, 1),)),
+    ])
+    def test_support_function_refuses_a_degenerate_report(self, gram, points):
+        # refused once, naming the degenerate support, instead of a phi that
+        # fails at every point
+        cone = SelfAdjointCone(gram, (1, 0))
+        _, report = support_fan(ExtremeSet(points, 2, "custom", True), cone)
+        assert report.degenerate and report.functionals == ()
+        with pytest.raises(ValueError, match="degenerate support"):
+            support_function(report, cone)
+
     def test_all_cones_meet_rational_closure(self):
         cone = first_quadrant_cone()
         E = ExtremeSet(points=((1, 0), (F(1, 3), F(1, 3)), (0, 1)),

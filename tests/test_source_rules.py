@@ -117,21 +117,37 @@ def test_only_covectors_apply_the_inner_form_in_corecone():
     assert len(owners) == 2 and found == []
 
 
-def raisers(error):
-    """module.function for each raise of the named error in the package,
-    the function being the innermost one around the raise."""
+def owners(match):
+    """module.function for each node of the package that match accepts,
+    the function being the innermost one around the node."""
     found = []
     for path in SOURCES:
         tree = ast.parse(path.read_text(), str(path))
         functions = [node for node in ast.walk(tree)
                      if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))]
         for node in ast.walk(tree):
-            if isinstance(node, ast.Raise) and node.exc is not None and error in {
-                    getattr(n, "id", None) or getattr(n, "attr", None) for n in ast.walk(node.exc)}:
+            if match(node):
                 owner = max((f for f in functions if f.lineno <= node.lineno <= f.end_lineno),
                             key=lambda f: f.lineno, default=None)
                 found.append(f"{path.stem}.{getattr(owner, 'name', '<module>')}")
     return found
+
+
+def raisers(error):
+    """owners of each raise of the named error in the package."""
+    return owners(lambda node: isinstance(node, ast.Raise) and node.exc is not None and error in {
+        getattr(n, "id", None) or getattr(n, "attr", None) for n in ast.walk(node.exc)})
+
+
+def test_only_linalg_reads_the_reduced_form():
+    # one reader of echelon's reduced form for every A X = B: scaled_solve
+    # (solve and inverse are its views), beside scaled_nullspace.  rank and
+    # determinant read only the pivots and d, and so does the double
+    # description, the one caller outside _linalg, to pick independent rows
+    calls = owners(lambda node: isinstance(node, ast.Call) and "echelon" in (
+        getattr(node.func, "id", None), getattr(node.func, "attr", None)))
+    assert sorted(calls) == ["_linalg.determinant", "_linalg.rank", "_linalg.scaled_nullspace",
+                             "_linalg.scaled_solve", "fan._double_description"]
 
 
 def test_only_the_congruence_refuses_a_degenerate_form():
